@@ -2,8 +2,8 @@
 """Nightly profile: every verification suite at its deep range caps.
 
 Prints one line per suite and a final summary; exit code 1 on any violation.
-Set STAIRCASE_LAB_THREADS to fan suites with independent cases out over a
-thread pool.
+The DP pyramid caps are the largest frames that finish in about 2 s on a
+2-core Python 3.11 host.
 """
 
 import sys
@@ -12,9 +12,9 @@ from staircase_lab import suites
 
 DEEP_CAPS = {
     "special-chi": {"max_colength": 200},
-    "pyramid-oracle": {"max_frame": 9},
+    "pyramid-oracle": {"max_frame": 48},
     "pyramid-oracle-full": {"max_frame": 5},
-    "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 9},
+    "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 116},
     "pyramid-monotonic": {"max_frame": 96},
     "endpoint": {"max_frame": 64, "max_n": 12},
     "gstar-crosscheck": {"max_colength": 16},

@@ -4,12 +4,14 @@ A pyramid with frame c holds, for each 0 <= i < c, a set of y-degrees inside
 [0, i].  Its colength is the number of missing entries, and the weight of a
 column {a_1 < ... < a_m} is (a_1 + ... + a_m) - (1 + ... + (m-1)).  The
 maximal weight over all pyramids of type (c, d) has a closed form indexed by
-the unique representation d = n(n+1) - r or d = n^2 - r with 0 <= r < n,
-which the brute-force searches here exist to confirm.
+the unique representation d = n(n+1) - r or d = n^2 - r with 0 <= r < n.
+A knapsack DP over the columns confirms it at every frame, and the
+brute-force searches here guard the DP at small frames.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +153,14 @@ def nr_decomposition(d: int) -> NRDecomposition:
     return candidates[0]
 
 
+def _direct_closed_form(case: str, n, r, c: int) -> Fraction:
+    """The first rewriting of the maximal weight, for d = n(n+1) - r or d = n^2 - r."""
+    n, r = Fraction(n), Fraction(r)
+    if case == "square_pronic":
+        return n * ((c - Fraction(3, 2)) * n + (c + 2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * c
+    return n * ((c + Fraction(1, 2)) * n + (2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * (c + 1)
+
+
 def max_weight_closed_form(c: int, d: int) -> int:
     """Maximal weight of a pyramid of type (c, d), 1 <= d <= c.
 
@@ -160,12 +170,11 @@ def max_weight_closed_form(c: int, d: int) -> int:
     if not 1 <= d <= c:
         raise DomainError(f"need 1 <= d <= c, got d={d}, c={c}")
     dec = nr_decomposition(d)
+    direct = _direct_closed_form(dec.case, dec.n, dec.r, c)
     n, r = Fraction(dec.n), Fraction(dec.r)
     if dec.case == "square_pronic":
-        direct = n * ((c - Fraction(3, 2)) * n + (c + 2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * c
         expanded = -Fraction(4, 3) * n**3 - Fraction(3, 2) * n**2 + (2 * r - Fraction(1, 6)) * n + d * c
     else:
-        direct = n * ((c + Fraction(1, 2)) * n + (2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * (c + 1)
         expanded = -Fraction(4, 3) * n**3 + Fraction(1, 2) * n**2 + (2 * r - Fraction(1, 6)) * n - r + d * c
     if direct != expanded:
         raise InternalInconsistencyError(f"closed-form rewritings disagree at (c={c}, d={d})")
@@ -182,18 +191,59 @@ def endpoint_consistency(c: int, n: int) -> bool:
     """
     if n < 1 or c < 1:
         raise DomainError(f"need c >= 1 and n >= 1, got c={c}, n={n}")
-
-    def pronic_form(nn, rr):
-        nn, rr = Fraction(nn), Fraction(rr)
-        return nn * ((c - Fraction(3, 2)) * nn + (c + 2 * rr - Fraction(1, 6)) - Fraction(4, 3) * nn**2) - rr * c
-
-    def square_form(nn, rr):
-        nn, rr = Fraction(nn), Fraction(rr)
-        return nn * ((c + Fraction(1, 2)) * nn + (2 * rr - Fraction(1, 6)) - Fraction(4, 3) * nn**2) - rr * (c + 1)
-
-    seam_square = pronic_form(n, n) == square_form(n, 0)
-    seam_pronic = pronic_form(n - 1, 0) == square_form(n, n)
+    seam_square = _direct_closed_form("square_pronic", n, n, c) == _direct_closed_form("square", n, 0, c)
+    seam_pronic = _direct_closed_form("square_pronic", n - 1, 0, c) == _direct_closed_form("square", n, n, c)
     return seam_square and seam_pronic
+
+
+@functools.cache
+def _column_options(i: int, full_subsets: bool) -> tuple:
+    """(a, weight, key, column) for each number a of entries column i misses.
+
+    A top-segment column missing a entries is [a, i], keyed by a.  With
+    ``full_subsets`` the option is found by enumerating the subsets of [0, i]
+    of size i + 1 - a: the heaviest one, the smallest sorted tuple among
+    ties, keyed by that tuple.
+    """
+    options = []
+    for a in range(i + 2):
+        if full_subsets:
+            key = min(itertools.combinations(range(i + 1), i + 1 - a), key=lambda sub: (-column_weight(sub), sub))
+            column = frozenset(key)
+        else:
+            key, column = a, frozenset(range(a, i + 1))
+        options.append((a, column_weight(column), key, column))
+    return tuple(options)
+
+
+def max_weight_dp(c: int, d: int, full_subsets: bool = False):
+    """Maximal weight over pyramids of type (c, d) with a witness, by a knapsack DP.
+
+    The weight is a sum over columns and the colength a sum of the entries
+    each column misses, so best[i][r], the largest weight of columns i..c-1
+    that together miss r entries, is the maximum over the options of column
+    i of its weight plus best[i + 1][r - a].  The witness takes, column by
+    column, the option with the smallest key that still reaches the maximum,
+    which is the tie-break of ``brute_force_max_weight``: (-w, avec) for top
+    segments, (-w, sorted column tuples) with ``full_subsets=True``.  The
+    closed form is never consulted.
+    """
+    if not 1 <= d <= c:
+        raise DomainError(f"need 1 <= d <= c, got d={d}, c={c}")
+    options = [_column_options(i, full_subsets) for i in range(c)]
+    best = [None] * c + [[0] + [float("-inf")] * d]
+    for i in reversed(range(c)):
+        nxt = best[i + 1]
+        best[i] = [max(w + nxt[r - a] for a, w, _, _ in options[i] if a <= r) for r in range(d + 1)]
+    columns, r = [], d
+    for i in range(c):
+        nxt = best[i + 1]
+        _, a, column = min(
+            (key, a, column) for a, w, key, column in options[i] if a <= r and w + nxt[r - a] == best[i][r]
+        )
+        columns.append(column)
+        r -= a
+    return best[0][d], Pyramid.from_columns(columns)
 
 
 def _top_segment_candidates(c: int, d: int):

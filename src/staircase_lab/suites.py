@@ -3,15 +3,11 @@
 Every suite returns a :class:`VerificationReport` whose ``violations`` list
 is expected to be empty; nonempty lists are data for the caller, not errors.
 Suites accept range caps so a fast profile and a deep profile can share code.
-Parallel fan-out is capped by the ``STAIRCASE_LAB_THREADS`` environment
-variable; reports are merged in a fixed order either way.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -43,26 +39,6 @@ class VerificationReport:
         }
 
 
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("STAIRCASE_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn, items):
-    """Apply fn over items, fanning out when a thread cap above 1 is set.
-
-    Results come back in input order, so reports stay deterministic.
-    """
-    cap = thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 def suite_catalog_small(**_) -> VerificationReport:
     """Counts and genus values of the colength <= 4 catalog."""
     report = VerificationReport("catalog-small")
@@ -89,33 +65,42 @@ def suite_special_chi(max_colength: int = 50, **_) -> VerificationReport:
 
 
 def suite_pyramid_oracle(max_frame: int = 9, full: bool = False, **_) -> VerificationReport:
-    """Closed-form maximal pyramid weight against the exhaustive search."""
+    """Closed-form maximal pyramid weight against the knapsack DP, and the DP
+    (weight and witness) against the exhaustive search at small frames."""
+    if max_frame < 1:
+        raise DomainError(f"need max_frame >= 1, got {max_frame}")
     name = "pyramid-oracle-full" if full else "pyramid-oracle"
     report = VerificationReport(name)
-    cap = min(max_frame, pyramids.FULL_SUBSET_FRAME_CAP if full else pyramids.TOP_SEGMENT_FRAME_CAP)
-
-    def one(cd):
-        c, d = cd
-        best, witness = pyramids.brute_force_max_weight(c, d, full_subsets=full)
-        return c, d, pyramids.max_weight_closed_form(c, d), best, witness
-
-    grid = [(c, d) for c in range(1, cap + 1) for d in range(1, c + 1)]
-    for c, d, closed, best, witness in _map_cases(one, grid):
-        report.cases_run += 1
-        if closed != best:
-            report.add({"c": c, "d": d}, closed, best)
-        if not full:
-            # a maximal top-segment witness never has a step of breadth >= 4
-            avec = witness.initial_degrees()
-            runs = _step_breadths(avec)
-            if any(b >= 4 for b in runs):
-                report.add({"c": c, "d": d, "witness": list(avec)}, "steps < 4", runs)
+    # the top-segment search grows about 4x per frame; frame 6 keeps its guard cheap
+    guard = pyramids.FULL_SUBSET_FRAME_CAP if full else 6
+    for c in range(1, max_frame + 1):
+        for d in range(1, c + 1):
+            report.cases_run += 1
+            best, witness = pyramids.max_weight_dp(c, d, full_subsets=full)
+            closed = pyramids.max_weight_closed_form(c, d)
+            if closed != best:
+                report.add({"c": c, "d": d}, closed, best)
+            if c <= guard:
+                exhaustive = pyramids.brute_force_max_weight(c, d, full_subsets=full)
+                if exhaustive != (best, witness):
+                    report.add({"c": c, "d": d, "guard": "exhaustive"}, _weight_and_columns(*exhaustive),
+                               _weight_and_columns(best, witness))
+            if not full:
+                # a maximal top-segment witness never has a step of breadth >= 4
+                avec = witness.initial_degrees()
+                runs = _step_breadths(avec)
+                if any(b >= 4 for b in runs):
+                    report.add({"c": c, "d": d, "witness": list(avec)}, "steps < 4", runs)
     table = {(2, 1): 1, (2, 2): 1, (3, 1): 2, (3, 2): 3, (3, 3): 3, (4, 1): 3, (4, 2): 5, (4, 3): 6, (4, 4): 7}
     for (c, d), want in sorted(table.items()):
         report.cases_run += 1
         if pyramids.max_weight_closed_form(c, d) != want:
             report.add({"c": c, "d": d}, want, pyramids.max_weight_closed_form(c, d))
     return report
+
+
+def _weight_and_columns(weight, pyramid) -> tuple:
+    return weight, [sorted(col) for col in pyramid.columns]
 
 
 def _step_breadths(avec) -> list[int]:
@@ -145,7 +130,7 @@ def suite_prop_4_1(max_frame_closed: int = 64, max_frame_oracle: int = 9, **_) -
             report.add({"c": c}, f"<= {(c - 1) ** 2}", w)
     for c in range(1, max_frame_oracle + 1):
         report.cases_run += 1
-        w, _ = pyramids.brute_force_max_weight(c, c)
+        w, _ = pyramids.max_weight_dp(c, c)
         if w > (c - 1) ** 2:
             report.add({"c": c, "oracle": True}, f"<= {(c - 1) ** 2}", w)
     return report
@@ -324,7 +309,8 @@ def suite_ineq(name: str | None = None, max_c: int = 50, max_r: int = 6, m_span:
     caps = inequalities.ScanCaps(max_c=max_c, max_r=max_r, m_span=m_span)
     names = [name] if name else inequalities.all_inequality_names()
     report = VerificationReport(f"ineq:{name or 'all'}")
-    for result in _map_cases(lambda n: inequalities.inequality_scan(n, caps), names):
+    for n in names:
+        result = inequalities.inequality_scan(n, caps)
         report.cases_run += result.cases_run
         for violation in result.violations:
             report.add({"name": result.name, **violation.params}, "holds", "fails")
@@ -358,12 +344,9 @@ def suite_ch14(max_e: int = 10, **_) -> VerificationReport:
 def suite_ch7_catalog(max_m: int = 10, **_) -> VerificationReport:
     """Limit-cycle degrees of the small-kernel deformation families."""
     report = VerificationReport("ch7-catalog")
-
-    def one(case):
-        failures = []
-        count = 0
+    for case in catalog.CASES:
         for m in range(case.min_m, max_m + 1):
-            count += 1
+            report.cases_run += 1
             space = catalog.build_space(case, m)
             zero = torus.limit_ideal(space, "zero")
             inf = torus.limit_ideal(space, "infinity")
@@ -374,13 +357,7 @@ def suite_ch7_catalog(max_m: int = 10, **_) -> VerificationReport:
             )
             want = (case.deg_zero(m), case.deg_infinity(m))
             if got != want:
-                failures.append(({"case": case.name, "m": m}, want, got))
-        return count, failures
-
-    for count, failures in _map_cases(one, catalog.CASES):
-        report.cases_run += count
-        for params, want, got in failures:
-            report.add(params, want, got)
+                report.add({"case": case.name, "m": m}, want, got)
     return report
 
 
@@ -421,10 +398,9 @@ def suite_sandwich(max_m: int = 9, **_) -> VerificationReport:
             spaces.append((f"{case.name}/m={m}", catalog.build_space(case, m)))
     spaces.append(("double-deformation", catalog.double_deformation_space()))
 
-    def one(item):
-        label, space = item
+    for label, space in spaces:
+        report.cases_run += 1
         lo, hi = alphagrade.minmax_alpha_grade(space)
-        failures = []
         for direction in ("zero", "infinity"):
             try:
                 limit = torus.limit_ideal(space, direction)
@@ -433,13 +409,7 @@ def suite_sandwich(max_m: int = 9, **_) -> VerificationReport:
             level = space.degree
             deg = alphagrade.alpha_grade_columns(limit.column(i) for i in range(level + 1))
             if not lo <= deg <= hi:
-                failures.append(({"fixture": label, "direction": direction}, (lo, hi), deg))
-        return failures
-
-    for failures in _map_cases(one, spaces):
-        report.cases_run += 1
-        for params, want, got in failures:
-            report.add(params, want, got)
+                report.add({"fixture": label, "direction": direction}, (lo, hi), deg)
     return report
 
 
@@ -549,4 +519,6 @@ def run_suite(suite: str, **caps) -> VerificationReport:
     start = time.perf_counter()
     report = SUITES[suite](**caps)
     report.elapsed = time.perf_counter() - start
+    if report.cases_run == 0:
+        raise DomainError(f"suite {suite!r} covered no cases with caps {caps}")
     return report

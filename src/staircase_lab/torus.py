@@ -105,13 +105,17 @@ class SemiInvariantSpace:
                 Chain(monomial_from_list(c["initial"]), frozenset(int(j) for j in c["support"]))
                 for c in data["chains"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed semi-invariant space JSON: {data!r}") from exc
         return SemiInvariantSpace(weight, chains)
 
     @staticmethod
     def from_json(text: str) -> "SemiInvariantSpace":
-        return SemiInvariantSpace.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"malformed semi-invariant space JSON: {exc}") from exc
+        return SemiInvariantSpace.from_json_dict(data)
 
 
 def _columns_of_monomials(monomials, degree: int) -> list[set[int]]:

@@ -58,8 +58,27 @@ class TestComputations:
         assert set(payload) == {"c", "d", "case", "n", "r", "weight", "oracle", "witness"}
         assert payload["weight"] == payload["oracle"]
 
+    @pytest.mark.parametrize(
+        "extra,stdout",
+        [
+            ((), "41  witness a(i)=0,0,0,0,0,1,1,2,3\n"),
+            (
+                ("--json",),
+                '{"c": 9, "case": "square", "d": 7, "n": 3, "oracle": 41, "r": 2, "weight": 41, '
+                '"witness": [0, 0, 0, 0, 0, 1, 1, 2, 3]}\n',
+            ),
+        ],
+    )
+    def test_pyramid_witness_output_is_pinned(self, extra, stdout):
+        result = run_cli("pyramid", "max", "--frame", "9", "--colength", "7", "--oracle", "--witness", *extra)
+        assert result.returncode == 0
+        assert result.stdout == stdout
+
     def test_pyramid_domain_error(self):
         assert run_cli("pyramid", "max", "--frame", "3", "--colength", "9").returncode == 2
+
+    def test_pyramid_oracle_beyond_frame_nine_is_a_usage_error(self):
+        assert run_cli("pyramid", "max", "--frame", "10", "--colength", "4", "--oracle").returncode == 2
 
     def test_ch14(self):
         result = run_cli("ch14", "--e", "5")
@@ -82,6 +101,20 @@ class TestComputations:
     def test_missing_space_file(self):
         assert run_cli("alphagrade", "--space", "/nonexistent.json").returncode == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rho": [-4, 1, 3], "chains": [{"initial": [4, 0, 1], "support": [0, 1]}',  # truncated
+            '{"rho": [1e400, -1, 0], "chains": [{"initial": [4, 0, 1], "support": [0, 1]}]}',  # infinite weight
+        ],
+    )
+    def test_malformed_space_file_is_a_usage_error(self, tmp_path, text):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(text)
+        result = run_cli("alphagrade", "--space", str(space_file))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
 
 class TestVerify:
     def test_suite_passes_with_exit_zero(self):
@@ -98,6 +131,15 @@ class TestVerify:
         payload = json.loads(result.stdout)
         assert payload["ok"] is True
         assert payload["violations"] == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--suite", "special-chi", "--max-colength", "3"), ("--suite", "pyramid-oracle", "--max-frame", "-5")],
+    )
+    def test_empty_sweep_is_usage_error(self, args):
+        result = run_cli("verify", *args)
+        assert result.returncode == 2
+        assert "ok" not in result.stdout
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "--suite", "nope").returncode == 2

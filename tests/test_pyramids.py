@@ -1,4 +1,4 @@
-"""Pyramid weights: column formula, exchange moves, closed forms, oracle."""
+"""Pyramid weights: column formula, exchange moves, closed forms, oracles."""
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +166,43 @@ class TestClosedForm:
         for c in range(1, 5):
             values = [P.max_weight_closed_form(c, d) for d in range(1, c + 1)]
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+class TestKnapsackDP:
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_top_segment_search(self, c, data):
+        d = data.draw(st.integers(min_value=1, max_value=c))
+        assert P.max_weight_dp(c, d) == P.brute_force_max_weight(c, d)
+
+    @given(st.integers(min_value=1, max_value=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_subset_search(self, c, data):
+        d = data.draw(st.integers(min_value=1, max_value=c))
+        assert P.max_weight_dp(c, d, full_subsets=True) == P.brute_force_max_weight(c, d, full_subsets=True)
+
+    def test_matches_closed_form(self):
+        for c in range(1, 25):
+            for d in range(1, c + 1):
+                w, witness = P.max_weight_dp(c, d)
+                assert w == P.max_weight_closed_form(c, d)
+                assert (witness.weight(), witness.colength) == (w, d)
+
+    def test_never_consults_the_closed_form(self, monkeypatch):
+        def closed_form(c, d):
+            raise AssertionError(f"closed form consulted at (c={c}, d={d})")
+
+        monkeypatch.setattr(P, "max_weight_closed_form", closed_form)
+        for c in range(1, 8):
+            for d in range(1, c + 1):
+                P.max_weight_dp(c, d)
+                P.max_weight_dp(c, d, full_subsets=True)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            P.max_weight_dp(3, 4)
+        with pytest.raises(DomainError):
+            P.max_weight_dp(3, 0)
 
 
 class TestEndpointConsistency:
