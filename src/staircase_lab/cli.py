@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import alphagrade, catalog, hilbert, pyramids, standard_form, suites
-from .errors import DomainError, InternalInconsistencyError, RangeError, StaircaseLabError
+from .errors import DomainError, InternalInconsistencyError, RangeError
 from .torus import SemiInvariantSpace
 
 USAGE_EXIT = 2
@@ -210,9 +210,6 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
     except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except StaircaseLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -11,7 +11,9 @@ where it stays.  The colength is the total deficiency
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import DomainError, InternalInconsistencyError
@@ -27,18 +29,8 @@ def _canonical_diff(raw) -> tuple[int, ...]:
         raise DomainError(f"negative entry in difference sequence {seq}")
     if not _diff_is_valid(seq):
         raise DomainError(f"not a valid difference sequence: {seq}")
-    # extend until the diagonal is reached
-    n = 0
-    out = []
-    prev = 0
-    while True:
-        v = seq[n] if n < len(seq) else n + 1
-        out.append(v)
-        if v == n + 1:
-            break
-        prev = v
-        n += 1
-    return tuple(out)
+    e = next((n for n, v in enumerate(seq) if v == n + 1), len(seq))
+    return tuple(seq[:e]) + (e + 1,)
 
 
 def _diff_is_valid(seq) -> bool:
@@ -77,7 +69,10 @@ class HilbertFunction:
 
     @staticmethod
     def from_diff(raw) -> "HilbertFunction":
-        return HilbertFunction(_canonical_diff(raw))
+        # _canonical_diff has validated the sequence; skip the constructor's check
+        phi = object.__new__(HilbertFunction)
+        object.__setattr__(phi, "diff", _canonical_diff(raw))
+        return phi
 
     @staticmethod
     def parse(text: str) -> "HilbertFunction":
@@ -105,7 +100,7 @@ class HilbertFunction:
             return sum(self.diff[: n + 1])
         return comb(n + 2, 2) - self.colength
 
-    @property
+    @cached_property
     def colength(self) -> int:
         return sum(n + 1 - v for n, v in enumerate(self.diff))
 
@@ -125,14 +120,27 @@ class HilbertFunction:
     def g_star(self) -> int:
         """The genus functional.
 
-        Evaluated through two independent formulas (a cumulative sum up to
-        the colength, and a closed form in terms of the partial sum below
-        the regularity); they must agree exactly.
+        Evaluated through two independent formulas that must agree exactly:
+        a cumulative sum of phi(n) over n = 0..d, and a closed form in the
+        partial sum of phi below the regularity e.  The sum is O(d): it
+        accumulates diff up to e and then steps phi(n) = phi(n-1) + n + 1.
+        It uses no closed form past the regularity, which would turn it into
+        the other evaluation.  The closed form is O(e).  The value is cached.
         """
+        return self._g_star
+
+    @cached_property
+    def _g_star(self) -> int:
         d = self.colength
         e = self.regularity
-        by_sum = sum(self.value(n) for n in range(d + 1)) - comb(d + 3, 3) + d * d + 1
-        s = sum(self.value(i) for i in range(e - 1))
+        prefix = list(itertools.accumulate(self.diff))  # phi(0..e)
+        by_sum = sum(prefix)
+        v = prefix[-1]
+        for n in range(e + 1, d + 1):
+            v += n + 1
+            by_sum += v
+        by_sum += -comb(d + 3, 3) + d * d + 1
+        s = sum(prefix[: max(e - 1, 0)])
         by_closed = s - comb(e + 1, 3) + d * (e - 2) + 1
         if by_sum != by_closed:
             raise InternalInconsistencyError(
@@ -147,20 +155,32 @@ class HilbertFunction:
         return self.as_text()
 
 
+def _values(phi: HilbertFunction, length: int) -> tuple[int, ...]:
+    """phi(0), ..., phi(length - 1), for length past the regularity."""
+    values = list(itertools.accumulate(phi.diff))
+    v = values[-1]
+    for n in range(len(values), length):
+        v += n + 1
+        values.append(v)
+    return tuple(values)
+
+
+def _verdict(a: tuple[int, ...], b: tuple[int, ...]) -> Verdict:
+    if a == b:
+        return "equal"
+    if all(map(operator.le, a, b)):
+        return "less"
+    if all(map(operator.ge, a, b)):
+        return "greater"
+    return "incomparable"
+
+
 def compare(phi: HilbertFunction, psi: HilbertFunction) -> Verdict:
     """Pointwise partial-order verdict between equal-colength functions."""
     if phi.colength != psi.colength:
         raise DomainError("comparing Hilbert functions of different colengths")
-    hi = max(phi.regularity, psi.regularity)
-    le = all(phi.value(n) <= psi.value(n) for n in range(hi + 1))
-    ge = all(phi.value(n) >= psi.value(n) for n in range(hi + 1))
-    if le and ge:
-        return "equal"
-    if le:
-        return "less"
-    if ge:
-        return "greater"
-    return "incomparable"
+    length = max(phi.regularity, psi.regularity) + 1
+    return _verdict(_values(phi, length), _values(psi, length))
 
 
 def enumerate_hilbert_functions(d: int) -> list[HilbertFunction]:
@@ -260,8 +280,15 @@ def lex_most(d: int) -> HilbertFunction:
 
 def pairwise_comparable(functions) -> list[tuple[HilbertFunction, HilbertFunction]]:
     """All strictly comparable ordered pairs (phi, psi) with phi < psi."""
-    pairs = []
-    for phi, psi in itertools.permutations(functions, 2):
-        if compare(phi, psi) == "less":
-            pairs.append((phi, psi))
-    return pairs
+    functions = list(functions)
+    if len({phi.colength for phi in functions}) > 1:
+        raise DomainError("comparing Hilbert functions of different colengths")
+    # past both regularities two functions of one colength agree, so one
+    # padding length serves every pair
+    length = max((phi.regularity for phi in functions), default=0) + 1
+    values = [_values(phi, length) for phi in functions]
+    return [
+        (functions[i], functions[j])
+        for i, j in itertools.permutations(range(len(functions)), 2)
+        if _verdict(values[i], values[j]) == "less"
+    ]

@@ -7,6 +7,24 @@ import sys
 import pytest
 
 BASE = [sys.executable, "-m", "staircase_lab"]
+PHI_400 = ",".join(["0"] * 399 + ["400"])  # colength 79800
+ENUM_12_JSON = (
+    '{"colength": 12, "functions": [{"diff": [0, 0, 0, 0, 3, 6], "g_star": 17, "regularity": 5}, '
+    '{"diff": [0, 0, 0, 0, 4, 5, 7], "g_star": 18, "regularity": 6}, '
+    '{"diff": [0, 0, 0, 1, 2, 6], "g_star": 18, "regularity": 5}, '
+    '{"diff": [0, 0, 0, 1, 3, 5, 7], "g_star": 19, "regularity": 6}, '
+    '{"diff": [0, 0, 0, 1, 4, 5, 6, 8], "g_star": 21, "regularity": 7}, '
+    '{"diff": [0, 0, 0, 2, 3, 4, 7], "g_star": 21, "regularity": 6}, '
+    '{"diff": [0, 0, 0, 2, 3, 5, 6, 8], "g_star": 22, "regularity": 7}, '
+    '{"diff": [0, 0, 0, 2, 4, 5, 6, 7, 9], "g_star": 25, "regularity": 8}, '
+    '{"diff": [0, 0, 0, 3, 4, 5, 6, 7, 8, 10], "g_star": 30, "regularity": 9}, '
+    '{"diff": [0, 0, 1, 2, 3, 4, 6, 8], "g_star": 25, "regularity": 7}, '
+    '{"diff": [0, 0, 1, 2, 3, 5, 6, 7, 9], "g_star": 27, "regularity": 8}, '
+    '{"diff": [0, 0, 1, 2, 4, 5, 6, 7, 8, 10], "g_star": 31, "regularity": 9}, '
+    '{"diff": [0, 0, 1, 3, 4, 5, 6, 7, 8, 9, 11], "g_star": 37, "regularity": 10}, '
+    '{"diff": [0, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12], "g_star": 45, "regularity": 11}, '
+    '{"diff": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13], "g_star": 55, "regularity": 12}]}\n'
+)
 
 
 def run_cli(*args, env=None):
@@ -42,6 +60,36 @@ class TestHf:
     def test_invalid_phi_is_a_usage_error(self):
         result = run_cli("hf", "info", "--phi", "0,1,1")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "phi,extra,stdout",
+        [
+            (
+                "0,0,1,3,4,6",
+                (),
+                "phi'=0,0,1,3,4,6\nd=7\nalpha=2\nreg=5\ng*=7\ng(d)=6\n"
+                "type: r=0; ells=-; ms=5; c=2; kappa=2\n",
+            ),
+            (
+                PHI_400,
+                ("--json",),
+                '{"alpha": 399, "colength": 79800, "deformation_bound": 1591930201, "diff": ['
+                + ", ".join(PHI_400.split(","))
+                + '], "g_star": 21093801, "regularity": 399, "type_chain": {"ells": null, '
+                '"kernel_c": 79800, "kernel_kappa": 399, "ms": [], "r": -1}}\n',
+            ),
+        ],
+        ids=["short", "400-entries-json"],
+    )
+    def test_info_output_is_pinned(self, phi, extra, stdout):
+        result = run_cli("hf", "info", "--phi", phi, *extra)
+        assert result.returncode == 0
+        assert result.stdout == stdout
+
+    def test_enum_json_output_is_pinned(self):
+        result = run_cli("hf", "enum", "--colength", "12", "--json")
+        assert result.returncode == 0
+        assert result.stdout == ENUM_12_JSON
 
 
 class TestComputations:

@@ -1,12 +1,55 @@
 """Hilbert function validity, catalog values, and the genus functional."""
 
+import itertools
+from math import comb
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase_lab import hilbert as H
-from staircase_lab.errors import DomainError
+from staircase_lab.errors import DomainError, InternalInconsistencyError
 
 from .strategies import hf_small, valid_diffs
+
+
+# References written from the raw difference sequence, independent of the package.
+
+
+def ref_colength(diff):
+    return sum(n + 1 - v for n, v in enumerate(diff))
+
+
+def ref_phi(diff, n):
+    return sum(diff[k] if k < len(diff) else k + 1 for k in range(n + 1))
+
+
+def ref_g_star(diff):
+    """sum_{n<=d} phi(n) - C(d+3, 3) + d^2 + 1, phi accumulated pointwise."""
+    d = ref_colength(diff)
+    total = phi = 0
+    for n in range(d + 1):
+        phi += diff[n] if n < len(diff) else n + 1
+        total += phi
+    return total - comb(d + 3, 3) + d * d + 1
+
+
+def ref_verdict(a, b):
+    # past the colength both functions sit on the diagonal, so n <= d suffices
+    top = ref_colength(a.diff) + 1
+    pa = [ref_phi(a.diff, n) for n in range(top)]
+    pb = [ref_phi(b.diff, n) for n in range(top)]
+    le = all(x <= y for x, y in zip(pa, pb))
+    ge = all(x >= y for x, y in zip(pa, pb))
+    return {(True, True): "equal", (True, False): "less", (False, True): "greater"}.get((le, ge), "incomparable")
+
+
+@st.composite
+def equal_colength_lists(draw, max_size=8):
+    """A function from hf_small and further functions of its colength."""
+    phi = draw(hf_small)
+    peers = H.enumerate_hilbert_functions(phi.colength)
+    return [phi] + draw(st.lists(st.sampled_from(peers), max_size=max_size - 1))
 
 
 class TestValidity:
@@ -34,6 +77,18 @@ class TestValidity:
     def test_canonical_trims_the_diagonal_tail(self):
         assert H.HilbertFunction.from_diff([0, 0, 3, 4, 5]).diff == (0, 0, 3)
         assert H.HilbertFunction.from_diff([0, 1]).diff == (0, 1, 3)
+
+    def test_constructor_rejects_non_canonical_tuples(self):
+        for diff in [(0, 2, 3), (0, 1), (0, 1, 1, 4), (-1, 2)]:
+            with pytest.raises(DomainError):
+                H.HilbertFunction(diff)
+
+    def test_from_diff_validates_once(self, monkeypatch):
+        calls = []
+        canonical = H._canonical_diff
+        monkeypatch.setattr(H, "_canonical_diff", lambda raw: calls.append(raw) or canonical(raw))
+        assert H.HilbertFunction.from_diff([0, 0, 3, 4]).diff == (0, 0, 3)
+        assert len(calls) == 1
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):
@@ -82,6 +137,26 @@ class TestGenusFunctional:
     def test_both_formulas_agree(self, phi):
         phi.g_star()  # raises InternalInconsistencyError on mismatch
 
+    def test_mismatch_raises(self):
+        # an inadmissible diff, built past validation, makes the two formulas disagree
+        phi = object.__new__(H.HilbertFunction)
+        object.__setattr__(phi, "diff", (0, 0, 2))
+        with pytest.raises(InternalInconsistencyError):
+            phi.g_star()
+
+    @given(valid_diffs())
+    def test_matches_the_reference(self, diff):
+        assert H.HilbertFunction.from_diff(diff).g_star() == ref_g_star(diff)
+
+    def test_long_lex_most(self):
+        assert H.lex_most(3000).g_star() == 2999 * 2998 // 2
+
+    def test_long_single_step(self):
+        diff = [0] * 399 + [400]  # colength 79800, regularity 399
+        phi = H.HilbertFunction.from_diff(diff)
+        assert phi.colength == ref_colength(diff) == 79800
+        assert phi.g_star() == ref_g_star(diff) == 21093801
+
     def test_monotone_under_pointwise_order(self):
         for d in range(1, 11):
             functions = H.enumerate_hilbert_functions(d)
@@ -118,8 +193,22 @@ class TestCompare:
         assert H.compare(phi, psi) == "incomparable"
 
     def test_different_colengths_rejected(self):
+        phi, psi = H.HilbertFunction.from_diff([0, 2]), H.HilbertFunction.from_diff([0, 1, 3])
         with pytest.raises(DomainError):
-            H.compare(H.HilbertFunction.from_diff([0, 2]), H.HilbertFunction.from_diff([0, 1, 3]))
+            H.compare(phi, psi)
+        with pytest.raises(DomainError):
+            H.pairwise_comparable([phi, psi])
+
+    @given(equal_colength_lists(max_size=2))
+    def test_compare_matches_the_reference(self, functions):
+        phi, psi = functions if len(functions) == 2 else functions * 2
+        assert H.compare(phi, psi) == ref_verdict(phi, psi)
+
+    @settings(max_examples=50)
+    @given(equal_colength_lists())
+    def test_pairwise_matches_the_reference(self, functions):
+        expected = [(a, b) for a, b in itertools.permutations(functions, 2) if ref_verdict(a, b) == "less"]
+        assert H.pairwise_comparable(functions) == expected
 
 
 class TestDeformationBound:
