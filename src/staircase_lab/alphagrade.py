@@ -23,20 +23,16 @@ from .errors import (
 )
 from .hilbert import special_chi
 from .monomials import Monomial
+from .pyramids import column_weight
 from .staircase import GradedMonomialIdeal, from_generators
 from .torus import SemiInvariantSpace
 
 SELECTION_BUDGET = 10**6
 
 
-def column_alpha_grade(column) -> int:
-    col = sorted(set(column))
-    return sum(col) - comb(len(col), 2)
-
-
 def alpha_grade_columns(columns) -> int:
     """Alpha-grade of a graded monomial subspace given per-degree y-exponent sets."""
-    return sum(column_alpha_grade(col) for col in columns)
+    return sum(column_weight(col) for col in columns)
 
 
 def alpha_grade_monomials(monomials) -> int:
@@ -72,9 +68,6 @@ class DomainSplit:
         if self.threshold < 0:
             raise DomainError("split threshold must be nonnegative")
 
-    def is_left(self, mon: Monomial) -> bool:
-        return mon.xy_degree <= self.threshold
-
     def is_right(self, mon: Monomial) -> bool:
         return mon.xy_degree > self.threshold
 
@@ -100,18 +93,26 @@ def _selections(space: SemiInvariantSpace):
         yield fixed + list(picks)
 
 
-def minmax_alpha_grade(space: SemiInvariantSpace) -> tuple[int, int]:
-    """Exhaustive (min, max) of the alpha-grade over chain selections."""
+def _extremes(space: SemiInvariantSpace, split: DomainSplit | None):
+    """Lexicographic min and max of (alpha-grade, right-domain alpha-grade)
+    over chain selections, in one pass; the right part is 0 without a split."""
     lo = hi = None
     for sel in _selections(space):
-        g = alpha_grade_monomials(sel)
-        if lo is None or g < lo:
-            lo = g
-        if hi is None or g > hi:
-            hi = g
+        right = 0 if split is None else alpha_grade_monomials([m for m in sel if split.is_right(m)])
+        key = (alpha_grade_monomials(sel), right)
+        if lo is None or key < lo:
+            lo = key
+        if hi is None or key > hi:
+            hi = key
     if lo is None:
         raise DegenerateSpaceError("no collision-free selection exists")
     return lo, hi
+
+
+def minmax_alpha_grade(space: SemiInvariantSpace) -> tuple[int, int]:
+    """Exhaustive (min, max) of the alpha-grade over chain selections."""
+    lo, hi = _extremes(space, None)
+    return lo[0], hi[0]
 
 
 def right_domain_spread(space: SemiInvariantSpace, split: DomainSplit) -> int:
@@ -119,20 +120,11 @@ def right_domain_spread(space: SemiInvariantSpace, split: DomainSplit) -> int:
 
     From the selections attaining the global maximum (resp. minimum), keep
     only monomials right of the split and measure the alpha-grade; the
-    spread is the difference of the two restricted values.
+    spread is the largest restricted value at the maximum minus the
+    smallest at the minimum.
     """
-    lo, hi = minmax_alpha_grade(space)
-    right_at_max = None
-    right_at_min = None
-    for sel in _selections(space):
-        g = alpha_grade_monomials(sel)
-        restricted = alpha_grade_monomials([m for m in sel if split.is_right(m)])
-        if g == hi:
-            right_at_max = restricted if right_at_max is None else max(right_at_max, restricted)
-        if g == lo:
-            right_at_min = restricted if right_at_min is None else min(right_at_min, restricted)
-    assert right_at_max is not None and right_at_min is not None
-    return right_at_max - right_at_min
+    lo, hi = _extremes(space, split)
+    return hi[1] - lo[1]
 
 
 def check_bang(space: SemiInvariantSpace, phi) -> bool:

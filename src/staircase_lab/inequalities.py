@@ -23,15 +23,6 @@ class ScanCaps:
     m_span: int = 25  # how far above its lower bound each regularity runs
 
 
-@dataclass
-class Violation:
-    params: dict
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"params": self.params, "detail": self.detail}
-
-
 def _min_m0(r: int, c: int) -> int:
     """Lower bound for the top regularity of a type-r chain over colength c:
     2^r (c+2), sharpened to 14 for type 2 and 7 for type 1."""
@@ -235,8 +226,8 @@ def inequality_scan(name: str, caps: ScanCaps | None = None) -> ScanResult:
     for params, ok in SCANS[name](caps):
         result.cases_run += 1
         if not ok:
-            result.violations.append(Violation(params, f"{name} fails"))
-    result.violations.sort(key=lambda v: sorted(v.params.items()).__repr__())
+            result.violations.append(params)
+    result.violations.sort(key=lambda params: sorted(params.items()).__repr__())
     return result
 
 

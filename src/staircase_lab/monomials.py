@@ -1,4 +1,4 @@
-"""Monomials of k[x, y, z] with the inverse-lexicographic order (x < y < z)."""
+"""Monomials of k[x, y, z], compared by their exponents only (no term order)."""
 
 from __future__ import annotations
 
@@ -27,21 +27,6 @@ class Monomial:
     def xy_degree(self) -> int:
         """Total degree in x and y, i.e. degree minus the z-exponent."""
         return self.ex + self.ey
-
-    def sort_key(self):
-        """Inverse-lexicographic key: low z first, then low y.
-
-        Within one total degree, the minimum is the monomial surviving the
-        z -> 0 limit (the "initial" monomial of a semi-invariant chain) and
-        the maximum survives z -> infinity.
-        """
-        return (self.ez, self.ey, self.ex)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ex + other.ex, self.ey + other.ey, self.ez + other.ez)
 
     def shift(self, dx: int, dy: int, dz: int) -> "Monomial":
         """Multiply by x^dx y^dy z^dz; raises on a negative resulting exponent."""

@@ -93,10 +93,6 @@ class Pyramid:
         return Pyramid(self.frame + 1, tuple(cols))
 
 
-def weight(pyramid: Pyramid) -> int:
-    return pyramid.weight()
-
-
 def move_delta(pyramid: Pyramid, i: int, j: int) -> int:
     """Exact weight change of moving the initial monomial of column i one
     step below the initial monomial of column j: 2(a(j) - a(i)) - (j - i) - 2.

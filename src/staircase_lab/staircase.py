@@ -24,41 +24,32 @@ class GradedMonomialIdeal:
 
     @staticmethod
     def from_columns(columns, stable_from=None) -> "GradedMonomialIdeal":
+        """Validated staircase: columns from ``stable_from`` on are dropped,
+        missing ones below it are full, and trailing full columns are trimmed."""
         cols = [frozenset(int(a) for a in col) for col in columns]
         if stable_from is None:
             stable_from = len(cols)
-        ideal = GradedMonomialIdeal(_canonical_columns(cols, stable_from), int(stable_from))
-        ideal.validate()
-        return ideal._canonical()
-
-    def _canonical(self) -> "GradedMonomialIdeal":
-        cols = list(self.columns)
-        stable = self.stable_from
-        while stable > 0 and _is_full(self.column(stable - 1), stable - 1):
-            stable -= 1
-        return GradedMonomialIdeal(tuple(cols[:stable]), stable)
+        if stable_from < 0:
+            raise MalformedIdealError("stable_from must be nonnegative")
+        cols = cols[:stable_from] + [frozenset(range(n + 1)) for n in range(len(cols), stable_from)]
+        for n, col in enumerate(cols):
+            if any(a < 0 or a > n for a in col):
+                raise MalformedIdealError(f"column {n} has exponent outside [0, {n}]: {sorted(col)}")
+            nxt = cols[n + 1] if n + 1 < len(cols) else frozenset(range(n + 2))
+            if not col <= nxt:
+                raise MalformedIdealError(f"column {n} not contained in column {n + 1}")
+            if not {a + 1 for a in col} <= nxt:
+                raise MalformedIdealError(f"column {n} violates y-multiplication into column {n + 1}")
+        while cols and len(cols[-1]) == len(cols):
+            cols.pop()
+        return GradedMonomialIdeal(tuple(cols), len(cols))
 
     def column(self, n: int) -> frozenset[int]:
         if n < 0:
             return frozenset()
         if n >= self.stable_from:
             return frozenset(range(n + 1))
-        return self.columns[n] if n < len(self.columns) else frozenset(range(n + 1))
-
-    def validate(self) -> None:
-        if self.stable_from < 0:
-            raise MalformedIdealError("stable_from must be nonnegative")
-        for n in range(self.stable_from + 1):
-            col = self.column(n)
-            if any(a < 0 or a > n for a in col):
-                raise MalformedIdealError(f"column {n} has exponent outside [0, {n}]: {sorted(col)}")
-            nxt = self.column(n + 1)
-            if not col <= nxt:
-                raise MalformedIdealError(f"column {n} not contained in column {n + 1}")
-            if not {a + 1 for a in col} <= nxt:
-                raise MalformedIdealError(f"column {n} violates y-multiplication into column {n + 1}")
-        if not _is_full(self.column(self.stable_from), self.stable_from):
-            raise MalformedIdealError(f"column {self.stable_from} is not full but stable_from says so")
+        return self.columns[n]
 
     @property
     def colength(self) -> int:
@@ -68,10 +59,6 @@ class GradedMonomialIdeal:
         return HilbertFunction.from_diff(
             [len(self.column(n)) for n in range(self.stable_from + 1)]
         )
-
-    def contains(self, mon: Monomial) -> bool:
-        """Membership of a degree-n monomial in the section space at its degree."""
-        return mon.ey in self.column(mon.xy_degree)
 
     def section_monomials(self, n: int) -> list[Monomial]:
         """Monomial basis of the degree-n section space (z-saturated columns)."""
@@ -152,17 +139,6 @@ class GradedMonomialIdeal:
         return f"({gens})" if gens else "(1)"
 
 
-def _is_full(col, n: int) -> bool:
-    return len(col) == n + 1
-
-
-def _canonical_columns(cols, stable_from):
-    out = []
-    for n in range(stable_from):
-        out.append(frozenset(cols[n]) if n < len(cols) else frozenset(range(n + 1)))
-    return tuple(out)
-
-
 def from_generators(gens) -> GradedMonomialIdeal:
     """Ideal generated by (x, y)-monomials, given as (ex, ey) pairs.
 
@@ -182,18 +158,6 @@ def from_generators(gens) -> GradedMonomialIdeal:
         for n in range(full_at + 1)
     ]
     return GradedMonomialIdeal.from_columns(cols, full_at)
-
-
-def colength(ideal: GradedMonomialIdeal) -> int:
-    return ideal.colength
-
-
-def hilbert_function(ideal: GradedMonomialIdeal) -> HilbertFunction:
-    return ideal.hilbert_function()
-
-
-def is_borel_fixed(ideal: GradedMonomialIdeal) -> bool:
-    return ideal.is_borel_fixed()
 
 
 @lru_cache(maxsize=None)
@@ -218,14 +182,9 @@ def enumerate_ideals(d: int) -> list[GradedMonomialIdeal]:
         raise RangeError("colength must be nonnegative")
     ideals = []
     for heights in _partitions(d, d if d else 1):
-        h = list(heights)
-
-        def height(a: int) -> int:
-            return h[a] if a < len(h) else 0
-
-        top = len(h) + max(h) if h else 0
-        cols = []
-        for n in range(top + 1):
-            cols.append([a for a in range(n + 1) if a >= height(n - a)])
+        # column n is full exactly when n >= j + h_j for every j
+        top = max((j + h for j, h in enumerate(heights)), default=0)
+        h = heights + (0,) * (top - len(heights))
+        cols = [[a for a in range(n + 1) if a >= h[n - a]] for n in range(top)]
         ideals.append(GradedMonomialIdeal.from_columns(cols, top))
     return ideals

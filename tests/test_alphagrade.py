@@ -12,12 +12,60 @@ from staircase_lab.catalog import (
     case_by_name,
     case_hilbert_function,
     double_deformation_space,
+    marker_deformation_space,
     zero_limit_ideal,
 )
 from staircase_lab.errors import DomainError, RangeError
 from staircase_lab.monomials import Monomial
+from staircase_lab.suites import _KERNELS, _minimal_chain
 
 from .strategies import ideals_small
+
+
+def ref_minmax(space):
+    """Two-pass reference: the extreme grades over all selections."""
+    grades = [A.alpha_grade_monomials(sel) for sel in A._selections(space)]
+    return min(grades), max(grades)
+
+
+def ref_spread(space, split):
+    """Two-pass reference: the largest right value among the max-grade
+    selections minus the smallest among the min-grade ones."""
+    lo, hi = ref_minmax(space)
+    at_max, at_min = [], []
+    for sel in A._selections(space):
+        g = A.alpha_grade_monomials(sel)
+        right = A.alpha_grade_monomials([m for m in sel if split.is_right(m)])
+        if g == hi:
+            at_max.append(right)
+        if g == lo:
+            at_min.append(right)
+    return max(at_max) - min(at_min)
+
+
+def reference_spaces():
+    spaces = [
+        (f"{case.name}/m={m}", build_space(case, m)) for case in CASES for m in range(case.min_m, case.min_m + 3)
+    ]
+    spaces.append(("double-deformation", double_deformation_space()))
+    # at threshold 3 the first max-grade selection has not the largest right
+    # grade among the max-grade ones, nor the first min-grade one the smallest
+    tied = S.from_generators([(1, 1), (4, 0), (0, 4)])
+    deformations = [(Monomial(0, 4, 3), [2]), (Monomial(1, 2, 4), [1]), (Monomial(2, 2, 3), [1])]
+    spaces.append(("tied-extremes", T.deformed_section_space(tied, 7, T.TorusWeight((1, -2, 1)), deformations)))
+    for r in (1, 2):
+        for c in range(4):
+            ms = _minimal_chain(r, c)
+            for target in range(1, r + 1):
+                space = marker_deformation_space(ms, _KERNELS[c], target)
+                spaces.append((f"marker r={r} c={c} t={target}", space))
+            if c >= 1:
+                left = marker_deformation_space(ms, _KERNELS[c], 0, into_left_domain=True)
+                spaces.append((f"marker r={r} c={c} left", left))
+    return spaces
+
+
+REFERENCE_SPACES = reference_spaces()
 
 
 class TestAlphaGradeColumns:
@@ -123,6 +171,23 @@ class TestMinMax:
                     limit = T.limit_ideal(space, direction)
                     deg = A.alpha_grade_columns(limit.column(i) for i in range(space.degree + 1))
                     assert lo <= deg <= hi
+
+
+class TestOnePassExtremes:
+    @pytest.mark.parametrize("label, space", REFERENCE_SPACES, ids=[label for label, _ in REFERENCE_SPACES])
+    def test_matches_the_two_pass_reference(self, label, space):
+        assert A.minmax_alpha_grade(space) == ref_minmax(space)
+        for threshold in range(space.degree + 1):
+            split = A.DomainSplit(threshold)
+            assert A.right_domain_spread(space, split) == ref_spread(space, split), threshold
+
+    def test_spread_enumerates_the_selections_once(self, monkeypatch):
+        calls = []
+        selections = A._selections
+        monkeypatch.setattr(A, "_selections", lambda space: calls.append(space) or selections(space))
+        space = double_deformation_space()
+        A.right_domain_spread(space, A.DomainSplit(3))
+        assert calls == [space]
 
 
 class TestBang:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from staircase_lab import hilbert as H
 from staircase_lab import staircase as S
@@ -14,6 +15,74 @@ from .strategies import ideals_small
 
 def full_ideal():
     return S.from_generators([(0, 0)])
+
+
+def ref_from_columns(columns, stable_from):
+    """Reference construction: pad to stable_from with full columns, validate
+    every column up to stable_from, then trim trailing full columns."""
+    cols = [frozenset(int(a) for a in col) for col in columns]
+    if stable_from is None:
+        stable_from = len(cols)
+
+    def column(n):
+        if n < 0:
+            return frozenset()
+        if n >= stable_from or n >= len(cols):
+            return frozenset(range(n + 1))
+        return cols[n]
+
+    if stable_from < 0:
+        raise MalformedIdealError("stable_from must be nonnegative")
+    for n in range(stable_from + 1):
+        col, nxt = column(n), column(n + 1)
+        if any(a < 0 or a > n for a in col):
+            raise MalformedIdealError(f"column {n} has exponent outside [0, {n}]: {sorted(col)}")
+        if not col <= nxt:
+            raise MalformedIdealError(f"column {n} not contained in column {n + 1}")
+        if not {a + 1 for a in col} <= nxt:
+            raise MalformedIdealError(f"column {n} violates y-multiplication into column {n + 1}")
+    stable = stable_from
+    while stable > 0 and len(column(stable - 1)) == stable:
+        stable -= 1
+    return tuple(column(n) for n in range(stable)), stable
+
+
+def ref_partitions(d, cap):
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, cap), 0, -1):
+        for rest in ref_partitions(d - first, first):
+            yield (first,) + rest
+
+
+def ref_enumerate_ideals(d):
+    """Per-cell reference: every column up to len(h) + max(h), then the
+    reference construction."""
+    out = []
+    for h in ref_partitions(d, max(d, 1)):
+        top = len(h) + max(h) if h else 0
+        cols = [[a for a in range(n + 1) if n - a >= len(h) or a >= h[n - a]] for n in range(top + 1)]
+        columns, stable = ref_from_columns(cols, top)
+        out.append(S.GradedMonomialIdeal(columns, stable))
+    return out
+
+
+@st.composite
+def raw_columns(draw):
+    """Arbitrary column lists, mostly malformed, with an arbitrary stable_from."""
+    columns = draw(st.lists(st.lists(st.integers(-1, 6), max_size=5), max_size=6))
+    stable_from = draw(st.one_of(st.none(), st.integers(-2, 8)))
+    return columns, stable_from
+
+
+@st.composite
+def columns_of_ideals(draw):
+    """Columns of a valid staircase, cut or padded at an arbitrary index."""
+    ideal = draw(ideals_small)
+    columns = [sorted(ideal.column(n)) for n in range(ideal.stable_from + draw(st.integers(0, 3)))]
+    stable_from = draw(st.one_of(st.none(), st.integers(max(len(columns) - 3, 0), len(columns) + 2)))
+    return columns, stable_from
 
 
 class TestColength:
@@ -101,7 +170,20 @@ class TestValidation:
 
     def test_negative_stable_from_rejected(self):
         with pytest.raises(MalformedIdealError):
-            S.GradedMonomialIdeal(tuple(), -1).validate()
+            S.GradedMonomialIdeal.from_columns([], -1)
+
+    @given(st.one_of(raw_columns(), columns_of_ideals()))
+    def test_matches_pad_validate_trim(self, args):
+        columns, stable_from = args
+        try:
+            want = ref_from_columns(columns, stable_from)
+        except MalformedIdealError as exc:
+            with pytest.raises(MalformedIdealError) as got:
+                S.GradedMonomialIdeal.from_columns(columns, stable_from)
+            assert str(got.value) == str(exc)
+            return
+        ideal = S.GradedMonomialIdeal.from_columns(columns, stable_from)
+        assert (ideal.columns, ideal.stable_from) == want
 
 
 class TestJson:
@@ -129,6 +211,10 @@ class TestEnumeration:
     def test_agreement_with_function_enumeration(self, d):
         via_ideals = {ideal.hilbert_function() for ideal in S.enumerate_ideals(d)}
         assert via_ideals == set(H.enumerate_hilbert_functions(d))
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_matches_per_cell_reference(self, d):
+        assert S.enumerate_ideals(d) == ref_enumerate_ideals(d)
 
     def test_all_distinct_and_right_colength(self):
         for d in range(8):
