@@ -8,7 +8,8 @@ lemma-2-4, corollary-2-2, chain-invariants) are the largest that finish
 within the wall time of the O(d*e) genus functional at the earlier caps; the
 staircase caps (hf-ideal-agreement, form-agreement, pyramid-alpha-link) the
 largest that finish within the time of the two-pass ideal construction at the
-earlier caps.
+earlier caps.  The a-bound cap, like the DP pyramid caps, is the largest r
+that finishes in about 2 s.
 """
 
 import sys
@@ -38,7 +39,7 @@ DEEP_CAPS = {
     "stabilization": {"max_colength": 10, "extra_levels": 4},
     "sandwich": {"max_m": 10},
     "pyramid-alpha-link": {"max_colength": 11},
-    "a-bound": {"max_r": 2, "max_c": 3},
+    "a-bound": {"max_r": 4, "max_c": 3},
     "borel": {"max_colength": 10},
 }
 

@@ -7,11 +7,16 @@ graded pieces, constant once the degree is at least the colength.  For a
 semi-invariant space, selecting one supported monomial per chain (collisions
 contribute nothing) and taking extremes of the alpha-grade gives computable
 bounds for the true orbit degree.
+
+The alpha-grade of a selection is order-independent: adding y-degree b to a
+column that already holds k monomials (all distinct) adds b - k.  So the
+search grades the single-option chains once and walks the other chains depth
+first, adding b - k per pick (and to the right-domain grade when the column
+lies right of the split) instead of regrading every selection.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -72,41 +77,86 @@ class DomainSplit:
         return mon.xy_degree > self.threshold
 
 
-def _selections(space: SemiInvariantSpace):
-    """Collision-free selections of one supported monomial per chain."""
-    options = [chain.monomials(space.weight) for chain in space.chains]
+def _fold(space: SemiInvariantSpace, split: DomainSplit | None):
+    """Grade the single-option chains once and list the options of the others.
+
+    Returns the (alpha-grade, right-domain alpha-grade) of the fixed
+    monomials, their count in each column that an option reaches, and per
+    remaining chain its options that miss every fixed monomial, each as
+    (monomial, column, y-degree, right of the split).
+    """
+    fixed = set()
+    n_fixed = 0
+    variable = []
     budget = 1
-    for opt in options:
-        budget *= len(opt)
+    for chain in space.chains:
+        if len(chain.support) == 1:
+            fixed.add(chain.initial)
+            n_fixed += 1
+            continue
+        options = chain.monomials(space.weight)
+        budget *= len(options)
         if budget > SELECTION_BUDGET:
             raise RangeError(f"selection budget exceeded: > {SELECTION_BUDGET} combinations")
-    fixed = [opt[0] for opt in options if len(opt) == 1]
-    if len(set(fixed)) != len(fixed):
+        variable.append(options)
+    if len(fixed) != n_fixed:
         raise InternalInconsistencyError("duplicate initial monomials slipped through")
-    fixed_set = set(fixed)
-    variable = [opt for opt in options if len(opt) > 1]
-    for picks in itertools.product(*variable):
-        if len(set(picks)) != len(picks):
+    grade = alpha_grade_monomials(fixed)
+    right = 0 if split is None else alpha_grade_monomials(m for m in fixed if split.is_right(m))
+    counts = dict.fromkeys((m.xy_degree for options in variable for m in options), 0)
+    for mon in fixed:
+        col = mon.xy_degree
+        if col in counts:
+            counts[col] += 1
+    choices = [
+        [(m, m.xy_degree, m.ey, split is not None and split.is_right(m)) for m in options if m not in fixed]
+        for options in variable
+    ]
+    return (grade, right), counts, choices
+
+
+def _walk(choices, i: int, counts: dict, used: set, key: tuple[int, int]):
+    """Lexicographic (min, max) of the selection keys that extend ``key`` by
+    one pick from each of ``choices[i:]``, or None when all of them collide.
+
+    ``counts`` (monomials per column) and ``used`` (the current picks) are
+    restored before returning.
+    """
+    if i == len(choices):
+        return key, key
+    grade, right = key
+    lo = hi = None
+    for mon, col, ey, is_right in choices[i]:
+        if mon in used:
             continue
-        if any(p in fixed_set for p in picks):
+        step = ey - counts[col]
+        used.add(mon)
+        counts[col] += 1
+        found = _walk(choices, i + 1, counts, used, (grade + step, right + step if is_right else right))
+        counts[col] -= 1
+        used.remove(mon)
+        if found is None:
             continue
-        yield fixed + list(picks)
+        if lo is None or found[0] < lo:
+            lo = found[0]
+        if hi is None or found[1] > hi:
+            hi = found[1]
+    return None if lo is None else (lo, hi)
 
 
 def _extremes(space: SemiInvariantSpace, split: DomainSplit | None):
     """Lexicographic min and max of (alpha-grade, right-domain alpha-grade)
-    over chain selections, in one pass; the right part is 0 without a split."""
-    lo = hi = None
-    for sel in _selections(space):
-        right = 0 if split is None else alpha_grade_monomials([m for m in sel if split.is_right(m)])
-        key = (alpha_grade_monomials(sel), right)
-        if lo is None or key < lo:
-            lo = key
-        if hi is None or key > hi:
-            hi = key
-    if lo is None:
+    over chain selections, in one depth-first walk; the right part is 0
+    without a split.
+
+    Every walked chain has at least two options before the fixed ones are
+    dropped, so the budget bounds the depth by log2(SELECTION_BUDGET).
+    """
+    base, counts, choices = _fold(space, split)
+    found = _walk(choices, 0, counts, set(), base)
+    if found is None:
         raise DegenerateSpaceError("no collision-free selection exists")
-    return lo, hi
+    return found
 
 
 def minmax_alpha_grade(space: SemiInvariantSpace) -> tuple[int, int]:

@@ -113,7 +113,7 @@ class SemiInvariantSpace:
     def from_json(text: str) -> "SemiInvariantSpace":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, an over-long integer, deep nesting
             raise DomainError(f"malformed semi-invariant space JSON: {exc}") from exc
         return SemiInvariantSpace.from_json_dict(data)
 

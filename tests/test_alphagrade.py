@@ -1,7 +1,12 @@
 """Alpha-grades: cycle degrees, selection extremes, bounds, genus values."""
 
+import itertools
+import math
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from staircase_lab import alphagrade as A
 from staircase_lab import staircase as S
@@ -15,16 +20,39 @@ from staircase_lab.catalog import (
     marker_deformation_space,
     zero_limit_ideal,
 )
-from staircase_lab.errors import DomainError, RangeError
+from staircase_lab.errors import (
+    DegenerateSpaceError,
+    DomainError,
+    InternalInconsistencyError,
+    RangeError,
+)
 from staircase_lab.monomials import Monomial
 from staircase_lab.suites import _KERNELS, _minimal_chain
 
 from .strategies import ideals_small
 
 
+def naive_selections(space):
+    """Every choice of one monomial per chain without repeats, by brute force
+    over the full product; raises where the search must raise."""
+    options = [chain.monomials(space.weight) for chain in space.chains]
+    if math.prod(map(len, options)) > A.SELECTION_BUDGET:
+        raise RangeError("selection budget exceeded")
+    fixed = [opt[0] for opt in options if len(opt) == 1]
+    if len(set(fixed)) != len(fixed):
+        raise InternalInconsistencyError("duplicate initial monomials")
+    found = False
+    for sel in itertools.product(*options):
+        if len(set(sel)) == len(sel):
+            found = True
+            yield sel
+    if not found:
+        raise DegenerateSpaceError("no collision-free selection")
+
+
 def ref_minmax(space):
     """Two-pass reference: the extreme grades over all selections."""
-    grades = [A.alpha_grade_monomials(sel) for sel in A._selections(space)]
+    grades = [A.alpha_grade_monomials(sel) for sel in naive_selections(space)]
     return min(grades), max(grades)
 
 
@@ -33,7 +61,7 @@ def ref_spread(space, split):
     selections minus the smallest among the min-grade ones."""
     lo, hi = ref_minmax(space)
     at_max, at_min = [], []
-    for sel in A._selections(space):
+    for sel in naive_selections(space):
         g = A.alpha_grade_monomials(sel)
         right = A.alpha_grade_monomials([m for m in sel if split.is_right(m)])
         if g == hi:
@@ -66,6 +94,50 @@ def reference_spaces():
 
 
 REFERENCE_SPACES = reference_spaces()
+
+
+def unchecked_space(weight, chains):
+    """A space that skips the distinct-initials check, so that the search's
+    own duplicate and empty-selection checks can be reached."""
+    space = object.__new__(T.SemiInvariantSpace)
+    object.__setattr__(space, "weight", weight)
+    object.__setattr__(space, "chains", tuple(chains))
+    return space
+
+
+@st.composite
+def chain_spaces(draw):
+    """Section spaces of small staircases with a few random chain supports.
+
+    Small torus weights and steps make chains land on fixed monomials and on
+    each other's options; sometimes a chain repeats another's initial.
+    """
+    ideal = draw(ideals_small)
+    basis = ideal.section_monomials(ideal.colength + draw(st.integers(0, 1)))
+    r0, r1 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    weight = T.TorusWeight((r0, r1, -r0 - r1)) if (r0, r1) != (0, 0) else T.TorusWeight((1, -1, 0))
+
+    def reach(mon):
+        """The largest step j <= 3 that keeps the exponents nonnegative."""
+        for j in (3, 2, 1):
+            try:
+                weight.step(mon, j)
+                return j
+            except DomainError:
+                pass
+        return 0
+
+    def support(mon):
+        top = reach(mon)
+        return frozenset([0, *draw(st.sets(st.integers(1, top), min_size=1))]) if top else frozenset([0])
+
+    movable = [mon for mon in basis if reach(mon)] or basis
+    picks = draw(st.lists(st.sampled_from(movable), min_size=1, max_size=4, unique=True))
+    chains = [T.Chain(mon, support(mon) if mon in picks else frozenset([0])) for mon in basis]
+    if draw(st.integers(0, 4)) == 4:
+        repeat = draw(st.sampled_from(basis))
+        chains.append(T.Chain(repeat, support(repeat)))
+    return unchecked_space(weight, chains)
 
 
 class TestAlphaGradeColumns:
@@ -183,11 +255,42 @@ class TestOnePassExtremes:
 
     def test_spread_enumerates_the_selections_once(self, monkeypatch):
         calls = []
-        selections = A._selections
-        monkeypatch.setattr(A, "_selections", lambda space: calls.append(space) or selections(space))
+        monomials = T.Chain.monomials
         space = double_deformation_space()
+        monkeypatch.setattr(T.Chain, "monomials", lambda chain, weight: calls.append(chain) or monomials(chain, weight))
         A.right_domain_spread(space, A.DomainSplit(3))
-        assert calls == [space]
+        deformed = {chain for chain in space.chains if len(chain.support) > 1}
+        assert set(Counter(calls).values()) == {1}
+        assert deformed <= set(calls)
+
+
+def outcome(compute):
+    """The value, or the type of the search error raised instead."""
+    try:
+        return compute()
+    except (RangeError, DegenerateSpaceError, InternalInconsistencyError) as exc:
+        return type(exc)
+
+
+class TestIncrementalMatchesNaive:
+    @settings(max_examples=100, deadline=None)
+    @given(chain_spaces(), st.integers(1, 64) | st.just(A.SELECTION_BUDGET))
+    @example(  # both options of the repeated chain are fixed monomials
+        unchecked_space(
+            T.TorusWeight((-1, 1, 0)),
+            [T.Chain(Monomial(2, 0, 0), frozenset([0])), T.Chain(Monomial(1, 1, 0), frozenset([0])),
+             T.Chain(Monomial(2, 0, 0), frozenset([0, 1]))],
+        ),
+        A.SELECTION_BUDGET,
+    )
+    def test_extremes_and_errors(self, space, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(A, "SELECTION_BUDGET", budget)
+            assert outcome(lambda: A.minmax_alpha_grade(space)) == outcome(lambda: ref_minmax(space))
+            for threshold in range(space.degree + 1):
+                split = A.DomainSplit(threshold)
+                got = outcome(lambda: A.right_domain_spread(space, split))
+                assert got == outcome(lambda: ref_spread(space, split)), threshold
 
 
 class TestBang:

@@ -1,10 +1,16 @@
 """CLI behavior: output formats, exit codes, and determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from staircase_lab import cli
 
 BASE = [sys.executable, "-m", "staircase_lab"]
 PHI_400 = ",".join(["0"] * 399 + ["400"])  # colength 79800
@@ -31,6 +37,62 @@ def run_cli(*args, env=None):
     return subprocess.run(
         BASE + list(args), capture_output=True, text=True, timeout=120, env=env, check=False
     )
+
+
+def run_in_process(*args):
+    """Exit code of ``cli.main``; an exception it lets through fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(args))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+RHOS = st.sampled_from([[1, -1, 0], [0, -1, 1], [-2, 1, 1], [1, 1, -2]])
+
+
+@st.composite
+def near_valid_spaces(draw):
+    """Chains with distinct initials of one degree and small supports."""
+    n = draw(st.integers(1, 6))
+    initials = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda ab: sum(ab) <= n)
+    initials = draw(st.lists(initials, min_size=1, max_size=5, unique=True))
+    chains = [
+        {"initial": [a, b, n - a - b], "support": [0] + draw(st.lists(st.integers(1, 2), max_size=2))}
+        for a, b in initials
+    ]
+    return {"rho": draw(RHOS), "chains": chains}
+
+
+SPACE_DOCUMENTS = (
+    JSON_VALUES
+    | near_valid_spaces()
+    | st.fixed_dictionaries({
+        "rho": RHOS | st.lists(st.integers(-3, 3), max_size=4) | JSON_VALUES,
+        "chains": st.lists(
+            st.fixed_dictionaries({
+                "initial": st.lists(st.integers(-1, 6), max_size=4) | JSON_VALUES,
+                "support": st.lists(st.integers(-1, 4), max_size=4) | JSON_VALUES,
+            }),
+            max_size=4,
+        ) | JSON_VALUES,
+    })
+)
+
+
+@st.composite
+def space_texts(draw):
+    """A JSON document for ``--space``, sometimes cut off."""
+    text = json.dumps(draw(SPACE_DOCUMENTS))
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+def over_budget_space():
+    """Three chains of 101 options each: 101**3 > 10**6 selections."""
+    chains = [{"initial": [i, 200 - i, 0], "support": list(range(101))} for i in range(3)]
+    return json.dumps({"rho": [0, -1, 1], "chains": chains})
 
 
 class TestHf:
@@ -154,6 +216,9 @@ class TestComputations:
         [
             '{"rho": [-4, 1, 3], "chains": [{"initial": [4, 0, 1], "support": [0, 1]}',  # truncated
             '{"rho": [1e400, -1, 0], "chains": [{"initial": [4, 0, 1], "support": [0, 1]}]}',  # infinite weight
+            pytest.param('{"rho": [' + "1" * 5000 + ', -1, 0], "chains": []}', id="long-integer"),
+            pytest.param("[" * 5000, id="deep-nesting"),
+            pytest.param(over_budget_space(), id="over-budget"),
         ],
     )
     def test_malformed_space_file_is_a_usage_error(self, tmp_path, text):
@@ -162,6 +227,17 @@ class TestComputations:
         result = run_cli("alphagrade", "--space", str(space_file))
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=space_texts(), as_json=st.booleans())
+    @example(text='{"rho": [1, -1, 0], "chains": []}', as_json=False)
+    @example(text='{"rho": [0, -1, 1], "chains": [{"initial": [0, %d, 0], "support": [0, %d]}]}' % (10**30, 10**30),
+             as_json=True)  # degree 10**30: nothing may be sized by the degree
+    def test_space_input_never_escapes_the_exit_codes(self, tmp_path_factory, text, as_json):
+        space_file = tmp_path_factory.getbasetemp() / "fuzz-space.json"
+        space_file.write_text(text, encoding="utf-8")
+        args = ["alphagrade", "--space", str(space_file)] + (["--json"] if as_json else [])
+        assert run_in_process(*args) in (0, 1, 2, 3)
 
 
 class TestVerify:
