@@ -8,8 +8,9 @@ lemma-2-4, corollary-2-2, chain-invariants) are the largest that finish
 within the wall time of the O(d*e) genus functional at the earlier caps; the
 staircase caps (hf-ideal-agreement, form-agreement, pyramid-alpha-link) the
 largest that finish within the time of the two-pass ideal construction at the
-earlier caps.  The a-bound cap, like the DP pyramid caps, is the largest r
-that finishes in about 2 s.
+earlier caps.  The caps of the suites built on semi-invariant spaces
+(a-bound, ch7-catalog, sandwich, bang), like the DP pyramid caps, are the
+largest that finish in about 2 s (best of 3).
 """
 
 import sys
@@ -34,12 +35,12 @@ DEEP_CAPS = {
     "ineq": {"max_c": 80, "max_r": 7, "m_span": 40},
     "genus-negativity": {"max_c": 40, "m_extent": 40, "nu_extent": 15},
     "ch14": {"max_e": 20},
-    "ch7-catalog": {"max_m": 14},
-    "bang": {"max_m": 14},
+    "ch7-catalog": {"max_m": 58},
+    "bang": {"max_m": 160},
     "stabilization": {"max_colength": 10, "extra_levels": 4},
-    "sandwich": {"max_m": 10},
+    "sandwich": {"max_m": 58},
     "pyramid-alpha-link": {"max_colength": 11},
-    "a-bound": {"max_r": 4, "max_c": 3},
+    "a-bound": {"max_r": 6, "max_c": 3},
     "borel": {"max_colength": 10},
 }
 

@@ -10,9 +10,10 @@ bounds for the true orbit degree.
 
 The alpha-grade of a selection is order-independent: adding y-degree b to a
 column that already holds k monomials (all distinct) adds b - k.  So the
-search grades the single-option chains once and walks the other chains depth
-first, adding b - k per pick (and to the right-domain grade when the column
-lies right of the split) instead of regrading every selection.
+search grades the fixed monomials once (the plain columns of the space, and
+the pick of any chain left with a single option) and walks the other chains
+depth first, adding b - k per pick (and to the right-domain grade when the
+column lies right of the split) instead of regrading every selection.
 """
 
 from __future__ import annotations
@@ -78,49 +79,49 @@ class DomainSplit:
 
 
 def _fold(space: SemiInvariantSpace, split: DomainSplit | None):
-    """Grade the single-option chains once and list the options of the others.
+    """Grade the fixed monomials once and list the options of the other chains.
 
-    Returns the (alpha-grade, right-domain alpha-grade) of the fixed
-    monomials, their count in each column that an option reaches, and per
-    remaining chain its options that miss every fixed monomial, each as
-    (monomial, column, y-degree, right of the split).
+    The fixed monomials are the plain columns and the pick of each deformed
+    chain left with one option once those hitting a plain monomial are
+    dropped.  Returns their alpha-grade, their count in each column that an
+    option reaches, the set of forced picks, and per remaining chain its
+    options, each as (monomial, column, y-degree, right of the split).
     """
-    fixed = set()
-    n_fixed = 0
-    variable = []
+    columns = space.columns
+    kept = []
     budget = 1
-    for chain in space.chains:
-        if len(chain.support) == 1:
-            fixed.add(chain.initial)
-            n_fixed += 1
-            continue
+    for chain in space.deformed:
         options = chain.monomials(space.weight)
         budget *= len(options)
         if budget > SELECTION_BUDGET:
             raise RangeError(f"selection budget exceeded: > {SELECTION_BUDGET} combinations")
-        variable.append(options)
-    if len(fixed) != n_fixed:
+        kept.append([m for m in options if m.ey not in columns.get(m.xy_degree, ())])
+    if sum(map(len, columns.values())) + len(kept) != space.dimension:
         raise InternalInconsistencyError("duplicate initial monomials slipped through")
-    grade = alpha_grade_monomials(fixed)
-    right = 0 if split is None else alpha_grade_monomials(m for m in fixed if split.is_right(m))
-    counts = dict.fromkeys((m.xy_degree for options in variable for m in options), 0)
-    for mon in fixed:
-        col = mon.xy_degree
-        if col in counts:
-            counts[col] += 1
+    forced = [options[0] for options in kept if len(options) == 1]
+    used = set(forced)
+    if len(used) != len(forced):
+        raise DegenerateSpaceError("no collision-free selection exists")
+    counts = {m.xy_degree: len(columns.get(m.xy_degree, ())) for options in kept for m in options}
+    grade = sum(sum(col) - comb(len(col), 2) for col in columns.values())
+    # joined to the plain columns, each forced pick loses the k plain monomials of its column
+    grade += alpha_grade_monomials(forced) - sum(counts[m.xy_degree] for m in forced)
+    for m in forced:
+        counts[m.xy_degree] += 1
     choices = [
-        [(m, m.xy_degree, m.ey, split is not None and split.is_right(m)) for m in options if m not in fixed]
-        for options in variable
+        [(m, m.xy_degree, m.ey, split is not None and split.is_right(m)) for m in options]
+        for options in kept
+        if len(options) != 1
     ]
-    return (grade, right), counts, choices
+    return grade, counts, used, choices
 
 
 def _walk(choices, i: int, counts: dict, used: set, key: tuple[int, int]):
     """Lexicographic (min, max) of the selection keys that extend ``key`` by
     one pick from each of ``choices[i:]``, or None when all of them collide.
 
-    ``counts`` (monomials per column) and ``used`` (the current picks) are
-    restored before returning.
+    ``counts`` (monomials per column) and ``used`` (the forced and current
+    picks) are restored before returning.
     """
     if i == len(choices):
         return key, key
@@ -146,14 +147,16 @@ def _walk(choices, i: int, counts: dict, used: set, key: tuple[int, int]):
 
 def _extremes(space: SemiInvariantSpace, split: DomainSplit | None):
     """Lexicographic min and max of (alpha-grade, right-domain alpha-grade)
-    over chain selections, in one depth-first walk; the right part is 0
-    without a split.
+    over chain selections, in one depth-first walk.  The right part counts
+    the walked picks only: the fixed monomials add the same to every
+    selection, and only differences of it are used.  It is 0 without a
+    split.
 
     Every walked chain has at least two options before the fixed ones are
     dropped, so the budget bounds the depth by log2(SELECTION_BUDGET).
     """
-    base, counts, choices = _fold(space, split)
-    found = _walk(choices, 0, counts, set(), base)
+    grade, counts, used, choices = _fold(space, split)
+    found = _walk(choices, 0, counts, used, (grade, 0))
     if found is None:
         raise DegenerateSpaceError("no collision-free selection exists")
     return found

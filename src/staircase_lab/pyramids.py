@@ -24,9 +24,8 @@ FULL_SUBSET_FRAME_CAP = 5
 
 
 def column_weight(column) -> int:
-    col = sorted(set(column))
-    m = len(col)
-    return sum(col) - comb(m, 2)
+    col = set(column)
+    return sum(col) - comb(len(col), 2)
 
 
 @dataclass(frozen=True)

@@ -381,13 +381,14 @@ def suite_stabilization(max_colength: int = 8, extra_levels: int = 3, **_) -> Ve
 def suite_sandwich(max_m: int = 9, **_) -> VerificationReport:
     """Limit degrees sit between min- and max-alpha-grade on all fixtures."""
     report = VerificationReport("sandwich")
-    spaces = []
-    for case in catalog.CASES:
-        for m in range(case.min_m, max_m + 1):
-            spaces.append((f"{case.name}/m={m}", catalog.build_space(case, m)))
-    spaces.append(("double-deformation", catalog.double_deformation_space()))
 
-    for label, space in spaces:
+    def spaces():  # one at a time: each is checked before the next is built
+        for case in catalog.CASES:
+            for m in range(case.min_m, max_m + 1):
+                yield f"{case.name}/m={m}", catalog.build_space(case, m)
+        yield "double-deformation", catalog.double_deformation_space()
+
+    for label, space in spaces():
         report.cases_run += 1
         lo, hi = alphagrade.minmax_alpha_grade(space)
         for direction in ("zero", "infinity"):

@@ -6,6 +6,13 @@ M * (1 + a_1 X^rho + ... + a_nu X^(nu*rho)) with pairwise distinct initial
 monomials M.  Only the support of the coefficients matters here, so a chain
 is its initial monomial plus the set of step indices carrying a nonzero
 coefficient (0 always included).
+
+Most chains of a section space are plain (support {0}): a single monomial.
+A space therefore keeps its plain chains as one set of y-exponents per
+x,y-degree, like a staircase column, and a ``Chain`` only for each deformed
+chain.  Building a space, grading it and taking its limits then cost
+O(degree + options) rather than O(dimension); the chain list is built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -54,36 +61,82 @@ class Chain:
         return weight.step(self.initial, self.nu)
 
 
-@dataclass(frozen=True)
-class SemiInvariantSpace:
-    weight: TorusWeight
-    chains: tuple[Chain, ...]
+_PLAIN = frozenset([0])
 
-    def __post_init__(self):
-        if not self.chains:
+
+def _group(chains) -> tuple[dict, list[Chain]]:
+    """Plain chains as y-exponent sets per x,y-degree, and the deformed chains."""
+    columns: dict[int, set[int]] = {}
+    deformed = []
+    for chain in chains:
+        if len(chain.support) == 1:
+            columns.setdefault(chain.initial.xy_degree, set()).add(chain.initial.ey)
+        else:
+            deformed.append(chain)
+    return columns, deformed
+
+
+class SemiInvariantSpace:
+    """A space in column form: ``columns`` maps an x,y-degree to the
+    y-exponents of the plain chains of that degree, ``deformed`` lists the
+    other chains.  ``chains`` is every chain, in the order given or, for a
+    section space, in basis order (built on first use).
+    """
+
+    __slots__ = ("weight", "degree", "dimension", "columns", "deformed", "_chains")
+
+    def __init__(self, weight: TorusWeight, chains):
+        chains = tuple(chains)
+        if not chains:
             raise DomainError("semi-invariant space needs at least one chain")
-        degrees = {c.initial.degree for c in self.chains}
+        degrees = {c.initial.degree for c in chains}
         if len(degrees) != 1:
             raise DomainError(f"chains of mixed total degree: {sorted(degrees)}")
-        initials = [c.initial for c in self.chains]
+        initials = [c.initial for c in chains]
         if len(set(initials)) != len(initials):
             raise DomainError("chains must have pairwise distinct initial monomials")
-        for chain in self.chains:
-            chain.monomials(self.weight)  # raises on a negative exponent
+        for chain in chains:
+            if len(chain.support) > 1:
+                chain.monomials(weight)  # raises on a negative exponent
+        self._fill(weight, chains[0].initial.degree, *_group(chains), chains)
+
+    @classmethod
+    def _from_columns(cls, weight: TorusWeight, degree: int, columns: dict, deformed) -> "SemiInvariantSpace":
+        """A space from parts already checked by the caller."""
+        space = cls.__new__(cls)
+        space._fill(weight, degree, columns, deformed, None)
+        return space
+
+    def _fill(self, weight, degree, columns, deformed, chains) -> None:
+        self.weight = weight
+        self.degree = degree
+        self.columns = columns
+        self.deformed = tuple(deformed)
+        self.dimension = sum(map(len, columns.values())) + len(self.deformed) if chains is None else len(chains)
+        self._chains = chains
 
     @property
-    def degree(self) -> int:
-        return self.chains[0].initial.degree
+    def chains(self) -> tuple[Chain, ...]:
+        if self._chains is None:
+            deformed = {(c.initial.xy_degree, c.initial.ey): c for c in self.deformed}
+            keys = sorted([*((i, a) for i, col in self.columns.items() for a in col), *deformed])
+            n = self.degree
+            self._chains = tuple(
+                deformed[key] if key in deformed else Chain(Monomial(key[0] - key[1], key[1], n - key[0]), _PLAIN)
+                for key in keys
+            )
+        return self._chains
 
-    @property
-    def dimension(self) -> int:
-        return len(self.chains)
+    def __eq__(self, other):
+        if not isinstance(other, SemiInvariantSpace):
+            return NotImplemented
+        return self.weight == other.weight and self.chains == other.chains
 
-    def initial_monomials(self) -> list[Monomial]:
-        return [c.initial for c in self.chains]
+    def __hash__(self):
+        return hash((self.weight, self.chains))
 
-    def final_monomials(self) -> list[Monomial]:
-        return [c.final(self.weight) for c in self.chains]
+    def __repr__(self) -> str:
+        return f"SemiInvariantSpace(weight={self.weight!r}, chains={self.chains!r})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,13 +171,6 @@ class SemiInvariantSpace:
         return SemiInvariantSpace.from_json_dict(data)
 
 
-def _columns_of_monomials(monomials, degree: int) -> list[set[int]]:
-    cols = [set() for _ in range(degree + 1)]
-    for mon in monomials:
-        cols[mon.xy_degree].add(mon.ey)
-    return cols
-
-
 def limit_ideal(space: SemiInvariantSpace, direction: str) -> GradedMonomialIdeal:
     """Staircase spanned by the initial ("zero") or final ("infinity")
     monomials of the chains.  The selected monomials must be pairwise
@@ -132,21 +178,21 @@ def limit_ideal(space: SemiInvariantSpace, direction: str) -> GradedMonomialIdea
     whenever the space is a section space of an ideal).
     """
     if direction == "zero":
-        monomials = space.initial_monomials()
+        tops = [c.initial for c in space.deformed]
     elif direction == "infinity":
-        monomials = space.final_monomials()
+        tops = [c.final(space.weight) for c in space.deformed]
     else:
         raise DomainError(f"direction must be 'zero' or 'infinity', got {direction!r}")
-    if len(set(monomials)) != len(monomials):
-        raise DegenerateLimitError(f"colliding {direction}-limit monomials")
-    cols = _columns_of_monomials(monomials, space.degree)
+    grown: dict[int, set[int]] = {}
+    for mon in tops:
+        i = mon.xy_degree
+        if i not in grown:
+            grown[i] = set(space.columns.get(i, ()))
+        if mon.ey in grown[i]:
+            raise DegenerateLimitError(f"colliding {direction}-limit monomials")
+        grown[i].add(mon.ey)
+    cols = [grown[i] if i in grown else space.columns.get(i, ()) for i in range(space.degree + 1)]
     return GradedMonomialIdeal.from_columns(cols, space.degree + 1)
-
-
-def section_space(ideal: GradedMonomialIdeal, level: int, weight: TorusWeight) -> SemiInvariantSpace:
-    """The all-monomial space of degree-``level`` sections of a staircase."""
-    chains = tuple(Chain(mon, frozenset([0])) for mon in ideal.section_monomials(level))
-    return SemiInvariantSpace(weight, chains)
 
 
 def deformed_section_space(
@@ -161,28 +207,39 @@ def deformed_section_space(
     step indices carrying nonzero coefficients.  Steps whose monomial is
     already a plain section are dropped (they reduce away against the
     monomial basis); a step hitting another chain's initial is rejected.
+    The chains are checked in basis order.  Pass no deformations for the
+    all-monomial section space.
     """
-    basis = ideal.section_monomials(level)
-    basis_set = set(basis)
+    columns = {}
+    for i in range(level + 1):
+        col = ideal.column(i) if i < ideal.stable_from else range(i + 1)  # a full column stays a range
+        if col:
+            columns[i] = col
+
+    def is_section(mon):
+        return mon.ey in columns.get(mon.xy_degree, ())
+
     deformations = {initial: list(steps) for initial, steps in deformations}
-    initials = set(deformations)
-    if not initials <= basis_set:
-        missing = sorted(str(m) for m in initials - basis_set)
-        raise DomainError(f"deformation initials outside the section space: {missing}")
+    missing = [m for m in deformations if m.degree != level or not is_section(m)]
+    if missing:
+        raise DomainError(f"deformation initials outside the section space: {sorted(str(m) for m in missing)}")
     chains = []
-    for mon in basis:
-        if mon not in deformations:
-            chains.append(Chain(mon, frozenset([0])))
-            continue
+    for mon in sorted(deformations, key=lambda m: (m.xy_degree, m.ey)):
         support = {0}
         for j in deformations[mon]:
             if j <= 0:
                 raise DomainError(f"step indices must be positive, got {j}")
             stepped = weight.step(mon, j)
-            if stepped in initials:
+            if stepped in deformations:
                 raise DomainError(f"chain step {stepped} collides with another initial")
-            if stepped in basis_set:
+            if is_section(stepped):
                 continue  # reduces away against the monomial basis
             support.add(j)
-        chains.append(Chain(mon, frozenset(support)))
-    return SemiInvariantSpace(weight, tuple(chains))
+        if len(support) > 1:
+            chains.append(Chain(mon, frozenset(support)))
+    for chain in chains:
+        i = chain.initial.xy_degree
+        columns[i] = frozenset(columns[i]).difference([chain.initial.ey])
+    if not columns:
+        raise DomainError("semi-invariant space needs at least one chain")
+    return SemiInvariantSpace._from_columns(weight, level, columns, chains)

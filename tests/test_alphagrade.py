@@ -98,10 +98,11 @@ REFERENCE_SPACES = reference_spaces()
 
 def unchecked_space(weight, chains):
     """A space that skips the distinct-initials check, so that the search's
-    own duplicate and empty-selection checks can be reached."""
+    own duplicate and empty-selection checks can be reached: a repeated
+    plain chain leaves its column one monomial short of the dimension."""
+    chains = tuple(chains)
     space = object.__new__(T.SemiInvariantSpace)
-    object.__setattr__(space, "weight", weight)
-    object.__setattr__(space, "chains", tuple(chains))
+    space._fill(weight, chains[0].initial.degree, *T._group(chains), chains)
     return space
 
 
@@ -202,7 +203,7 @@ class TestQValue:
 class TestMinMax:
     def test_all_monomial_space(self):
         ideal = S.from_generators([(1, 1), (0, 2), (4, 0)])
-        space = T.section_space(ideal, 5, T.TorusWeight((-1, 0, 1)))
+        space = T.deformed_section_space(ideal, 5, T.TorusWeight((-1, 0, 1)), ())
         g = A.cycle_degree(ideal, 5)
         assert A.minmax_alpha_grade(space) == (g, g)
 
@@ -283,6 +284,14 @@ class TestIncrementalMatchesNaive:
         ),
         A.SELECTION_BUDGET,
     )
+    @example(  # two repeated chains are each left with the same single option
+        unchecked_space(
+            T.TorusWeight((-1, 1, 0)),
+            [T.Chain(Monomial(1, 1, 0), frozenset([0])), T.Chain(Monomial(2, 0, 0), frozenset([0, 1])),
+             T.Chain(Monomial(2, 0, 0), frozenset([0, 1]))],
+        ),
+        A.SELECTION_BUDGET,
+    )
     def test_extremes_and_errors(self, space, budget):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(A, "SELECTION_BUDGET", budget)
@@ -306,7 +315,7 @@ class TestBang:
 
     def test_all_monomial_space_passes(self):
         ideal = S.from_generators([(1, 1), (0, 2), (4, 0)])
-        space = T.section_space(ideal, 5, T.TorusWeight((-1, 0, 1)))
+        space = T.deformed_section_space(ideal, 5, T.TorusWeight((-1, 0, 1)), ())
         assert A.check_bang(space, ideal.hilbert_function()) is True
 
 

@@ -1,12 +1,16 @@
 """Semi-invariant spaces, chains, and their limit staircases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase_lab import staircase as S
 from staircase_lab import torus as T
 from staircase_lab.catalog import build_space, case_by_name, double_deformation_space
 from staircase_lab.errors import DegenerateLimitError, DomainError
 from staircase_lab.monomials import Monomial
+
+from .strategies import ideals_small
 
 
 def handle_space(m=4, level=None):
@@ -57,7 +61,7 @@ class TestLimits:
 
     def test_all_monomial_space_is_fixed(self):
         ideal = S.from_generators([(1, 1), (0, 2), (4, 0)])
-        space = T.section_space(ideal, 6, T.TorusWeight((-1, 0, 1)))
+        space = T.deformed_section_space(ideal, 6, T.TorusWeight((-1, 0, 1)), ())
         assert T.limit_ideal(space, "zero") == ideal
         assert T.limit_ideal(space, "infinity") == ideal
 
@@ -109,3 +113,139 @@ class TestBuilder:
             T.deformed_section_space(
                 ideal, 3, weight, [(Monomial(2, 0, 1), [1]), (Monomial(1, 1, 1), [1])]
             )
+
+    def test_error_messages_and_their_order(self):
+        ideal = S.from_generators([(1, 1), (0, 2), (4, 0)])
+        weight = T.TorusWeight((-4, 1, 3))
+        # initials are checked before any step, whatever the order given; x^4 z is a section of degree 5
+        with pytest.raises(
+            DomainError, match=r"^deformation initials outside the section space: \['x\^4\*z', 'z\^6'\]$"
+        ):
+            T.deformed_section_space(
+                ideal, 6, weight, [(Monomial(4, 0, 2), [0]), (Monomial(0, 0, 6), [1]), (Monomial(4, 0, 1), [1])]
+            )
+        # then the chains in basis order (x^4 z^2 before x^5 z), each step in the order given
+        with pytest.raises(DomainError, match=r"^step indices must be positive, got 0$"):
+            T.deformed_section_space(ideal, 6, weight, [(Monomial(5, 0, 1), [-1]), (Monomial(4, 0, 2), [1, 0])])
+        with pytest.raises(DomainError, match=r"^step indices must be positive, got -1$"):
+            T.deformed_section_space(ideal, 6, weight, [(Monomial(5, 0, 1), [-1]), (Monomial(4, 0, 2), [1])])
+        clash = S.from_generators([(0, 1), (2, 0)])
+        with pytest.raises(DomainError, match=r"^chain step x\*y\*z collides with another initial$"):
+            T.deformed_section_space(
+                clash, 3, T.TorusWeight((-1, 1, 0)), [(Monomial(1, 1, 1), [0]), (Monomial(2, 0, 1), [1])]
+            )
+
+
+def reference_chains(ideal, level, weight, deformations):
+    """The section space as a basis-order chain list, one chain per section
+    monomial, checked the way the builder must check it."""
+    basis = ideal.section_monomials(level)
+    deformations = {initial: list(steps) for initial, steps in deformations}
+    missing = set(deformations) - set(basis)
+    if missing:
+        raise DomainError(f"deformation initials outside the section space: {sorted(str(m) for m in missing)}")
+    chains = []
+    for mon in basis:
+        support = {0}
+        for j in deformations.get(mon, []):
+            if j <= 0:
+                raise DomainError(f"step indices must be positive, got {j}")
+            stepped = weight.step(mon, j)
+            if stepped in deformations:
+                raise DomainError(f"chain step {stepped} collides with another initial")
+            if stepped not in basis:
+                support.add(j)
+        chains.append(T.Chain(mon, frozenset(support)))
+    if not chains:
+        raise DomainError("semi-invariant space needs at least one chain")
+    return chains
+
+
+def reference_limit(chains, weight, direction):
+    monomials = [c.initial if direction == "zero" else c.final(weight) for c in chains]
+    if len(set(monomials)) != len(monomials):
+        raise DegenerateLimitError(f"colliding {direction}-limit monomials")
+    degree = chains[0].initial.degree
+    cols = [{m.ey for m in monomials if m.xy_degree == i} for i in range(degree + 1)]
+    return S.GradedMonomialIdeal.from_columns(cols, degree + 1)
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def deformation_inputs(draw):
+    """A small staircase, a level near its colength, a torus weight and a few
+    deformations.  Half the weights step a section onto a non-section, so
+    that some chains survive the reduction; steps mostly stay inside the
+    simplex, and sometimes a step is <= 0 or leaves it, or an initial lies
+    outside the section space."""
+    ideal = draw(ideals_small)
+    level = ideal.colength + draw(st.integers(-1, 1))
+    n = max(level, 0)
+    basis = ideal.section_monomials(level)
+    sections = set(basis)
+    holes = [Monomial(i - a, a, n - i) for i in range(n + 1) for a in range(i + 1)]
+    holes = [m for m in holes if m not in sections]
+    rho = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    rho = (*rho, -sum(rho))
+    chosen, twins = [], []
+    if basis and holes and draw(st.booleans()):
+        source, target = draw(st.sampled_from(basis)), draw(st.sampled_from(holes))
+        rho = (target.ex - source.ex, target.ey - source.ey, target.ez - source.ez)
+        chosen.append(source)
+        # a twin two steps before the target: both chains can end there
+        twin = [2 * e - t for e, t in zip(source.as_list(), target.as_list())]
+        if min(twin) >= 0 and Monomial(*twin) in sections and draw(st.booleans()):
+            twins.append((Monomial(*twin), [2]))
+    weight = T.TorusWeight(rho if any(rho) else (1, -1, 0))
+
+    def reach(mon):
+        return max((j for j in (1, 2, 3) if min(e + j * r for e, r in zip(mon.as_list(), rho)) >= 0), default=0)
+
+    def steps(mon):
+        if draw(st.integers(0, 9)) == 9:
+            return draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+        return draw(st.lists(st.integers(1, reach(mon)), min_size=1, max_size=3)) if reach(mon) else []
+
+    initials = st.sampled_from(basis or holes or [Monomial(0, 0, 0)])
+    if holes and draw(st.integers(0, 9)) == 9:
+        initials |= st.sampled_from(holes)
+    chosen += draw(st.lists(initials, max_size=4 - len(chosen)))
+    return ideal, level, weight, [(mon, steps(mon)) for mon in chosen] + twins
+
+
+class TestColumnForm:
+    @settings(max_examples=200, deadline=None)
+    @given(deformation_inputs())
+    def test_matches_the_chain_list_reference(self, data):
+        ideal, level, weight, deformations = data
+        space = outcome(lambda: T.deformed_section_space(ideal, level, weight, deformations))
+        chains = outcome(lambda: reference_chains(ideal, level, weight, deformations))
+        if isinstance(chains, tuple):
+            assert space == chains
+            return
+        assert space.chains == tuple(chains)
+        assert space.dimension == len(chains) == len(ideal.section_monomials(level))
+        assert space.degree == level
+        assert space.to_json_dict() == {
+            "rho": list(weight.rho),
+            "chains": [{"initial": c.initial.as_list(), "support": sorted(c.support)} for c in chains],
+        }
+        assert space == T.SemiInvariantSpace(weight, chains)
+        for direction in ("zero", "infinity"):
+            got = outcome(lambda: T.limit_ideal(space, direction))
+            assert got == outcome(lambda: reference_limit(chains, weight, direction)), direction
+
+    def test_chain_order_of_a_given_space_is_kept(self):
+        weight = T.TorusWeight((-1, 0, 1))
+        chains = (T.Chain(Monomial(0, 2, 0), frozenset([0])), T.Chain(Monomial(2, 0, 0), frozenset([0, 1])),
+                  T.Chain(Monomial(1, 1, 0), frozenset([0])))
+        space = T.SemiInvariantSpace(weight, chains)
+        assert space.chains == chains
+        assert space != T.SemiInvariantSpace(weight, chains[::-1])
+        assert space.columns == {2: {1, 2}} and space.deformed == chains[1:2]
