@@ -2,15 +2,17 @@
 """Nightly profile: every verification suite at its deep range caps.
 
 Prints one line per suite and a final summary; exit code 1 on any violation.
-The DP pyramid caps are the largest frames that finish in about 2 s on a
-2-core Python 3.11 host.  The Hilbert-function caps (special-chi, gstar-*,
-lemma-2-4, corollary-2-2, chain-invariants) are the largest that finish
-within the wall time of the O(d*e) genus functional at the earlier caps; the
-staircase caps (hf-ideal-agreement, form-agreement, pyramid-alpha-link) the
-largest that finish within the time of the two-pass ideal construction at the
-earlier caps.  The caps of the suites built on semi-invariant spaces
-(a-bound, ch7-catalog, sandwich, bang), like the DP pyramid caps, are the
-largest that finish in about 2 s (best of 3).
+The DP pyramid caps and the closed-form pyramid caps (pyramid-monotonic,
+and endpoint, whose frame and seam caps grow together in the ratio 64:12)
+are the largest that finish in about 2 s (best of 3) on a 2-core Python 3.11
+host.  The Hilbert-function caps (special-chi, gstar-*, lemma-2-4,
+corollary-2-2, chain-invariants) are the largest that finish within the wall
+time of the O(d*e) genus functional at the earlier caps; the staircase caps
+(hf-ideal-agreement, form-agreement, pyramid-alpha-link) the largest that
+finish within the time of the two-pass ideal construction at the earlier
+caps.  The caps of the suites built on semi-invariant spaces (a-bound,
+ch7-catalog, sandwich, bang), like the pyramid caps, are the largest that
+finish in about 2 s (best of 3).
 """
 
 import sys
@@ -22,8 +24,8 @@ DEEP_CAPS = {
     "pyramid-oracle": {"max_frame": 48},
     "pyramid-oracle-full": {"max_frame": 5},
     "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 116},
-    "pyramid-monotonic": {"max_frame": 96},
-    "endpoint": {"max_frame": 64, "max_n": 12},
+    "pyramid-monotonic": {"max_frame": 600},
+    "endpoint": {"max_frame": 2432, "max_n": 456},
     "gstar-crosscheck": {"max_colength": 17},
     "gstar-monotonic": {"max_colength": 21},
     "regularity-bound": {"max_colength": 16},

@@ -4,9 +4,12 @@ A pyramid with frame c holds, for each 0 <= i < c, a set of y-degrees inside
 [0, i].  Its colength is the number of missing entries, and the weight of a
 column {a_1 < ... < a_m} is (a_1 + ... + a_m) - (1 + ... + (m-1)).  The
 maximal weight over all pyramids of type (c, d) has a closed form indexed by
-the unique representation d = n(n+1) - r or d = n^2 - r with 0 <= r < n.
-A knapsack DP over the columns confirms it at every frame, and the
-brute-force searches here guard the DP at small frames.
+the unique representation d = n(n+1) - r or d = n^2 - r with 0 <= r < n;
+its two rewritings are evaluated as six times the weight in integers, and
+the divisibility by 6 is asserted.  A knapsack DP over the columns confirms
+it at every frame, and the brute-force searches here guard the DP at small
+frames: incremental depth-first walks over the columns that still reach
+every pyramid of the given type.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import DomainError, InternalInconsistencyError, InvalidMoveError, RangeError
@@ -148,34 +150,38 @@ def nr_decomposition(d: int) -> NRDecomposition:
     return candidates[0]
 
 
-def _direct_closed_form(case: str, n, r, c: int) -> Fraction:
-    """The first rewriting of the maximal weight, for d = n(n+1) - r or d = n^2 - r."""
-    n, r = Fraction(n), Fraction(r)
+def _direct_closed_form(case: str, n: int, r: int, c: int) -> int:
+    """Six times the first rewriting of the maximal weight, for d = n(n+1) - r or d = n^2 - r."""
     if case == "square_pronic":
-        return n * ((c - Fraction(3, 2)) * n + (c + 2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * c
-    return n * ((c + Fraction(1, 2)) * n + (2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * (c + 1)
+        return n * ((6 * c - 9) * n + (6 * c + 12 * r - 1) - 8 * n * n) - 6 * r * c
+    return n * ((6 * c + 3) * n + (12 * r - 1) - 8 * n * n) - 6 * r * (c + 1)
+
+
+def _expanded_closed_form(case: str, n: int, r: int, d: int, c: int) -> int:
+    """Six times the second rewriting, expanded in n with the term d*c kept whole."""
+    if case == "square_pronic":
+        return -8 * n**3 - 9 * n**2 + (12 * r - 1) * n + 6 * d * c
+    return -8 * n**3 + 3 * n**2 + (12 * r - 1) * n - 6 * r + 6 * d * c
 
 
 def max_weight_closed_form(c: int, d: int) -> int:
     """Maximal weight of a pyramid of type (c, d), 1 <= d <= c.
 
-    Evaluated through two equivalent rational rewritings whose fractional
-    parts must cancel; integrality and agreement are asserted.
+    Both rewritings have denominators dividing 6, so each is evaluated as six
+    times its value in integers; their agreement and the divisibility of the
+    common value by 6 (its integrality) are asserted.
     """
     if not 1 <= d <= c:
         raise DomainError(f"need 1 <= d <= c, got d={d}, c={c}")
     dec = nr_decomposition(d)
     direct = _direct_closed_form(dec.case, dec.n, dec.r, c)
-    n, r = Fraction(dec.n), Fraction(dec.r)
-    if dec.case == "square_pronic":
-        expanded = -Fraction(4, 3) * n**3 - Fraction(3, 2) * n**2 + (2 * r - Fraction(1, 6)) * n + d * c
-    else:
-        expanded = -Fraction(4, 3) * n**3 + Fraction(1, 2) * n**2 + (2 * r - Fraction(1, 6)) * n - r + d * c
+    expanded = _expanded_closed_form(dec.case, dec.n, dec.r, d, c)
     if direct != expanded:
         raise InternalInconsistencyError(f"closed-form rewritings disagree at (c={c}, d={d})")
-    if direct.denominator != 1:
-        raise InternalInconsistencyError(f"closed form not integral at (c={c}, d={d}): {direct}")
-    return int(direct)
+    weight, rem = divmod(direct, 6)
+    if rem:
+        raise InternalInconsistencyError(f"closed form not integral at (c={c}, d={d}): {direct}/6")
+    return weight
 
 
 def endpoint_consistency(c: int, n: int) -> bool:
@@ -183,6 +189,7 @@ def endpoint_consistency(c: int, n: int) -> bool:
 
     At d = n^2 the first form with r = n must match the second with r = 0;
     at d = (n-1)n the first with (n-1, r=0) must match the second with (n, r=n).
+    Both sides are compared at six times their value.
     """
     if n < 1 or c < 1:
         raise DomainError(f"need c >= 1 and n >= 1, got c={c}, n={n}")
@@ -241,20 +248,16 @@ def max_weight_dp(c: int, d: int, full_subsets: bool = False):
     return best[0][d], Pyramid.from_columns(columns)
 
 
-def _top_segment_candidates(c: int, d: int):
-    """All top-segment pyramids of type (c, d) as initial-degree vectors."""
+def _column_pool(i: int, full_subsets: bool) -> list:
+    """(pick, entries missed, weight) for every admissible column i, by increasing pick.
 
-    def extend(prefix: list[int], deficit: int):
-        i = len(prefix)
-        if i == c:
-            if deficit == 0:
-                yield tuple(prefix)
-            return
-        hi = min(i + 1, deficit)
-        for a in range(hi + 1):
-            yield from extend(prefix + [a], deficit - a)
-
-    yield from extend([], d)
+    The pick is the initial degree a of the top segment [a, i], or with
+    ``full_subsets`` the sorted tuple of an arbitrary subset of [0, i].
+    """
+    if full_subsets:
+        subsets = sorted(sub for k in range(i + 2) for sub in itertools.combinations(range(i + 1), k))
+        return [(sub, i + 1 - len(sub), column_weight(sub)) for sub in subsets]
+    return [(a, a, column_weight(range(a, i + 1))) for a in range(i + 2)]
 
 
 def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
@@ -263,33 +266,36 @@ def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
     The default search runs over top-segment pyramids only (every maximal
     weight is attained on one); ``full_subsets=True`` searches arbitrary
     column subsets to guard that reduction, at a smaller frame cap.
+
+    One depth-first walk picks a column at a time, carrying the running
+    weight and the entries still to be missed.  It cuts a branch only when
+    that deficit is negative or more than the later columns can miss, so it
+    still reaches every pyramid of colength d.  Each pool is in increasing
+    pick order, so pyramids are met in increasing order of their pick tuples
+    and keeping strictly heavier ones keeps the smallest key (-w, picks):
+    (-w, avec) for top segments, (-w, sorted column tuples) for subsets.
     """
     if not 1 <= d <= c:
         raise RangeError(f"need 1 <= d <= c, got d={d}, c={c}")
     cap = FULL_SUBSET_FRAME_CAP if full_subsets else TOP_SEGMENT_FRAME_CAP
     if c > cap:
         raise RangeError(f"frame {c} beyond the search budget ({cap})")
-    best = None
-    best_key = None
-    if full_subsets:
-        pools = [
-            [frozenset(sub) for k in range(i + 2) for sub in itertools.combinations(range(i + 1), k)]
-            for i in range(c)
-        ]
-        for cols in itertools.product(*pools):
-            pyr = Pyramid(c, cols)
-            if pyr.colength != d:
-                continue
-            w = pyr.weight()
-            key = (-w, tuple(tuple(sorted(col)) for col in cols))
-            if best_key is None or key < best_key:
-                best, best_key = (w, pyr), key
-    else:
-        for avec in _top_segment_candidates(c, d):
-            pyr = Pyramid.from_initial_degrees(avec)
-            w = pyr.weight()
-            key = (-w, avec)
-            if best_key is None or key < best_key:
-                best, best_key = (w, pyr), key
-    assert best is not None
-    return best
+    pools = [_column_pool(i, full_subsets) for i in range(c)]
+    # room[i]: the most entries columns i..c-1 can miss together
+    room = [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
+    picks = [None] * c
+    best = [-1, None]  # every weight is >= 0, so the first pyramid reached replaces it
+
+    def walk(i: int, w: int, rest: int) -> None:
+        if i == c:
+            if w > best[0]:
+                best[:] = w, tuple(picks)
+            return
+        for pick, missed, cw in pools[i]:
+            if 0 <= rest - missed <= room[i + 1]:
+                picks[i] = pick
+                walk(i + 1, w + cw, rest - missed)
+
+    walk(0, 0, d)
+    weight, chosen = best
+    return weight, Pyramid.from_columns(chosen) if full_subsets else Pyramid.from_initial_degrees(chosen)

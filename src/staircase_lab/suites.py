@@ -70,8 +70,8 @@ def suite_pyramid_oracle(max_frame: int = 9, full: bool = False, **_) -> Verific
         raise DomainError(f"need max_frame >= 1, got {max_frame}")
     name = "pyramid-oracle-full" if full else "pyramid-oracle"
     report = VerificationReport(name)
-    # the top-segment search grows about 4x per frame; frame 6 keeps its guard cheap
-    guard = pyramids.FULL_SUBSET_FRAME_CAP if full else 6
+    # the exhaustive search guards every frame its budget allows
+    guard = pyramids.FULL_SUBSET_FRAME_CAP if full else pyramids.TOP_SEGMENT_FRAME_CAP
     for c in range(1, max_frame + 1):
         for d in range(1, c + 1):
             report.cases_run += 1

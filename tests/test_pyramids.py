@@ -1,11 +1,14 @@
 """Pyramid weights: column formula, exchange moves, closed forms, oracles."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_lab import pyramids as P
-from staircase_lab.errors import DomainError, InvalidMoveError, RangeError
+from staircase_lab.errors import DomainError, InternalInconsistencyError, InvalidMoveError, RangeError
 
 from .strategies import top_segment_pyramids
 
@@ -212,3 +215,92 @@ class TestEndpointConsistency:
 
     def test_degenerate(self):
         assert P.endpoint_consistency(3, 1)
+
+
+def _reference_search(c, d, full_subsets=False):
+    """The search as a plain enumeration: build every pyramid of type (c, d),
+    keep the smallest (-w, picks)."""
+    if full_subsets:
+        pools = [
+            [frozenset(sub) for k in range(i + 2) for sub in itertools.combinations(range(i + 1), k)]
+            for i in range(c)
+        ]
+        candidates = (
+            (P.Pyramid(c, cols), tuple(tuple(sorted(col)) for col in cols))
+            for cols in itertools.product(*pools)
+        )
+    else:
+        vectors = (avec for avec in itertools.product(*(range(i + 2) for i in range(c))) if sum(avec) == d)
+        candidates = ((P.Pyramid.from_initial_degrees(avec), avec) for avec in vectors)
+    neg_w, _, pyr = min((-pyr.weight(), picks, pyr) for pyr, picks in candidates if pyr.colength == d)
+    return -neg_w, pyr
+
+
+def _fraction_rewritings(case, n, r, d, c):
+    """Both closed-form rewritings of the maximal weight in exact rationals."""
+    n, r = Fraction(n), Fraction(r)
+    if case == "square_pronic":
+        direct = n * ((c - Fraction(3, 2)) * n + (c + 2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * c
+        expanded = -Fraction(4, 3) * n**3 - Fraction(3, 2) * n**2 + (2 * r - Fraction(1, 6)) * n + d * c
+    else:
+        direct = n * ((c + Fraction(1, 2)) * n + (2 * r - Fraction(1, 6)) - Fraction(4, 3) * n**2) - r * (c + 1)
+        expanded = -Fraction(4, 3) * n**3 + Fraction(1, 2) * n**2 + (2 * r - Fraction(1, 6)) * n - r + d * c
+    return direct, expanded
+
+
+class TestExhaustiveWalk:
+    def test_top_segments_match_the_plain_enumeration(self):
+        for c in range(1, 8):
+            for d in range(1, c + 1):
+                assert P.brute_force_max_weight(c, d) == _reference_search(c, d), (c, d)
+
+    def test_full_subsets_match_the_plain_enumeration(self):
+        for c in range(1, 6):
+            for d in range(1, c + 1):
+                assert P.brute_force_max_weight(c, d, full_subsets=True) == _reference_search(c, d, True), (c, d)
+
+    def test_never_consults_the_closed_form_or_the_dp(self, monkeypatch):
+        def consulted(*args, **kwargs):
+            raise AssertionError(f"consulted at {args}")
+
+        want = [P.max_weight_closed_form(c, d) for c in range(1, 6) for d in range(1, c + 1)]
+        monkeypatch.setattr(P, "max_weight_closed_form", consulted)
+        monkeypatch.setattr(P, "max_weight_dp", consulted)
+        for full in (False, True):
+            got = [P.brute_force_max_weight(c, d, full)[0] for c in range(1, 6) for d in range(1, c + 1)]
+            assert got == want
+
+
+class TestIntegerClosedForm:
+    @given(st.integers(min_value=1, max_value=500), st.data())
+    @settings(max_examples=300)
+    def test_matches_the_fraction_rewritings(self, c, data):
+        d = data.draw(st.integers(min_value=1, max_value=c))
+        dec = P.nr_decomposition(d)
+        direct, expanded = _fraction_rewritings(dec.case, dec.n, dec.r, d, c)
+        assert direct == expanded and direct.denominator == 1
+        assert P.max_weight_closed_form(c, d) == direct
+
+    @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200)
+    def test_endpoint_seams_match_the_fraction_rewritings(self, c, n):
+        def direct(case, m, r):
+            scaled = P._direct_closed_form(case, m, r, c)
+            exact = _fraction_rewritings(case, m, r, 0, c)[0]
+            assert scaled == 6 * exact
+            return exact
+
+        want = (direct("square_pronic", n, n) == direct("square", n, 0)
+                and direct("square_pronic", n - 1, 0) == direct("square", n, n))
+        assert P.endpoint_consistency(c, n) == want
+
+    def test_disagreeing_rewritings_are_refused(self, monkeypatch):
+        monkeypatch.setattr(P, "_expanded_closed_form", lambda *args: 0)
+        with pytest.raises(InternalInconsistencyError, match="disagree"):
+            P.max_weight_closed_form(4, 3)
+
+    def test_a_value_not_divisible_by_six_is_refused(self, monkeypatch):
+        monkeypatch.setattr(P, "_direct_closed_form", lambda *args: 37)
+        monkeypatch.setattr(P, "_expanded_closed_form", lambda *args: 37)
+        with pytest.raises(InternalInconsistencyError, match="not integral"):
+            P.max_weight_closed_form(4, 3)
