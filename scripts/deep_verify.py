@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Nightly profile: every verification suite at its deep range caps.
 
-Prints one line per suite and a final summary; exit code 1 on any violation.
+Prints one line per suite and a final summary; exit code 1 on any violation,
+2 when a key of ``DEEP_CAPS`` names no suite (nothing runs then).
 The DP pyramid caps and the closed-form pyramid caps (pyramid-monotonic,
 and endpoint, whose frame and seam caps grow together in the ratio 64:12)
 are the largest that finish in about 2 s (best of 3) on a 2-core Python 3.11
@@ -48,6 +49,10 @@ DEEP_CAPS = {
 
 
 def main() -> int:
+    unknown = sorted(set(DEEP_CAPS) - set(suites.SUITES))
+    if unknown:
+        print(f"error: DEEP_CAPS keys name no suite: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     failures = 0
     for name in suites.SUITES:
         report = suites.run_suite(name, **DEEP_CAPS.get(name, {}))

@@ -125,13 +125,7 @@ _SUITE_CAP_FLAGS = {
 
 
 def cmd_verify(args) -> int:
-    caps = {}
-    for attr in _SUITE_CAP_FLAGS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            caps[attr] = value
-    if args.suite == "ineq" and args.name:
-        caps["name"] = args.name
+    caps = {attr: getattr(args, attr) for attr in [*_SUITE_CAP_FLAGS, "name"] if getattr(args, attr) is not None}
     report = suites.run_suite(args.suite, **caps)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))

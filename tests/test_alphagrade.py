@@ -350,9 +350,9 @@ class TestABound:
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("c", [0, 1, 2, 3])
     def test_marker_grid_respects_the_bounds(self, r, c):
-        from staircase_lab import suites
+        from staircase_lab.suites import run_suite
 
-        report = suites.suite_a_bound(max_r=r, max_c=c)
+        report = run_suite("a-bound", max_r=r, max_c=c)
         assert report.ok, report.violations
 
     def test_marker_deformation_type_two(self):

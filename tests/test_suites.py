@@ -1,0 +1,131 @@
+"""The suite runner: violation reports, coverage counts and cap checking."""
+
+import contextlib
+import importlib.util
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from staircase_lab import cli, hilbert, inequalities, pyramids, suites
+from staircase_lab.errors import DomainError
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["cases"]
+
+
+def _load_deep_verify():
+    spec = importlib.util.spec_from_file_location("deep_verify", ROOT / "scripts" / "deep_verify.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+deep_verify = _load_deep_verify()
+
+
+def run_verify(*args):
+    """Exit code, stdout and stderr of an in-process ``verify`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", *args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def verify_json(*args):
+    """Exit code and parsed ``verify --json`` report of an in-process run."""
+    code, out, _ = run_verify(*args, "--json")
+    return code, json.loads(out)
+
+
+class TestViolations:
+    """Break one formula at a time; the report must name exactly that case."""
+
+    def test_special_chi_reports_the_broken_case(self, monkeypatch):
+        bound = hilbert.deformation_bound
+        monkeypatch.setattr(hilbert, "deformation_bound", lambda d: bound(d) + (d == 7))
+        code, report = verify_json("--suite", "special-chi", "--max-colength", "9")
+        assert code == 1
+        assert (report["suite"], report["cases_run"], report["ok"]) == ("special-chi", 5, False)
+        assert report["violations"] == [{"params": {"d": 7}, "expected": 7, "got": 6}]
+
+    def test_pyramid_oracle_reports_every_failed_check_of_a_case(self, monkeypatch):
+        dp = pyramids.max_weight_dp
+
+        def broken(c, d, full_subsets=False):
+            weight, witness = dp(c, d, full_subsets=full_subsets)
+            return weight + ((c, d) == (3, 2)), witness
+
+        monkeypatch.setattr(pyramids, "max_weight_dp", broken)
+        code, report = verify_json("--suite", "pyramid-oracle", "--max-frame", "4")
+        assert code == 1
+        assert (report["suite"], report["cases_run"]) == ("pyramid-oracle", 19)
+        columns = [[0], [1], [1, 2]]
+        assert report["violations"] == [
+            {"params": {"c": 3, "d": 2}, "expected": 3, "got": 4},
+            {"params": {"c": 3, "d": 2, "guard": "exhaustive"}, "expected": [3, columns], "got": [4, columns]},
+        ]
+
+    def test_ineq_tags_a_failed_point_with_its_name(self, monkeypatch):
+        scan = inequalities.SCANS["5.2"]
+
+        def broken(caps):
+            for params, ok in scan(caps):
+                yield params, ok and params != {"c": 3, "m": 7}
+
+        monkeypatch.setitem(inequalities.SCANS, "5.2", broken)
+        code, report = verify_json("--suite", "ineq", "--name", "5.2", "--max-c", "5")
+        assert code == 1
+        assert (report["suite"], report["cases_run"]) == ("ineq:5.2", 130)
+        assert report["violations"] == [
+            {"params": {"name": "5.2", "c": 3, "m": 7}, "expected": "holds", "got": "fails"}
+        ]
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "args",
+        [("--suite", "borel", "--max-frame", "9"), ("--suite", "borel", "--name", "5.2")],
+    )
+    def test_a_cap_the_suite_does_not_take_is_a_usage_error(self, args):
+        code, out, err = run_verify(*args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: suite 'borel' does not take")
+        assert "Traceback" not in err
+
+    def test_no_case_runs_before_the_caps_are_checked(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(hilbert, "enumerate_hilbert_functions", never)
+        with pytest.raises(DomainError):
+            suites.run_suite("gstar-crosscheck", max_colength=5, max_frame=3)
+
+    def test_named_inequality_output_is_pinned(self):
+        code, out, _ = run_verify("--suite", "ineq", "--name", "5.2", "--max-c", "50", "--json")
+        assert code == 0
+        out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', out)
+        assert out == '{"cases_run": 1300, "elapsed": 0, "ok": true, "suite": "ineq:5.2", "violations": []}\n'
+
+
+class TestCoverage:
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_recorded_case_counts(self, key):
+        suite, caps = key.split(" ", 1)
+        report = suites.run_suite(suite, **json.loads(caps))
+        assert (report.cases_run, report.violations) == (GOLDEN[key], [])
+
+    @pytest.mark.parametrize("name", sorted(deep_verify.DEEP_CAPS))
+    def test_deep_caps_bind(self, name):
+        assert name in suites.SUITES
+        suites.SUITES[name](**deep_verify.DEEP_CAPS[name])  # binds the caps, runs no case
+
+    def test_deep_verify_rejects_a_key_that_names_no_suite(self, monkeypatch, capsys):
+        monkeypatch.setitem(deep_verify.DEEP_CAPS, "pyramid-orcale", {"max_frame": 5})
+        assert deep_verify.main() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pyramid-orcale" in captured.err
