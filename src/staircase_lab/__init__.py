@@ -8,27 +8,37 @@ pyramids, degrees of one-parameter orbit closures (alpha-grades) of
 semi-invariant spaces, and a catalog of closed-form inequalities.  Every
 closed formula has an independent brute-force oracle next to it; the
 ``suites`` module and the CLI wire them into runnable verification suites.
+
+The names in ``__all__`` are imported from their modules on first access,
+so importing the package (or running one CLI command) loads only the modules
+it uses.
 """
 
-from .monomials import Monomial
-from .staircase import GradedMonomialIdeal
-from .hilbert import HilbertFunction, MacaulayCoefficients
-from .pyramids import Pyramid, NRDecomposition
-from .standard_form import TypeChain, StandardForm
-from .torus import Chain, SemiInvariantSpace, TorusWeight
+import importlib
 
-__all__ = [
-    "Monomial",
-    "GradedMonomialIdeal",
-    "HilbertFunction",
-    "MacaulayCoefficients",
-    "Pyramid",
-    "NRDecomposition",
-    "TypeChain",
-    "StandardForm",
-    "Chain",
-    "SemiInvariantSpace",
-    "TorusWeight",
-]
+# exported name -> defining module
+_EXPORTS = {
+    "Monomial": "monomials",
+    "GradedMonomialIdeal": "staircase",
+    "HilbertFunction": "hilbert",
+    "MacaulayCoefficients": "hilbert",
+    "Pyramid": "pyramids",
+    "NRDecomposition": "pyramids",
+    "TypeChain": "standard_form",
+    "StandardForm": "standard_form",
+    "Chain": "torus",
+    "SemiInvariantSpace": "torus",
+    "TorusWeight": "torus",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

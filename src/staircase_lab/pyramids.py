@@ -133,6 +133,7 @@ class NRDecomposition:
         return base - self.r
 
 
+@functools.cache  # depends on d alone; the representation count is checked once per d
 def nr_decomposition(d: int) -> NRDecomposition:
     if d < 1:
         raise DomainError(f"decomposition needs d >= 1, got {d}")

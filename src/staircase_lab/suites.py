@@ -11,7 +11,6 @@ suite does not take.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -409,6 +408,8 @@ def run_suite(suite: str, **caps) -> VerificationReport:
     try:
         cases = SUITES[suite](**caps)  # binds the caps; no case runs before the loop
     except TypeError:
+        import inspect
+
         takes = sorted(inspect.signature(SUITES[suite]).parameters)
         raise DomainError(f"suite {suite!r} does not take the caps {caps}; it takes {takes}") from None
     report = VerificationReport(f"ineq:{caps.get('name') or 'all'}" if suite == "ineq" else suite)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from staircase_lab import cli
 
+from .strategies import valid_diffs
+
 BASE = [sys.executable, "-m", "staircase_lab"]
 PHI_400 = ",".join(["0"] * 399 + ["400"])  # colength 79800
 ENUM_12_JSON = (
@@ -93,6 +95,50 @@ def over_budget_space():
     """Three chains of 101 options each: 101**3 > 10**6 selections."""
     chains = [{"initial": [i, 200 - i, 0], "support": list(range(101))} for i in range(3)]
     return json.dumps({"rho": [0, -1, 1], "chains": chains})
+
+
+OVER_LIMIT = "9" * 5000  # past the int-string digit limit (4300 digits)
+# text an integer flag or a --phi entry may carry; none of it parses to more than 3
+ODD_INTEGER_TEXTS = st.sampled_from(
+    ["", " ", "+3", "-0", " 2 ", "0_3", "0x3", "1e3", "1.0", "\u0663", "\uff13", "\u00b2", OVER_LIMIT, "-" + OVER_LIMIT]
+)
+
+
+def int_texts(safe_max=None):
+    """An integer flag value: negative, zero, positive up to ``safe_max``
+    (any size when None), or odd text."""
+    positive = st.integers(min_value=1) if safe_max is None else st.integers(1, safe_max)
+    return (st.integers(max_value=0) | positive).map(str) | ODD_INTEGER_TEXTS
+
+
+@st.composite
+def phi_texts(draw):
+    """A ``--phi`` value: an admissible sequence or arbitrary entries, signed,
+    padded or not, joined by one separator."""
+    if draw(st.booleans()):
+        tokens = [draw(st.sampled_from(["", "+", " "])) + str(v) for v in draw(valid_diffs())]
+    else:
+        tokens = draw(st.lists(st.integers(-2, 9).map(str) | ODD_INTEGER_TEXTS | st.text(max_size=2), max_size=9))
+    return draw(st.sampled_from([",", ", ", ";", " ", ",,", "\t"])).join(tokens)
+
+
+JSON_FLAG = st.sampled_from([[], ["--json"]])
+# Each command with its integer flags.  Caps that size a computation stay
+# small; pyramid and genus caps are O(1) at any size.
+CLI_REQUESTS = st.one_of(
+    st.tuples(st.just(["hf", "enum", "--colength"]), int_texts(9), JSON_FLAG),
+    st.tuples(st.just(["hf", "info", "--phi"]), phi_texts(), JSON_FLAG),
+    st.tuples(
+        st.just(["pyramid", "max", "--frame"]), int_texts(), st.just("--colength"), int_texts(),
+        st.lists(st.sampled_from(["--oracle", "--witness", "--json"]), unique=True),
+    ),
+    st.tuples(st.just(["genus", "--d"]), int_texts(), st.just("--nu"), int_texts(), JSON_FLAG),
+    st.tuples(st.just(["ch14", "--e"]), int_texts(12), JSON_FLAG),
+    st.tuples(
+        st.just(["verify", "--suite"]), st.sampled_from(cli.SUITE_NAMES),
+        st.sampled_from(list(cli._SUITE_CAP_FLAGS.values())), int_texts(3), JSON_FLAG,
+    ),
+)
 
 
 class TestHf:
@@ -240,6 +286,20 @@ class TestComputations:
         assert run_in_process(*args) in (0, 1, 2, 3)
 
 
+class TestExitCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(request=CLI_REQUESTS)
+    @example(request=(["hf", "info", "--phi"], "", []))
+    @example(request=(["hf", "info", "--phi"], "0,0," + OVER_LIMIT, ["--json"]))
+    @example(request=(["hf", "info", "--phi"], "\u0660,\u0660,\u0663", []))  # Arabic-Indic 0,0,3
+    @example(request=(["pyramid", "max", "--frame"], str(10**40), "--colength", str(10**40 - 1), []))
+    @example(request=(["ch14", "--e"], OVER_LIMIT, []))
+    @example(request=(["verify", "--suite"], "ineq", "--max-c", "0", []))
+    def test_requests_exit_zero_or_two(self, request):
+        args = [a for part in request for a in ([part] if isinstance(part, str) else part)]
+        assert run_in_process(*args) in (0, 2)
+
+
 class TestVerify:
     def test_suite_passes_with_exit_zero(self):
         result = run_cli("verify", "--suite", "pyramid-oracle", "--max-frame", "8")
@@ -271,6 +331,11 @@ class TestVerify:
     def test_unknown_inequality_is_usage_error(self):
         assert run_cli("verify", "--suite", "ineq", "--name", "0.0").returncode == 2
 
+    def test_suite_choices_are_the_suites(self):
+        from staircase_lab import suites
+
+        assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -286,3 +351,48 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+
+ALPHAGRADE_MODULES = ("alphagrade", "hilbert", "monomials", "pyramids", "staircase", "torus")
+
+
+def imported_modules(*args):
+    """Exit code of one fresh ``python -m staircase_lab`` request, and the
+    package modules it imported (read from ``-X importtime``)."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *BASE[1:], *args], capture_output=True, text=True, timeout=120, check=False
+    )
+    names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+    return result.returncode, {name for name in names if name.split(".")[0] == "staircase_lab"}
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "args,code,modules",
+        [
+            (("hf", "enum", "--colength", "3"), 0, ("hilbert",)),
+            (("hf", "info", "--phi", "0,0,2,3,5"), 0, ("hilbert", "monomials", "staircase", "standard_form")),
+            (("pyramid", "max", "--frame", "4", "--colength", "4", "--oracle"), 0, ("pyramids",)),
+            (("genus", "--d", "6", "--nu", "4"), 0, ALPHAGRADE_MODULES),
+            (("ch14", "--e", "5"), 0, ALPHAGRADE_MODULES),
+            (("alphagrade", "--space", "{space}"), 0, ALPHAGRADE_MODULES),
+            (("alphagrade", "--space", "{missing}"), 2, ()),
+            (
+                ("verify", "--suite", "special-chi", "--max-colength", "8"),
+                0,
+                ALPHAGRADE_MODULES + ("catalog", "inequalities", "standard_form", "suites"),
+            ),
+            (("verify", "--suite", "nope"), 2, ()),
+            (("verify", "--help"), 0, ()),
+        ],
+        ids=["hf-enum", "hf-info", "pyramid", "genus", "ch14", "alphagrade", "alphagrade-missing-file", "verify",
+             "verify-unknown-suite", "verify-help"],
+    )
+    def test_a_request_imports_only_what_its_command_runs(self, tmp_path, args, code, modules):
+        from staircase_lab.catalog import build_space, case_by_name
+
+        space_file = tmp_path / "space.json"
+        space_file.write_text(build_space(case_by_name("7.3"), 4).to_json())
+        args = [a.format(space=space_file, missing=tmp_path / "missing.json") for a in args]
+        base = {"staircase_lab", "staircase_lab.cli", "staircase_lab.errors"}
+        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules})

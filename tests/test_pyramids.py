@@ -115,6 +115,14 @@ class TestNRDecomposition:
         for d in range(1, 600):
             assert P.nr_decomposition(d).value() == d
 
+    def test_cached_per_d_and_checked_for_each_new_d(self, monkeypatch):
+        P.nr_decomposition.cache_clear()
+        assert P.nr_decomposition(14) is P.nr_decomposition(14)
+        monkeypatch.setattr(P, "isqrt", lambda d: 0)  # finds no representation
+        assert P.nr_decomposition(14).value() == 14  # cached
+        with pytest.raises(InternalInconsistencyError, match="0 representations"):
+            P.nr_decomposition(15)
+
 
 class TestClosedForm:
     def test_small_frame_tables(self):
