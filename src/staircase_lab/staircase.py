@@ -1,16 +1,20 @@
 """Graded monomial ideals of finite colength in the plane, as staircases.
 
-An ideal is stored as one column per degree n: the set of y-exponents a such
-that x^(n-a) * y^a lies in the ideal.  Sections of the twisted sheaf are the
-z-saturation of these columns, so the degree-n section space is
-``sum_i z^(n-i) * V_i``.  Columns with index >= ``stable_from`` are full.
+An ideal is stored as its quotient staircase: the partition
+h_0 >= h_1 >= ... > 0, where h_i is the number of y-powers missing over x^i.
+Every other view is derived from the heights.  Column n is the set of
+y-exponents a such that x^(n-a) * y^a lies in the ideal, i.e. a >= h_(n-a);
+sections of the twisted sheaf are the z-saturation of these columns, so the
+degree-n section space is ``sum_i z^(n-i) * V_i``.  Columns with index
+>= ``stable_from`` = max(i + h_i) are full.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, count, takewhile
 
 from .errors import DomainError, MalformedIdealError, RangeError
 from .hilbert import HilbertFunction
@@ -19,30 +23,48 @@ from .monomials import Monomial
 
 @dataclass(frozen=True)
 class GradedMonomialIdeal:
-    columns: tuple[frozenset[int], ...]
-    stable_from: int
+    heights: tuple[int, ...]
+
+    def __post_init__(self):
+        h = self.heights
+        if any(b < 1 for b in h) or any(h[i] < h[i + 1] for i in range(len(h) - 1)):
+            raise MalformedIdealError(f"heights must be a positive non-increasing sequence: {h}")
 
     @staticmethod
     def from_columns(columns, stable_from=None) -> "GradedMonomialIdeal":
         """Validated staircase: columns from ``stable_from`` on are dropped,
         missing ones below it are full, and trailing full columns are trimmed."""
-        cols = [frozenset(int(a) for a in col) for col in columns]
+        cols = [frozenset(map(int, col)) for col in columns]
         if stable_from is None:
             stable_from = len(cols)
         if stable_from < 0:
             raise MalformedIdealError("stable_from must be nonnegative")
         cols = cols[:stable_from] + [frozenset(range(n + 1)) for n in range(len(cols), stable_from)]
         for n, col in enumerate(cols):
-            if any(a < 0 or a > n for a in col):
+            if col and (min(col) < 0 or max(col) > n):
                 raise MalformedIdealError(f"column {n} has exponent outside [0, {n}]: {sorted(col)}")
             nxt = cols[n + 1] if n + 1 < len(cols) else frozenset(range(n + 2))
             if not col <= nxt:
                 raise MalformedIdealError(f"column {n} not contained in column {n + 1}")
             if not {a + 1 for a in col} <= nxt:
                 raise MalformedIdealError(f"column {n} violates y-multiplication into column {n + 1}")
-        while cols and len(cols[-1]) == len(cols):
-            cols.pop()
-        return GradedMonomialIdeal(tuple(cols), len(cols))
+        # h_i is the least b with x^i y^b in the ideal (columns past the list are full)
+        top = len(cols)
+        heights = (next(b for b in count() if i + b >= top or b in cols[i + b]) for i in range(top))
+        return GradedMonomialIdeal(tuple(b for b in heights if b))
+
+    @cached_property
+    def stable_from(self) -> int:
+        return max((i + b for i, b in enumerate(self.heights)), default=0)
+
+    @cached_property
+    def columns(self) -> tuple[frozenset[int], ...]:
+        # cell (j, b) of the quotient, b < h_j, is missing from column j + b
+        missing = [[] for _ in range(self.stable_from)]
+        for j, b in enumerate(self.heights):
+            for n in range(j, j + b):
+                missing[n].append(n - j)
+        return tuple(frozenset(range(n + 1)).difference(miss) for n, miss in enumerate(missing))
 
     def column(self, n: int) -> frozenset[int]:
         if n < 0:
@@ -53,58 +75,42 @@ class GradedMonomialIdeal:
 
     @property
     def colength(self) -> int:
-        return sum(n + 1 - len(self.column(n)) for n in range(self.stable_from))
+        return sum(self.heights)
 
     def hilbert_function(self) -> HilbertFunction:
-        return HilbertFunction.from_diff(
-            [len(self.column(n)) for n in range(self.stable_from + 1)]
-        )
+        # column n misses one cell for each i with i <= n < i + h_i
+        top = self.stable_from
+        delta = [0] * (top + 2)
+        for i, b in enumerate(self.heights):
+            delta[i] += 1
+            delta[i + b] -= 1
+        diff, missing = [], 0
+        for n in range(top + 1):
+            missing += delta[n]
+            diff.append(n + 1 - missing)
+        return HilbertFunction.from_diff(diff)
 
     def section_monomials(self, n: int) -> list[Monomial]:
         """Monomial basis of the degree-n section space (z-saturated columns)."""
-        if n < 0:
-            return []
-        out = []
-        for i in range(n + 1):
-            for a in sorted(self.column(i)):
-                out.append(Monomial(i - a, a, n - i))
-        return out
+        return [Monomial(i - a, a, n - i) for i in range(n + 1) for a in sorted(self.column(i))]
 
     def is_borel_fixed(self) -> bool:
         """Stable under the exchanges y -> x and z -> y on every monomial."""
-        for n in range(self.stable_from + 1):
-            col = self.column(n)
+        cols = [self.column(n) for n in range(self.stable_from + 2)]
+        for col, nxt in zip(cols, cols[1:]):
             for a in col:
-                if a >= 1 and a - 1 not in col:
-                    return False
-                if a + 1 not in self.column(n + 1):
+                if (a >= 1 and a - 1 not in col) or a + 1 not in nxt:
                     return False
         return True
 
     def borel_closure(self) -> "GradedMonomialIdeal":
-        """Smallest Borel-fixed staircase containing this one."""
-        cols = [set(self.column(n)) for n in range(self.stable_from + 1)]
-        changed = True
-        while changed:
-            changed = False
-            for n in range(len(cols)):
-                col = cols[n]
-                add = {a - 1 for a in col if a >= 1} - col
-                if add:
-                    col |= add
-                    changed = True
-                if n + 1 < len(cols):
-                    up = {a + 1 for a in col} - cols[n + 1]
-                    if up:
-                        cols[n + 1] |= up
-                        changed = True
-        return GradedMonomialIdeal.from_columns(cols, len(cols) - 1)
+        """Smallest Borel-fixed staircase containing this one: the largest
+        strictly decreasing heights below these, g_i = min(h_i, g_(i-1) - 1)."""
+        closure = accumulate(self.heights, lambda g, b: min(b, g - 1))
+        return GradedMonomialIdeal(tuple(takewhile(lambda g: g > 0, closure)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "columns": [sorted(self.column(n)) for n in range(self.stable_from)],
-            "stable_from": self.stable_from,
-        }
+        return {"columns": [sorted(col) for col in self.columns], "stable_from": self.stable_from}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -123,20 +129,15 @@ class GradedMonomialIdeal:
         return GradedMonomialIdeal.from_json_dict(json.loads(text))
 
     def generators(self) -> list[tuple[int, int]]:
-        """Minimal (x, y)-monomial generators as (x-exponent, y-exponent) pairs."""
-        gens = []
-        for n in range(self.stable_from + 1):
-            prev = self.column(n - 1)
-            below = prev | {a + 1 for a in prev}
-            for a in sorted(self.column(n) - below):
-                gens.append((n - a, a))
-        return gens
+        """Minimal (x, y)-monomial generators as (x-exponent, y-exponent)
+        pairs: the outer corners x^i y^(h_i) with h_i < h_(i-1), by degree,
+        then by y-exponent."""
+        h = self.heights + (0,)
+        gens = [(i, b) for i, b in enumerate(h) if i == 0 or b < h[i - 1]]
+        return sorted(gens, key=lambda g: (g[0] + g[1], g[1]))
 
     def __str__(self) -> str:
-        gens = ", ".join(
-            str(Monomial(gx, gy, 0)) for gx, gy in self.generators()
-        )
-        return f"({gens})" if gens else "(1)"
+        return "(" + ", ".join(str(Monomial(gx, gy, 0)) for gx, gy in self.generators()) + ")"
 
 
 def from_generators(gens) -> GradedMonomialIdeal:
@@ -144,6 +145,7 @@ def from_generators(gens) -> GradedMonomialIdeal:
 
     Finite colength requires a pure x-power and a pure y-power among the
     generated monomials, i.e. generators with zero y- and zero x-exponent.
+    Below the least pure x-power, h_i = min{gy : gx <= i}.
     """
     pairs = [(int(gx), int(gy)) for gx, gy in gens]
     if any(gx < 0 or gy < 0 for gx, gy in pairs):
@@ -152,12 +154,12 @@ def from_generators(gens) -> GradedMonomialIdeal:
     y_powers = [gy for gx, gy in pairs if gx == 0]
     if not x_powers or not y_powers:
         raise MalformedIdealError(f"generators {pairs} do not cut out a finite colength")
-    full_at = max(min(x_powers) + min(y_powers) - 1, 0)
-    cols = [
-        [a for a in range(n + 1) if any(gx <= n - a and gy <= a for gx, gy in pairs)]
-        for n in range(full_at + 1)
-    ]
-    return GradedMonomialIdeal.from_columns(cols, full_at)
+    width = min(x_powers)
+    lowest = [min(y_powers)] * width  # least gy over the generators with gx = i, at most h_0
+    for gx, gy in pairs:
+        if gx < width:
+            lowest[gx] = min(lowest[gx], gy)
+    return GradedMonomialIdeal(tuple(accumulate(lowest, min)))
 
 
 @lru_cache(maxsize=None)
@@ -180,11 +182,4 @@ def enumerate_ideals(d: int) -> list[GradedMonomialIdeal]:
     """
     if d < 0:
         raise RangeError("colength must be nonnegative")
-    ideals = []
-    for heights in _partitions(d, d if d else 1):
-        # column n is full exactly when n >= j + h_j for every j
-        top = max((j + h for j, h in enumerate(heights)), default=0)
-        h = heights + (0,) * (top - len(heights))
-        cols = [[a for a in range(n + 1) if a >= h[n - a]] for n in range(top)]
-        ideals.append(GradedMonomialIdeal.from_columns(cols, top))
-    return ideals
+    return [GradedMonomialIdeal(heights) for heights in _partitions(d, d if d else 1)]

@@ -222,23 +222,17 @@ def detect_standard_form(ideal: GradedMonomialIdeal) -> Optional[StandardForm]:
     if d <= 4 or phi.g_star() <= deformation_bound(d):
         return None
     m = phi.regularity
-    x_divides = all(n not in ideal.column(n) for n in range(m))
-    y_divides = all(0 not in ideal.column(n) for n in range(m))
+    h = ideal.heights
+    # x divides every form of degree < m iff no y^n (n < m) lies in the ideal:
+    # h_0 >= m; likewise y divides them iff no x^n does: at least m heights
+    x_divides = h[0] >= m  # d > 4, so h is not empty
+    y_divides = len(h) >= m
     if x_divides and y_divides:
         raise InternalInconsistencyError(f"both forms detected on {ideal}")
     if not x_divides and not y_divides:
         return None
-    if y_divides:
-        kernel_cols = [
-            [a for a in range(n + 1) if a + 1 in ideal.column(n + 1)]
-            for n in range(ideal.stable_from + 1)
-        ]
-    else:
-        kernel_cols = [
-            [a for a in range(n + 1) if a in ideal.column(n + 1)]
-            for n in range(ideal.stable_from + 1)
-        ]
-    kernel = GradedMonomialIdeal.from_columns(kernel_cols, ideal.stable_from + 1)
+    # the kernel is (I : y), heights h_i - 1, or (I : x), heights h_1, h_2, ...
+    kernel = GradedMonomialIdeal(tuple(b - 1 for b in h if b > 1) if y_divides else h[1:])
     if kernel.colength + m != d:
         raise InternalInconsistencyError(
             f"kernel colength {kernel.colength} + m {m} != {d} on {ideal}"

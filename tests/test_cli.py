@@ -299,6 +299,33 @@ class TestExitCodes:
         args = [a for part in request for a in ([part] if isinstance(part, str) else part)]
         assert run_in_process(*args) in (0, 2)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--suite", "borel", "--name", "5.2"),  # --name on a suite other than ineq
+            ("--suite", "borel", "--max-frame", "3"),  # a cap the suite does not take
+            ("--suite", "ineq", "--name", "0.0"),  # an unknown inequality
+            ("--suite", "ch14", "--max-e", "3"),  # caps that cover no cases
+            ("--suite", "a-bound", "--max-r", "0"),
+            ("--suite", "special-chi", "--max-colength", "8", "--max-colength", "3"),
+        ],
+    )
+    def test_verify_flag_combinations_are_usage_errors(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["verify", *args]) == 2
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+
+    def test_a_repeated_cap_takes_the_last_value(self):
+        def cases(*caps):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["verify", "--suite", "special-chi", *caps, "--json"]) == 0
+            return json.loads(out.getvalue())["cases_run"]
+
+        assert cases("--max-colength", "3", "--max-colength", "9") == cases("--max-colength", "9") > 0
+
 
 class TestVerify:
     def test_suite_passes_with_exit_zero(self):

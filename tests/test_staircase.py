@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from staircase_lab import hilbert as H
 from staircase_lab import staircase as S
 from staircase_lab.errors import DomainError, MalformedIdealError
+from staircase_lab.monomials import Monomial
 
-from .strategies import ideals_small
+from .strategies import ideals_small, partitions
 
 
 def full_ideal():
@@ -64,8 +65,71 @@ def ref_enumerate_ideals(d):
         top = len(h) + max(h) if h else 0
         cols = [[a for a in range(n + 1) if n - a >= len(h) or a >= h[n - a]] for n in range(top + 1)]
         columns, stable = ref_from_columns(cols, top)
-        out.append(S.GradedMonomialIdeal(columns, stable))
+        out.append(S.GradedMonomialIdeal.from_columns(columns, stable))
     return out
+
+
+def ref_cells(heights):
+    """Per-cell columns of the staircase with these quotient heights, up to
+    len(h) + max(h), and that index."""
+    top = len(heights) + max(heights) if heights else 0
+    cols = [[a for a in range(n + 1) if n - a >= len(heights) or a >= heights[n - a]] for n in range(top + 1)]
+    return cols, top
+
+
+def ref_column_view(columns, stable):
+    """column(n) of a (columns, stable_from) pair: full from stable_from on."""
+    return lambda n: frozenset() if n < 0 else columns[n] if n < stable else frozenset(range(n + 1))
+
+
+def ref_generators(column, stable):
+    """Column-by-column minimal generators: monomials of column n not reached
+    from column n - 1 by x or y."""
+    gens = []
+    for n in range(stable + 1):
+        prev = column(n - 1)
+        below = prev | {a + 1 for a in prev}
+        gens.extend((n - a, a) for a in sorted(column(n) - below))
+    return gens
+
+
+def ref_borel_closure(column, stable):
+    """Column fixpoint: add a - 1 within a column and a + 1 in the next
+    column until nothing changes, then the reference construction."""
+    cols = [set(column(n)) for n in range(stable + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for n in range(len(cols)):
+            col = cols[n]
+            add = {a - 1 for a in col if a >= 1} - col
+            if add:
+                col |= add
+                changed = True
+            if n + 1 < len(cols):
+                up = {a + 1 for a in col} - cols[n + 1]
+                if up:
+                    cols[n + 1] |= up
+                    changed = True
+    return ref_from_columns(cols, len(cols) - 1)
+
+
+def ref_from_generators(gens):
+    """Per-monomial construction: a cell lies in the ideal when some generator
+    divides it, checked with ``any`` over the generators."""
+    pairs = [(int(gx), int(gy)) for gx, gy in gens]
+    if any(gx < 0 or gy < 0 for gx, gy in pairs):
+        raise DomainError(f"negative exponent in generators {pairs}")
+    x_powers = [gx for gx, gy in pairs if gy == 0]
+    y_powers = [gy for gx, gy in pairs if gx == 0]
+    if not x_powers or not y_powers:
+        raise MalformedIdealError(f"generators {pairs} do not cut out a finite colength")
+    full_at = max(min(x_powers) + min(y_powers) - 1, 0)
+    cols = [
+        [a for a in range(n + 1) if any(gx <= n - a and gy <= a for gx, gy in pairs)]
+        for n in range(full_at + 1)
+    ]
+    return ref_from_columns(cols, full_at)
 
 
 @st.composite
@@ -83,6 +147,55 @@ def columns_of_ideals(draw):
     columns = [sorted(ideal.column(n)) for n in range(ideal.stable_from + draw(st.integers(0, 3)))]
     stable_from = draw(st.one_of(st.none(), st.integers(max(len(columns) - 3, 0), len(columns) + 2)))
     return columns, stable_from
+
+
+class TestPartitionStorage:
+    """The heights-backed ideal against per-cell references of every view."""
+
+    @given(ideals_small)
+    def test_views_match_the_per_cell_reference(self, ideal):
+        columns, stable = ref_from_columns(*ref_cells(ideal.heights))
+        column = ref_column_view(columns, stable)
+        assert (ideal.columns, ideal.stable_from) == (columns, stable)
+        assert all(ideal.column(n) == column(n) for n in range(-1, stable + 3))
+        assert ideal.colength == sum(n + 1 - len(column(n)) for n in range(stable))
+        assert ideal.hilbert_function() == H.HilbertFunction.from_diff([len(column(n)) for n in range(stable + 1)])
+        gens = ref_generators(column, stable)
+        assert ideal.generators() == gens
+        assert str(ideal) == "(" + ", ".join(str(Monomial(gx, gy, 0)) for gx, gy in gens) + ")"
+        text = json.dumps({"columns": [sorted(c) for c in columns], "stable_from": stable}, separators=(",", ":"))
+        assert ideal.to_json() == text
+
+    @given(partitions(max_total=12))
+    def test_from_columns_reads_the_heights_back(self, heights):
+        ideal = S.GradedMonomialIdeal.from_columns(*ref_cells(heights))
+        assert ideal.heights == heights
+        assert ideal == S.GradedMonomialIdeal(heights)
+
+    @pytest.mark.parametrize("heights", [(0,), (2, 0), (1, 2), (2, 3, 1), (-1,)])
+    def test_heights_must_be_a_partition(self, heights):
+        with pytest.raises(MalformedIdealError):
+            S.GradedMonomialIdeal(heights)
+
+    @given(ideals_small)
+    def test_borel_closure_matches_the_column_fixpoint(self, ideal):
+        closure = ideal.borel_closure()
+        assert (closure.columns, closure.stable_from) == ref_borel_closure(ideal.column, ideal.stable_from)
+
+    @given(st.one_of(
+        st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=6),
+        ideals_small.map(lambda ideal: ideal.generators()),
+    ))
+    def test_from_generators_matches_the_per_monomial_construction(self, gens):
+        try:
+            want = ref_from_generators(gens)
+        except (DomainError, MalformedIdealError) as exc:
+            with pytest.raises(type(exc)) as got:
+                S.from_generators(gens)
+            assert str(got.value) == str(exc)
+            return
+        ideal = S.from_generators(gens)
+        assert (ideal.columns, ideal.stable_from) == want
 
 
 class TestColength:

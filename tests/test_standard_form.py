@@ -16,6 +16,28 @@ from .strategies import hf_small
 FULL = H.HilbertFunction((1,))
 
 
+def ref_detect_standard_form(ideal):
+    """Column-based detection: x (resp. y) divides every column below the
+    regularity m, and the kernel (I : y) (resp. (I : x)) is read column by
+    column off column n + 1."""
+    phi = ideal.hilbert_function()
+    d = phi.colength
+    if d <= 4 or phi.g_star() <= H.deformation_bound(d):
+        return None
+    m = phi.regularity
+    x_divides = all(n not in ideal.column(n) for n in range(m))
+    y_divides = all(0 not in ideal.column(n) for n in range(m))
+    assert not (x_divides and y_divides)
+    if not x_divides and not y_divides:
+        return None
+    shift = 1 if y_divides else 0
+    kernel_cols = [
+        [a for a in range(n + 1) if a + shift in ideal.column(n + 1)] for n in range(ideal.stable_from + 1)
+    ]
+    kernel = S.GradedMonomialIdeal.from_columns(kernel_cols, ideal.stable_from + 1)
+    return SF.StandardForm("y" if y_divides else "x", kernel, m)
+
+
 class TestDecompose:
     def test_special_function_has_no_split(self):
         for d in range(5, 16):
@@ -179,6 +201,11 @@ class TestDetect:
                     assert form is not None
                     assert (form.kernel.colength, form.m) == (psi.colength, m)
                     assert form.kernel.hilbert_function() == psi
+
+    @pytest.mark.parametrize("d", range(5, 15))
+    def test_matches_the_column_based_detection(self, d):
+        for ideal in S.enumerate_ideals(d):
+            assert SF.detect_standard_form(ideal) == ref_detect_standard_form(ideal)
 
     @pytest.mark.parametrize("name,m", [("7.3", 4), ("7.3", 6), ("7.4a", 5), ("7.5e", 6)])
     def test_limits_keep_the_y_form(self, name, m):
