@@ -6,6 +6,10 @@ A Hilbert function is stored through its difference sequence
 minimal degree alpha onwards until it reaches the diagonal value ``n + 1``,
 where it stays.  The colength is the total deficiency
 ``sum(n + 1 - diff[n])``.
+
+A sequence from outside the package (the constructor, ``from_diff``,
+``parse``) is validated once, where it enters.  The enumerator and the
+staircases build admissible sequences directly and skip that check.
 """
 
 from __future__ import annotations
@@ -68,11 +72,16 @@ class HilbertFunction:
     diff: tuple[int, ...]
 
     @staticmethod
-    def from_diff(raw) -> "HilbertFunction":
-        # _canonical_diff has validated the sequence; skip the constructor's check
+    def _trusted(diff: tuple[int, ...]) -> "HilbertFunction":
+        """The function of a canonical, admissible tuple, built unchecked: only
+        for sequences the package has validated or built admissible itself."""
         phi = object.__new__(HilbertFunction)
-        object.__setattr__(phi, "diff", _canonical_diff(raw))
+        object.__setattr__(phi, "diff", diff)
         return phi
+
+    @staticmethod
+    def from_diff(raw) -> "HilbertFunction":
+        return HilbertFunction._trusted(_canonical_diff(raw))
 
     @staticmethod
     def parse(text: str) -> "HilbertFunction":
@@ -184,27 +193,25 @@ def compare(phi: HilbertFunction, psi: HilbertFunction) -> Verdict:
 
 
 def enumerate_hilbert_functions(d: int) -> list[HilbertFunction]:
-    """All Hilbert functions of colength d, in lexicographic diff order."""
+    """All Hilbert functions of colength d, in lexicographic diff order.
+
+    Every sequence is built admissible: after the first nonzero entry v the
+    next entry is at least v + 1, and an entry below the diagonal may not
+    miss more than the deficit left.  So no result is validated again.
+    """
     if d < 0:
         raise DomainError("colength must be nonnegative")
     out: list[HilbertFunction] = []
+    trusted = HilbertFunction._trusted
 
-    def extend(prefix: list[int], deficit: int):
+    def extend(prefix: tuple[int, ...], lo: int, deficit: int):
         n = len(prefix)
-        started = any(v > 0 for v in prefix)
-        prev = prefix[-1] if prefix else 0
-        lo = prev + 1 if started else 0
-        for v in range(lo, n + 2):
-            rest = deficit - (n + 1 - v)
-            if rest < 0:
-                continue
-            if v == n + 1:
-                if rest == 0:
-                    out.append(HilbertFunction(tuple(prefix + [v])))
-                continue
-            extend(prefix + [v], rest)
+        for v in range(max(lo, n + 1 - deficit), n + 1):
+            extend(prefix + (v,), v + 1 if v else 0, deficit - (n + 1 - v))
+        if deficit == 0:  # only the diagonal value fits, and it ends the sequence
+            out.append(trusted(prefix + (n + 1,)))
 
-    extend([], d)
+    extend((), 0, d)
     return out
 
 
@@ -287,8 +294,13 @@ def pairwise_comparable(functions) -> list[tuple[HilbertFunction, HilbertFunctio
     # padding length serves every pair
     length = max((phi.regularity for phi in functions), default=0) + 1
     values = [_values(phi, length) for phi in functions]
-    return [
-        (functions[i], functions[j])
-        for i, j in itertools.permutations(range(len(functions)), 2)
-        if _verdict(values[i], values[j]) == "less"
-    ]
+    # one verdict per unordered pair; sorting the index pairs restores the
+    # order of the ordered pairs (i, j)
+    pairs = []
+    for i, j in itertools.combinations(range(len(functions)), 2):
+        verdict = _verdict(values[i], values[j])
+        if verdict == "less":
+            pairs.append((i, j))
+        elif verdict == "greater":
+            pairs.append((j, i))
+    return [(functions[i], functions[j]) for i, j in sorted(pairs)]

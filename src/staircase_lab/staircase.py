@@ -78,17 +78,18 @@ class GradedMonomialIdeal:
         return sum(self.heights)
 
     def hilbert_function(self) -> HilbertFunction:
-        # column n misses one cell for each i with i <= n < i + h_i
-        top = self.stable_from
-        delta = [0] * (top + 2)
+        return self._hilbert_function
+
+    @cached_property
+    def _hilbert_function(self) -> HilbertFunction:
+        # column n misses one cell for each i with i <= n < i + h_i; the cells'
+        # degrees fill 0..stable_from - 1, so the diff is admissible, and
+        # canonical with its first diagonal entry at stable_from
+        delta = [0] * (self.stable_from + 1)
         for i, b in enumerate(self.heights):
             delta[i] += 1
             delta[i + b] -= 1
-        diff, missing = [], 0
-        for n in range(top + 1):
-            missing += delta[n]
-            diff.append(n + 1 - missing)
-        return HilbertFunction.from_diff(diff)
+        return HilbertFunction._trusted(tuple([n + 1 - missing for n, missing in enumerate(accumulate(delta))]))
 
     def section_monomials(self, n: int) -> list[Monomial]:
         """Monomial basis of the degree-n section space (z-saturated columns)."""

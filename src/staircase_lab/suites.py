@@ -160,15 +160,38 @@ def suite_regularity_bound(max_colength: int = 12):
 
 
 def suite_hf_ideal_agreement(max_colength: int = 8):
-    """Enumerated functions match the distinct functions of all staircases."""
+    """Enumerated functions match the distinct functions of all staircases.
+
+    Both sides build their sequences unchecked, so each distinct staircase
+    function is checked admissible here, with a staircase that has it.  The
+    Borel-fixed staircases (strictly decreasing heights) are the lex-segment
+    ideals, and by Macaulay's theorem their functions are each admissible
+    function exactly once.
+    """
     for d in range(0, max_colength + 1):
-        via_ideals = {ideal.hilbert_function() for ideal in staircase.enumerate_ideals(d)}
+        ideals = staircase.enumerate_ideals(d)
+        images = [ideal.hilbert_function() for ideal in ideals]
+        witness = dict(zip(images, ideals))  # each distinct function, with a staircase
+        found = [
+            ({"d": d, "ideal": str(ideal)}, "admissible", phi.as_text())
+            for phi, ideal in witness.items()
+            if not hilbert.is_valid(phi.diff)
+        ]
         via_enum = set(hilbert.enumerate_hilbert_functions(d))
-        yield () if via_ideals == via_enum else ((
-            {"d": d},
-            sorted(phi.as_text() for phi in via_enum),
-            sorted(phi.as_text() for phi in via_ideals),
-        ),)
+        if witness.keys() != via_enum:
+            found.append(({"d": d}, _texts(via_enum), _texts(witness)))
+        lex = [phi for ideal, phi in zip(ideals, images) if _strictly_decreasing(ideal.heights)]
+        if len(set(lex)) != len(lex) or set(lex) != via_enum:
+            found.append(({"d": d, "borel": True}, _texts(via_enum), _texts(lex)))
+        yield found
+
+
+def _texts(functions) -> list[str]:
+    return sorted(phi.as_text() for phi in functions)
+
+
+def _strictly_decreasing(heights) -> bool:
+    return all(a > b for a, b in zip(heights, heights[1:]))
 
 
 def suite_lemma_2_4(max_colength: int = 14):
@@ -359,7 +382,8 @@ def suite_a_bound(max_r: int = 2, max_c: int = 3):
 
 
 def suite_borel(max_colength: int = 8):
-    """Borel closure never increases the colength; fixed points stay fixed."""
+    """Borel closure never increases the colength; fixed points stay fixed;
+    the fixed staircases are those with strictly decreasing heights."""
     for _, ideal in _ideals(1, max_colength):
         found = []
         closure = ideal.borel_closure()
@@ -367,7 +391,10 @@ def suite_borel(max_colength: int = 8):
             found.append(({"ideal": str(ideal)}, "closure fixed", str(closure)))
         if closure.colength > ideal.colength:
             found.append(({"ideal": str(ideal)}, f"<= {ideal.colength}", closure.colength))
-        if ideal.is_borel_fixed() and closure != ideal:
+        fixed = ideal.is_borel_fixed()
+        if fixed != _strictly_decreasing(ideal.heights):
+            found.append(({"ideal": str(ideal)}, "fixed iff strictly decreasing heights", fixed))
+        if fixed and closure != ideal:
             found.append(({"ideal": str(ideal)}, "closure = ideal", str(closure)))
         yield found
 

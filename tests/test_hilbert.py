@@ -44,12 +44,43 @@ def ref_verdict(a, b):
     return {(True, True): "equal", (True, False): "less", (False, True): "greater"}.get((le, ge), "incomparable")
 
 
+def ref_enumerate(d):
+    """The validated enumerator: extend each prefix by every value the
+    admissibility rules allow, rescanning the prefix, and check every result."""
+    out = []
+
+    def extend(prefix, deficit):
+        n = len(prefix)
+        started = any(v > 0 for v in prefix)
+        lo = prefix[-1] + 1 if started else 0
+        for v in range(lo, n + 2):
+            rest = deficit - (n + 1 - v)
+            if rest < 0:
+                continue
+            if v == n + 1:
+                if rest == 0:
+                    out.append(H.HilbertFunction(tuple(prefix + [v])))
+                continue
+            extend(prefix + [v], rest)
+
+    extend([], d)
+    return out
+
+
 @st.composite
 def equal_colength_lists(draw, max_size=8):
     """A function from hf_small and further functions of its colength."""
     phi = draw(hf_small)
     peers = H.enumerate_hilbert_functions(phi.colength)
     return [phi] + draw(st.lists(st.sampled_from(peers), max_size=max_size - 1))
+
+
+@st.composite
+def lists_with_repeats(draw):
+    """Functions of one colength in which some function occurs twice or more."""
+    functions = draw(equal_colength_lists(max_size=6))
+    repeats = draw(st.lists(st.sampled_from(functions), min_size=1, max_size=4))
+    return draw(st.permutations(functions + repeats))
 
 
 class TestValidity:
@@ -110,6 +141,13 @@ class TestCatalog:
             diffs = [phi.diff for phi in functions]
             assert diffs == sorted(diffs)
             assert len(set(diffs)) == len(diffs)
+
+    @pytest.mark.parametrize("d", range(17))
+    def test_enumeration_matches_the_validated_reference(self, d):
+        functions = H.enumerate_hilbert_functions(d)
+        assert [phi.diff for phi in functions] == [phi.diff for phi in ref_enumerate(d)]
+        # each function is canonical and admissible, as the validated path builds it
+        assert all(H.HilbertFunction.from_diff(phi.diff) == phi for phi in functions)
 
     def test_colength_one_regularities(self):
         # regularity values of the small catalog
@@ -205,10 +243,17 @@ class TestCompare:
         assert H.compare(phi, psi) == ref_verdict(phi, psi)
 
     @settings(max_examples=50)
-    @given(equal_colength_lists())
+    @given(st.one_of(equal_colength_lists(), lists_with_repeats()))
     def test_pairwise_matches_the_reference(self, functions):
         expected = [(a, b) for a, b in itertools.permutations(functions, 2) if ref_verdict(a, b) == "less"]
         assert H.pairwise_comparable(functions) == expected
+
+    def test_pairwise_keeps_the_ordered_pair_order(self):
+        # phi < psi, each given twice as distinct equal objects; equal copies make no pair
+        psi0, phi0, psi1, phi1 = (H.HilbertFunction.from_diff(d) for d in [(0, 1, 2), (0, 0, 3)] * 2)
+        got = H.pairwise_comparable([psi0, phi0, psi1, phi1])
+        want = [(phi0, psi0), (phi0, psi1), (phi1, psi0), (phi1, psi1)]
+        assert [(id(a), id(b)) for a, b in got] == [(id(a), id(b)) for a, b in want]
 
 
 class TestDeformationBound:

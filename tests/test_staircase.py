@@ -241,6 +241,17 @@ class TestHilbertFunction:
             ideal = S.from_generators([(2, 0), (1, e - 2), (0, e)])
             assert ideal.hilbert_function() == H.special_chi(2 * (e - 1))
 
+    @given(partitions(max_total=30))
+    def test_trusted_function_is_canonical_and_admissible(self, heights):
+        ideal = S.GradedMonomialIdeal(heights)
+        phi = ideal.hilbert_function()
+        assert H.HilbertFunction.from_diff(phi.diff) == phi
+        assert phi.regularity == ideal.stable_from
+
+    def test_built_once_per_ideal(self):
+        ideal = S.GradedMonomialIdeal((3, 1, 1))
+        assert ideal.hilbert_function() is ideal.hilbert_function()
+
     @given(ideals_small)
     def test_always_admissible(self, ideal):
         diff = [len(ideal.column(n)) for n in range(ideal.stable_from + 2)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase_lab import cli, hilbert, inequalities, pyramids, suites
+from staircase_lab import cli, hilbert, inequalities, pyramids, staircase, suites
 from staircase_lab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +81,52 @@ class TestViolations:
         assert (report["suite"], report["cases_run"]) == ("ineq:5.2", 130)
         assert report["violations"] == [
             {"params": {"name": "5.2", "c": 3, "m": 7}, "expected": "holds", "got": "fails"}
+        ]
+
+
+    def test_hf_ideal_agreement_checks_each_staircase_function_is_admissible(self, monkeypatch):
+        # the staircase side is built unchecked, so the suite must catch a bad sequence itself
+        plain = staircase.GradedMonomialIdeal.hilbert_function
+
+        def broken(ideal):
+            return hilbert.HilbertFunction._trusted((0, 1, 1, 4)) if ideal.heights == (2, 1) else plain(ideal)
+
+        monkeypatch.setattr(staircase.GradedMonomialIdeal, "hilbert_function", broken)
+        code, report = verify_json("--suite", "hf-ideal-agreement", "--max-colength", "4")
+        assert code == 1
+        assert (report["suite"], report["cases_run"]) == ("hf-ideal-agreement", 5)
+        assert report["violations"][0] == {
+            "params": {"d": 3, "ideal": "(x^2, x*y, y^2)"}, "expected": "admissible", "got": "0,1,1,4"
+        }
+        assert [v["params"] for v in report["violations"]] == [
+            {"d": 3, "ideal": "(x^2, x*y, y^2)"}, {"d": 3}, {"d": 3, "borel": True}
+        ]
+
+    def test_hf_ideal_agreement_checks_the_lex_segment_bijection(self, monkeypatch):
+        # (x, y^4) takes the function of (x^2, x*y, y^3): (y, x^4) still has
+        # the lost function, so the set of all images is unchanged, but two
+        # lex-segment ideals now share a function
+        plain = staircase.GradedMonomialIdeal.hilbert_function
+        shared = staircase.GradedMonomialIdeal((3, 1))
+
+        def broken(ideal):
+            return plain(shared) if ideal.heights == (4,) else plain(ideal)
+
+        monkeypatch.setattr(staircase.GradedMonomialIdeal, "hilbert_function", broken)
+        code, report = verify_json("--suite", "hf-ideal-agreement", "--max-colength", "4")
+        assert code == 1
+        assert [v["params"] for v in report["violations"]] == [{"d": 4, "borel": True}]
+
+    def test_borel_checks_fixed_points_are_the_strict_partitions(self, monkeypatch):
+        fixed = staircase.GradedMonomialIdeal.is_borel_fixed
+        monkeypatch.setattr(
+            staircase.GradedMonomialIdeal, "is_borel_fixed", lambda ideal: ideal.heights == (1, 1) or fixed(ideal)
+        )
+        code, report = verify_json("--suite", "borel", "--max-colength", "3")
+        assert code == 1
+        assert report["violations"] == [
+            {"params": {"ideal": "(y, x^2)"}, "expected": "fixed iff strictly decreasing heights", "got": True},
+            {"params": {"ideal": "(y, x^2)"}, "expected": "closure = ideal", "got": "(x, y)"},
         ]
 
 
