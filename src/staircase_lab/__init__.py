@@ -21,7 +21,6 @@ _EXPORTS = {
     "Monomial": "monomials",
     "GradedMonomialIdeal": "staircase",
     "HilbertFunction": "hilbert",
-    "MacaulayCoefficients": "hilbert",
     "Pyramid": "pyramids",
     "NRDecomposition": "pyramids",
     "TypeChain": "standard_form",

@@ -28,14 +28,10 @@ class DeformationCase:
     min_m: int
     # staircase generators of the zero limit, as (ex, ey) pairs
     generators: Callable[[int], list[tuple[int, int]]]
-    # deformation chains: (initial monomial, step list, torus weight), at level n
-    chains: Callable[[int, int], list[tuple[Monomial, list[int], tuple[int, int, int]]]]
+    # the deformation chain at level n: (initial monomial, torus weight), stepped once
+    chain: Callable[[int, int], tuple[Monomial, tuple[int, int, int]]]
     deg_zero: Callable[[int], int]
     deg_infinity: Callable[[int], int]
-
-
-def _single(initial, steps, rho):
-    return [(initial, steps, rho)]
 
 
 CASES: tuple[DeformationCase, ...] = (
@@ -44,7 +40,7 @@ CASES: tuple[DeformationCase, ...] = (
         1,
         4,
         lambda m: [(1, 1), (0, 2), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 1, m - 1)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 1, m - 1)),
         lambda m: comb(m, 2) - 1,
         lambda m: comb(m + 1, 2),
     ),
@@ -53,7 +49,7 @@ CASES: tuple[DeformationCase, ...] = (
         2,
         5,
         lambda m: [(1, 1), (0, 3), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 2, m - 2)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 2, m - 2)),
         lambda m: comb(m, 2) - 2,
         lambda m: comb(m + 1, 2) - 1,
     ),
@@ -62,7 +58,7 @@ CASES: tuple[DeformationCase, ...] = (
         2,
         5,
         lambda m: [(0, 2), (2, 1), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (1 - m, 1, m - 2)),
+        lambda m, n: (Monomial(m, 0, n - m), (1 - m, 1, m - 2)),
         lambda m: comb(m, 2) - 1,
         lambda m: comb(m + 1, 2) - 1,
     ),
@@ -71,7 +67,7 @@ CASES: tuple[DeformationCase, ...] = (
         3,
         5,
         lambda m: [(2, 1), (1, 2), (0, 3), (m, 0)],
-        lambda m, n: _single(Monomial(2, 1, n - 3), [1], (-2, 1, 1)),
+        lambda m, n: (Monomial(2, 1, n - 3), (-2, 1, 1)),
         lambda m: comb(m, 2) - 3,
         lambda m: comb(m, 2),
     ),
@@ -80,7 +76,7 @@ CASES: tuple[DeformationCase, ...] = (
         3,
         5,
         lambda m: [(2, 1), (1, 2), (0, 3), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (1 - m, 1, m - 2)),
+        lambda m, n: (Monomial(m, 0, n - m), (1 - m, 1, m - 2)),
         lambda m: comb(m, 2) - 3,
         lambda m: comb(m + 1, 2) - 2,
     ),
@@ -89,7 +85,7 @@ CASES: tuple[DeformationCase, ...] = (
         3,
         5,
         lambda m: [(2, 1), (1, 2), (0, 3), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 2, m - 2)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 2, m - 2)),
         lambda m: comb(m, 2) - 3,
         lambda m: comb(m + 1, 2) - 1,
     ),
@@ -98,7 +94,7 @@ CASES: tuple[DeformationCase, ...] = (
         3,
         5,
         lambda m: [(1, 1), (0, 4), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 3, m - 3)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 3, m - 3)),
         lambda m: comb(m, 2) - 3,
         lambda m: comb(m + 1, 2) - 2,
     ),
@@ -107,7 +103,7 @@ CASES: tuple[DeformationCase, ...] = (
         3,
         5,
         lambda m: [(0, 2), (3, 1), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (2 - m, 1, m - 3)),
+        lambda m, n: (Monomial(m, 0, n - m), (2 - m, 1, m - 3)),
         lambda m: comb(m, 2),
         lambda m: comb(m + 1, 2) - 1,
     ),
@@ -116,7 +112,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(2, 1), (1, 2), (0, 4), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (1 - m, 1, m - 2)),
+        lambda m, n: (Monomial(m, 0, n - m), (1 - m, 1, m - 2)),
         lambda m: comb(m, 2) - 4,
         lambda m: comb(m + 1, 2) - 3,
     ),
@@ -125,7 +121,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(2, 1), (1, 2), (0, 4), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 3, m - 3)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 3, m - 3)),
         lambda m: comb(m, 2) - 4,
         lambda m: comb(m + 1, 2) - 3,
     ),
@@ -134,7 +130,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(1, 2), (0, 3), (3, 1), (m, 0)],
-        lambda m, n: _single(Monomial(3, 1, n - 4), [1], (-3, 1, 2)),
+        lambda m, n: (Monomial(3, 1, n - 4), (-3, 1, 2)),
         lambda m: comb(m, 2) - 2,
         lambda m: comb(m, 2) + 2,
     ),
@@ -143,7 +139,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(1, 2), (0, 3), (3, 1), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (2 - m, 1, m - 3)),
+        lambda m, n: (Monomial(m, 0, n - m), (2 - m, 1, m - 3)),
         lambda m: comb(m, 2) - 2,
         lambda m: comb(m + 1, 2) - 3,
     ),
@@ -152,7 +148,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(1, 2), (0, 3), (3, 1), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 2, m - 2)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 2, m - 2)),
         lambda m: comb(m, 2) - 2,
         lambda m: comb(m + 1, 2),
     ),
@@ -161,7 +157,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(2, 1), (0, 3), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (1 - m, 2, m - 3)),
+        lambda m, n: (Monomial(m, 0, n - m), (1 - m, 2, m - 3)),
         lambda m: comb(m, 2) - 3,
         lambda m: comb(m + 1, 2) - 3,
     ),
@@ -170,7 +166,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(1, 1), (0, 5), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (-m, 4, m - 4)),
+        lambda m, n: (Monomial(m, 0, n - m), (-m, 4, m - 4)),
         lambda m: comb(m, 2) - 4,
         lambda m: comb(m + 1, 2) - 3,
     ),
@@ -179,7 +175,7 @@ CASES: tuple[DeformationCase, ...] = (
         4,
         6,
         lambda m: [(0, 2), (4, 1), (m, 0)],
-        lambda m, n: _single(Monomial(m, 0, n - m), [1], (3 - m, 1, m - 4)),
+        lambda m, n: (Monomial(m, 0, n - m), (3 - m, 1, m - 4)),
         lambda m: comb(m, 2) + 2,
         lambda m: comb(m + 1, 2),
     ),
@@ -203,14 +199,8 @@ def build_space(case: DeformationCase, m: int, level=None) -> SemiInvariantSpace
     """The deformed section space of the family at the given level (default d)."""
     ideal = zero_limit_ideal(case, m)
     n = ideal.colength if level is None else level
-    chain_data = case.chains(m, n)
-    weights = {rho for _, _, rho in chain_data}
-    if len(weights) != 1:
-        raise DomainError(f"case {case.name} mixes torus weights {weights}")
-    weight = TorusWeight(next(iter(weights)))
-    return deformed_section_space(
-        ideal, n, weight, [(initial, steps) for initial, steps, _ in chain_data]
-    )
+    initial, rho = case.chain(m, n)
+    return deformed_section_space(ideal, n, TorusWeight(rho), [(initial, [1])])
 
 
 def case_hilbert_function(case: DeformationCase, m: int) -> HilbertFunction:

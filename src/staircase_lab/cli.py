@@ -52,7 +52,7 @@ def cmd_hf_info(args) -> int:
     payload = {
         "diff": list(phi.diff),
         "colength": d,
-        "alpha": phi.alpha if d > 0 else 0,
+        "alpha": phi.alpha,
         "regularity": phi.regularity,
         "g_star": phi.g_star(),
         "deformation_bound": hilbert.deformation_bound(d) if d >= 5 else None,
@@ -79,7 +79,6 @@ def cmd_pyramid_max(args) -> int:
     weight = pyramids.max_weight_closed_form(c, d)
     dec = pyramids.nr_decomposition(d)
     payload = {"c": c, "d": d, "case": dec.case, "n": dec.n, "r": dec.r, "weight": weight}
-    witness = None
     if args.oracle or args.witness:
         # kept at the exhaustive search's budget: the cli-cold benchmark expects exit 2 beyond it
         if c > pyramids.TOP_SEGMENT_FRAME_CAP:
@@ -90,22 +89,21 @@ def cmd_pyramid_max(args) -> int:
                 f"oracle weight {oracle_weight} != closed form {weight} at (c={c}, d={d})"
             )
         payload["oracle"] = oracle_weight
-    if args.witness and witness is not None:
-        payload["witness"] = list(witness.initial_degrees())
     text = str(weight)
-    if args.witness and witness is not None:
-        text += "  witness a(i)=" + ",".join(str(a) for a in witness.initial_degrees())
+    if args.witness:  # the DP above has set the witness
+        payload["witness"] = list(witness.initial_degrees())
+        text += "  witness a(i)=" + ",".join(str(a) for a in payload["witness"])
     _emit(args, payload, text)
     return 0
 
 
 def cmd_alphagrade(args) -> int:
-    with open(args.space, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(args.space, "rb") as handle:  # from_json decodes: undecodable bytes are a DomainError
+        data = handle.read()
     from . import alphagrade
     from .torus import SemiInvariantSpace
 
-    space = SemiInvariantSpace.from_json(text)
+    space = SemiInvariantSpace.from_json(data)
     lo, hi = alphagrade.minmax_alpha_grade(space)
     payload = {"min": lo, "max": hi, "degree": space.degree, "chains": space.dimension}
     _emit(args, payload, f"min-alpha-grade={lo}\nmax-alpha-grade={hi}")

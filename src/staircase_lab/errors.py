@@ -18,10 +18,6 @@ class MalformedIdealError(DomainError):
     """Column data that cannot be a finite-colength monomial ideal."""
 
 
-class InvalidMoveError(DomainError):
-    """An exchange move whose preconditions do not hold."""
-
-
 class RangeError(DomainError):
     """Parameters outside the supported search or stabilization range."""
 

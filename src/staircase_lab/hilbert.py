@@ -101,14 +101,6 @@ class HilbertFunction:
             return 0
         return self.diff[n] if n < len(self.diff) else n + 1
 
-    def value(self, n: int) -> int:
-        """phi(n), the cumulative value."""
-        if n < 0:
-            return 0
-        if n < len(self.diff):
-            return sum(self.diff[: n + 1])
-        return comb(n + 2, 2) - self.colength
-
     @cached_property
     def colength(self) -> int:
         return sum(n + 1 - v for n, v in enumerate(self.diff))
@@ -116,10 +108,7 @@ class HilbertFunction:
     @property
     def alpha(self) -> int:
         """Minimal degree with a nonzero value."""
-        for n, v in enumerate(self.diff):
-            if v > 0:
-                return n
-        raise AssertionError("canonical diff always reaches the diagonal")
+        return next(n for n, v in enumerate(self.diff) if v > 0)
 
     @property
     def regularity(self) -> int:
@@ -242,40 +231,6 @@ def special_chi(d: int) -> HilbertFunction:
         e = (d + 1) // 2
         diff = [0, 0] + list(range(1, e - 1)) + [e + 1]
     return HilbertFunction.from_diff(diff)
-
-
-@dataclass(frozen=True)
-class MacaulayCoefficients:
-    """Coefficient pair (a, b) of a complementary Hilbert polynomial in 3-space."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not 4 <= self.a <= self.b:
-            raise DomainError(f"need 4 <= a <= b, got a={self.a}, b={self.b}")
-
-
-def macaulay_to_dg(mc: MacaulayCoefficients) -> tuple[int, int]:
-    """(degree, genus) of the curves parametrized by the pair (a, b)."""
-    a, b = mc.a, mc.b
-    num = a * a - 3 * a + 4
-    assert num % 2 == 0
-    return a - 1, num // 2 - b
-
-
-def dg_to_macaulay(d: int, g: int) -> MacaulayCoefficients:
-    """Inverse of :func:`macaulay_to_dg`."""
-    a = d + 1
-    num = a * a - 3 * a + 4
-    assert num % 2 == 0
-    b = num // 2 - g
-    return MacaulayCoefficients(a, b)
-
-
-def hilbert_polynomial_value(d: int, g: int, n: int) -> int:
-    """P(n) = d*n - g + 1, the curve Hilbert polynomial the pair encodes."""
-    return d * n - g + 1
 
 
 def lex_most(d: int) -> HilbertFunction:

@@ -48,4 +48,4 @@ class Monomial:
 def monomial_from_list(exps) -> Monomial:
     if len(exps) != 3:
         raise DomainError(f"monomial needs 3 exponents, got {exps!r}")
-    return Monomial(int(exps[0]), int(exps[1]), int(exps[2]))
+    return Monomial(*exps)

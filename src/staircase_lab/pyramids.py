@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .errors import DomainError, InternalInconsistencyError, InvalidMoveError, RangeError
+from .errors import DomainError, InternalInconsistencyError, RangeError
 
 TOP_SEGMENT_FRAME_CAP = 9
 FULL_SUBSET_FRAME_CAP = 5
@@ -32,13 +32,11 @@ def column_weight(column) -> int:
 
 @dataclass(frozen=True)
 class Pyramid:
-    frame: int
     columns: tuple[frozenset[int], ...]
 
     @staticmethod
     def from_columns(columns) -> "Pyramid":
-        cols = tuple(frozenset(int(a) for a in col) for col in columns)
-        pyr = Pyramid(len(cols), cols)
+        pyr = Pyramid(tuple(frozenset(int(a) for a in col) for col in columns))
         pyr.validate()
         return pyr
 
@@ -55,8 +53,6 @@ class Pyramid:
     def validate(self) -> None:
         if self.frame < 1:
             raise DomainError("pyramid frame must be positive")
-        if len(self.columns) != self.frame:
-            raise DomainError("pyramid needs one column per degree below the frame")
         for i, col in enumerate(self.columns):
             if any(a < 0 or a > i for a in col):
                 raise DomainError(f"column {i} has degree outside [0, {i}]: {sorted(col)}")
@@ -66,12 +62,12 @@ class Pyramid:
             )
 
     @property
-    def colength(self) -> int:
-        return sum(i + 1 - len(col) for i, col in enumerate(self.columns))
+    def frame(self) -> int:
+        return len(self.columns)
 
     @property
-    def size(self) -> int:
-        return sum(len(col) for col in self.columns)
+    def colength(self) -> int:
+        return sum(i + 1 - len(col) for i, col in enumerate(self.columns))
 
     def weight(self) -> int:
         return sum(column_weight(col) for col in self.columns)
@@ -87,37 +83,6 @@ class Pyramid:
         if not self.is_top_segment():
             raise DomainError("initial degrees only defined for top-segment pyramids")
         return tuple(min(col) if col else i + 1 for i, col in enumerate(self.columns))
-
-    def shifted(self) -> "Pyramid":
-        """The pyramid with every monomial multiplied by y (frame grows by one)."""
-        cols = [frozenset()] + [frozenset(a + 1 for a in col) for col in self.columns]
-        return Pyramid(self.frame + 1, tuple(cols))
-
-
-def move_delta(pyramid: Pyramid, i: int, j: int) -> int:
-    """Exact weight change of moving the initial monomial of column i one
-    step below the initial monomial of column j: 2(a(j) - a(i)) - (j - i) - 2.
-    """
-    avec = pyramid.initial_degrees()
-    if i == j:
-        raise InvalidMoveError("move needs two distinct columns")
-    if not (0 <= i < pyramid.frame and 0 <= j < pyramid.frame):
-        raise InvalidMoveError(f"column index outside the frame: {(i, j)}")
-    if not pyramid.columns[i]:
-        raise InvalidMoveError(f"column {i} is empty, nothing to move")
-    if avec[j] <= 0:
-        raise InvalidMoveError(f"column {j} already starts at degree 0")
-    return 2 * (avec[j] - avec[i]) - (j - i) - 2
-
-
-def apply_move(pyramid: Pyramid, i: int, j: int) -> Pyramid:
-    delta = move_delta(pyramid, i, j)  # validates the move
-    avec = list(pyramid.initial_degrees())
-    avec[i] += 1
-    avec[j] -= 1
-    moved = Pyramid.from_initial_degrees(avec)
-    assert moved.weight() - pyramid.weight() == delta
-    return moved
 
 
 @dataclass(frozen=True)

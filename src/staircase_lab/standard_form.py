@@ -93,13 +93,6 @@ class TypeChain:
             if any(ell not in ("x", "y") for ell in self.ells):
                 raise DomainError(f"labels must be 'x' or 'y', got {self.ells}")
 
-    def colengths(self) -> tuple[int, ...]:
-        """d_i = kernel_c + m_r + ... + m_i for i = 0..r, plus the kernel at the end."""
-        out = [self.kernel_c]
-        for m in reversed(self.ms):
-            out.append(out[-1] + m)
-        return tuple(reversed(out))
-
     def check_invariants(self) -> None:
         r = self.r
         if r < 0:

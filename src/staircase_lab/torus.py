@@ -76,6 +76,12 @@ def _group(chains) -> tuple[dict, list[Chain]]:
     return columns, deformed
 
 
+def _int_array(value) -> list:
+    if type(value) is not list or any(type(v) is not int for v in value):  # bool is not an int here
+        raise TypeError(f"expected an array of integers, got {value!r}")
+    return value
+
+
 class SemiInvariantSpace:
     """A space in column form: ``columns`` maps an x,y-degree to the
     y-exponents of the plain chains of that degree, ``deformed`` lists the
@@ -152,21 +158,23 @@ class SemiInvariantSpace:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SemiInvariantSpace":
+        """``rho``, each ``initial`` and each ``support`` must be arrays of
+        integers: a float, a string or a bool there is malformed, not rounded."""
         try:
-            weight = TorusWeight(tuple(int(v) for v in data["rho"]))
+            weight = TorusWeight(tuple(_int_array(data["rho"])))
             chains = tuple(
-                Chain(monomial_from_list(c["initial"]), frozenset(int(j) for j in c["support"]))
+                Chain(monomial_from_list(_int_array(c["initial"])), frozenset(_int_array(c["support"])))
                 for c in data["chains"]
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed semi-invariant space JSON: {data!r}") from exc
         return SemiInvariantSpace(weight, chains)
 
     @staticmethod
-    def from_json(text: str) -> "SemiInvariantSpace":
+    def from_json(text: str | bytes) -> "SemiInvariantSpace":
         try:
             data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad syntax, an over-long integer, deep nesting
+        except (ValueError, RecursionError) as exc:  # bad bytes or syntax, an over-long integer, deep nesting
             raise DomainError(f"malformed semi-invariant space JSON: {exc}") from exc
         return SemiInvariantSpace.from_json_dict(data)
 

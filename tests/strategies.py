@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from staircase_lab.pyramids import Pyramid
 from staircase_lab.staircase import GradedMonomialIdeal
 
 
@@ -60,15 +59,6 @@ def valid_diffs(draw, max_len=9):
     if not diff or diff[-1] != len(diff):
         diff.append(len(diff) + 1)
     return tuple(diff)
-
-
-@st.composite
-def top_segment_pyramids(draw, max_frame=8):
-    frame = draw(st.integers(min_value=1, max_value=max_frame))
-    avec = [draw(st.integers(min_value=0, max_value=i + 1)) for i in range(frame)]
-    if sum(avec) == 0:
-        avec[-1] = 1
-    return Pyramid.from_initial_degrees(avec)
 
 
 hf_small = hilbert_functions(max_colength=10)

@@ -283,31 +283,4 @@ class TestDeformationBound:
         # chi(n) = n(n-1)/2 below the regularity, for the odd-colength family
         chi = H.special_chi(7)
         for n in range(1, 4):
-            assert chi.value(n) == n * (n - 1) // 2
-
-
-class TestMacaulay:
-    def test_forward(self):
-        assert H.macaulay_to_dg(H.MacaulayCoefficients(6, 8)) == (5, 3)
-
-    def test_boundary(self):
-        for a in range(4, 12):
-            d, g = H.macaulay_to_dg(H.MacaulayCoefficients(a, a))
-            assert g == (a * a - 5 * a + 4) // 2
-
-    def test_round_trip(self):
-        assert H.dg_to_macaulay(5, 3) == H.MacaulayCoefficients(6, 8)
-        for a in range(4, 10):
-            for b in range(a, a + 6):
-                mc = H.MacaulayCoefficients(a, b)
-                assert H.dg_to_macaulay(*H.macaulay_to_dg(mc)) == mc
-
-    def test_polynomial_reconstruction(self):
-        d, g = H.macaulay_to_dg(H.MacaulayCoefficients(6, 8))
-        assert H.hilbert_polynomial_value(d, g, 10) == 5 * 10 - 3 + 1
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            H.MacaulayCoefficients(3, 5)
-        with pytest.raises(DomainError):
-            H.MacaulayCoefficients(6, 5)
+            assert sum(chi.diff_at(k) for k in range(n + 1)) == n * (n - 1) // 2

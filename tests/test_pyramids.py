@@ -1,4 +1,4 @@
-"""Pyramid weights: column formula, exchange moves, closed forms, oracles."""
+"""Pyramid weights: column formula, closed forms, the DP and the exhaustive searches."""
 
 import itertools
 from fractions import Fraction
@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_lab import pyramids as P
-from staircase_lab.errors import DomainError, InternalInconsistencyError, InvalidMoveError, RangeError
-
-from .strategies import top_segment_pyramids
+from staircase_lab.errors import DomainError, InternalInconsistencyError, RangeError
 
 
 class TestColumnWeight:
@@ -51,47 +49,6 @@ class TestWeight:
             assert pyr.colength == 1
             assert pyr.weight() == c - 1
             assert pyr.weight() == P.max_weight_closed_form(c, 1)
-
-    @given(top_segment_pyramids())
-    def test_shift_adds_the_size(self, pyr):
-        assert pyr.shifted().weight() == pyr.weight() + pyr.size
-
-
-class TestMoves:
-    def test_three_step_back_move_gains_one(self):
-        # a(j) = a(i) with j = i - 3 gains exactly +1
-        pyr = P.Pyramid.from_initial_degrees([0, 1, 0, 0, 1])
-        assert P.move_delta(pyr, 4, 1) == 1
-
-    def test_double_step_collapse_is_neutral(self):
-        # a(i+2) = a(i) + 2 with j = i + 2 changes nothing
-        pyr = P.Pyramid.from_initial_degrees([0, 0, 1, 1, 2, 3])
-        assert P.move_delta(pyr, 3, 5) == 0
-
-    def test_adjacent_jump(self):
-        # a(i+1) = a(i) + 2 with j = i + 1 gains 2*2 - 1 - 2 = 1
-        pyr = P.Pyramid.from_initial_degrees([0, 0, 1, 0, 2])
-        assert P.move_delta(pyr, 3, 4) == 1
-
-    @given(top_segment_pyramids(), st.data())
-    @settings(max_examples=200)
-    def test_formula_matches_recomputation(self, pyr, data):
-        avec = pyr.initial_degrees()
-        movable = [i for i in range(pyr.frame) if pyr.columns[i]]
-        targets = [j for j in range(pyr.frame) if avec[j] > 0]
-        pairs = [(i, j) for i in movable for j in targets if i != j]
-        if not pairs:
-            return
-        i, j = data.draw(st.sampled_from(pairs))
-        moved = P.apply_move(pyr, i, j)  # asserts the recomputed agreement
-        assert moved.colength == pyr.colength
-
-    def test_invalid_moves_rejected(self):
-        pyr = P.Pyramid.from_initial_degrees([0, 1, 1])
-        with pytest.raises(InvalidMoveError):
-            P.move_delta(pyr, 1, 1)
-        with pytest.raises(InvalidMoveError):
-            P.move_delta(pyr, 1, 0)  # target already starts at zero
 
 
 class TestNRDecomposition:
@@ -234,7 +191,7 @@ def _reference_search(c, d, full_subsets=False):
             for i in range(c)
         ]
         candidates = (
-            (P.Pyramid(c, cols), tuple(tuple(sorted(col)) for col in cols))
+            (P.Pyramid(cols), tuple(tuple(sorted(col)) for col in cols))
             for cols in itertools.product(*pools)
         )
     else:

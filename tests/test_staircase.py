@@ -223,7 +223,7 @@ class TestHilbertFunction:
     def test_full(self):
         phi = full_ideal().hilbert_function()
         assert phi.diff == (1,)
-        assert all(phi.value(n) == (n + 1) * (n + 2) // 2 for n in range(6))
+        assert all(sum(phi.diff_at(k) for k in range(n + 1)) == (n + 1) * (n + 2) // 2 for n in range(6))
 
     def test_colength_three_staircase(self):
         ideal = S.from_generators([(0, 1), (3, 0)])  # (y, x^3)
