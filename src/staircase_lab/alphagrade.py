@@ -103,7 +103,7 @@ def _fold(space: SemiInvariantSpace, split: DomainSplit | None):
     if len(used) != len(forced):
         raise DegenerateSpaceError("no collision-free selection exists")
     counts = {m.xy_degree: len(columns.get(m.xy_degree, ())) for options in kept for m in options}
-    grade = sum(sum(col) - comb(len(col), 2) for col in columns.values())
+    grade = alpha_grade_columns(columns.values())
     # joined to the plain columns, each forced pick loses the k plain monomials of its column
     grade += alpha_grade_monomials(forced) - sum(counts[m.xy_degree] for m in forced)
     for m in forced:

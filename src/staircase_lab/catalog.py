@@ -221,7 +221,6 @@ def marker_deformation_space(
     ms,
     kernel_gens,
     target: int,
-    level=None,
     into_left_domain: bool = False,
 ) -> SemiInvariantSpace:
     """Space of an iterated y-split whose top form carries one extra monomial.
@@ -233,7 +232,7 @@ def marker_deformation_space(
     r = len(ms) - 1
     m0 = ms[0]
     ideal = chain_staircase(ms, kernel_gens)
-    n = ideal.colength if level is None else level
+    n = ideal.colength
     if into_left_domain:
         tail = Monomial(0, r + 1, m0 - r - 1)
     else:
@@ -247,16 +246,10 @@ def marker_deformation_space(
     return deformed_section_space(ideal, n, weight, [(initial, [1])])
 
 
-def double_deformation_space(level: int = 6) -> SemiInvariantSpace:
-    """The two-chain space over the colength-4 kernel at m = 6 (weight (-3,1,2)):
-    both chains step into the same monomial, so only single limits survive."""
-    if level < 6:
-        raise DomainError("the double deformation lives at level >= 6")
+def double_deformation_space() -> SemiInvariantSpace:
+    """The two-chain space over the colength-4 kernel at m = 6 and level 6
+    (weight (-3,1,2)): both chains step into the same monomial, so only single
+    limits survive."""
     ideal = from_generators([(1, 2), (0, 3), (3, 1), (6, 0)])
     weight = TorusWeight((-3, 1, 2))
-    return deformed_section_space(
-        ideal,
-        level,
-        weight,
-        [(Monomial(3, 1, level - 4), [1]), (Monomial(6, 0, level - 6), [2])],
-    )
+    return deformed_section_space(ideal, 6, weight, [(Monomial(3, 1, 2), [1]), (Monomial(6, 0, 0), [2])])

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check at its boundary.
 
 ``DomainError`` covers arguments outside an operation's stated domain and maps
 to CLI exit code 2; ``InternalInconsistencyError`` signals that two formulas
@@ -36,3 +36,10 @@ class DegenerateSpaceError(DomainError):
 
 class InternalInconsistencyError(StaircaseLabError):
     """Two independently computed values that must agree disagree."""
+
+
+def int_array(values):
+    """``values`` itself, if a list or tuple of ints: a bool, float or string is refused, not rounded."""
+    if type(values) not in (list, tuple) or any(type(v) is not int for v in values):
+        raise DomainError(f"expected an array of integers, got {values!r}")
+    return values

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .errors import DomainError, InternalInconsistencyError
+from .errors import DomainError, InternalInconsistencyError, int_array
 
 Verdict = str  # "less" | "equal" | "greater" | "incomparable"
 
@@ -28,7 +28,7 @@ Verdict = str  # "less" | "equal" | "greater" | "incomparable"
 def _canonical_diff(raw) -> tuple[int, ...]:
     """Validate a raw difference sequence and trim/extend it to the first
     diagonal index (diff[e] == e + 1), with the diagonal tail implied."""
-    seq = [int(v) for v in raw]
+    seq = int_array(raw)
     if any(v < 0 for v in seq):
         raise DomainError(f"negative entry in difference sequence {seq}")
     if not _diff_is_valid(seq):
@@ -57,12 +57,11 @@ def _diff_is_valid(seq) -> bool:
 
 
 def is_valid(raw) -> bool:
-    """Whether an integer sequence is an admissible difference sequence."""
+    """Whether ``raw`` is a list or tuple of ints that is an admissible difference sequence."""
     try:
-        seq = [int(v) for v in raw]
-    except (TypeError, ValueError):
+        return _diff_is_valid(int_array(raw))
+    except DomainError:
         return False
-    return _diff_is_valid(seq)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ FULL_SUBSET_FRAME_CAP = 5
 
 
 def column_weight(column) -> int:
-    col = set(column)
-    return sum(col) - comb(len(col), 2)
+    """Weight of a collection of distinct y-degrees."""
+    return sum(column) - comb(len(column), 2)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Pyramid:
 
     @staticmethod
     def from_columns(columns) -> "Pyramid":
-        pyr = Pyramid(tuple(frozenset(int(a) for a in col) for col in columns))
+        pyr = Pyramid(tuple(map(frozenset, columns)))
         pyr.validate()
         return pyr
 
@@ -54,7 +54,7 @@ class Pyramid:
         if self.frame < 1:
             raise DomainError("pyramid frame must be positive")
         for i, col in enumerate(self.columns):
-            if any(a < 0 or a > i for a in col):
+            if col and (min(col) < 0 or max(col) > i):
                 raise DomainError(f"column {i} has degree outside [0, {i}]: {sorted(col)}")
         if not 1 <= self.colength <= comb(self.frame + 1, 2):
             raise DomainError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, count, takewhile
 
-from .errors import DomainError, MalformedIdealError, RangeError
+from .errors import DomainError, MalformedIdealError, RangeError, int_array
 from .hilbert import HilbertFunction
 from .monomials import Monomial
 
@@ -32,26 +32,24 @@ class GradedMonomialIdeal:
 
     @staticmethod
     def from_columns(columns, stable_from=None) -> "GradedMonomialIdeal":
-        """Validated staircase: columns from ``stable_from`` on are dropped,
-        missing ones below it are full, and trailing full columns are trimmed."""
-        cols = [frozenset(map(int, col)) for col in columns]
+        """Validated staircase from a list of distinct-int columns: those from ``stable_from``
+        on are dropped, missing ones below it are full, trailing full ones are trimmed.
+        The cells (i + b, b), b < h_i = least b in column i + b, are missing, so the
+        columns are a staircase iff h does not increase and counts every missing cell."""
         if stable_from is None:
-            stable_from = len(cols)
+            stable_from = len(columns)
         if stable_from < 0:
             raise MalformedIdealError("stable_from must be nonnegative")
-        cols = cols[:stable_from] + [frozenset(range(n + 1)) for n in range(len(cols), stable_from)]
+        cols = columns[:stable_from]
         for n, col in enumerate(cols):
             if col and (min(col) < 0 or max(col) > n):
                 raise MalformedIdealError(f"column {n} has exponent outside [0, {n}]: {sorted(col)}")
-            nxt = cols[n + 1] if n + 1 < len(cols) else frozenset(range(n + 2))
-            if not col <= nxt:
-                raise MalformedIdealError(f"column {n} not contained in column {n + 1}")
-            if not {a + 1 for a in col} <= nxt:
-                raise MalformedIdealError(f"column {n} violates y-multiplication into column {n + 1}")
-        # h_i is the least b with x^i y^b in the ideal (columns past the list are full)
-        top = len(cols)
+        top = len(cols)  # columns past the list are full
         heights = (next(b for b in count() if i + b >= top or b in cols[i + b]) for i in range(top))
-        return GradedMonomialIdeal(tuple(b for b in heights if b))
+        h = tuple(takewhile(bool, heights))
+        if any(a < b for a, b in zip(h, h[1:])) or top * (top + 1) // 2 - sum(map(len, cols)) != sum(h):
+            raise MalformedIdealError("columns are not a staircase")
+        return GradedMonomialIdeal(h)
 
     @cached_property
     def stable_from(self) -> int:
@@ -119,15 +117,21 @@ class GradedMonomialIdeal:
     @staticmethod
     def from_json_dict(data: dict) -> "GradedMonomialIdeal":
         try:
-            cols = data["columns"]
-            stable = int(data["stable_from"])
+            if type(data["columns"]) is not list:
+                raise TypeError("columns must be an array")
+            cols = [frozenset(int_array(col)) for col in data["columns"]]
+            (stable,) = int_array([data["stable_from"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed ideal JSON: {data!r}") from exc
         return GradedMonomialIdeal.from_columns(cols, stable)
 
     @staticmethod
-    def from_json(text: str) -> "GradedMonomialIdeal":
-        return GradedMonomialIdeal.from_json_dict(json.loads(text))
+    def from_json(text: str | bytes) -> "GradedMonomialIdeal":
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad bytes or syntax, an over-long integer, deep nesting
+            raise DomainError(f"malformed ideal JSON: {exc}") from exc
+        return GradedMonomialIdeal.from_json_dict(data)
 
     def generators(self) -> list[tuple[int, int]]:
         """Minimal (x, y)-monomial generators as (x-exponent, y-exponent)

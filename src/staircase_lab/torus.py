@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DegenerateLimitError, DomainError
+from .errors import DegenerateLimitError, DomainError, int_array
 from .monomials import Monomial, monomial_from_list
 from .staircase import GradedMonomialIdeal
 
@@ -74,12 +74,6 @@ def _group(chains) -> tuple[dict, list[Chain]]:
         else:
             deformed.append(chain)
     return columns, deformed
-
-
-def _int_array(value) -> list:
-    if type(value) is not list or any(type(v) is not int for v in value):  # bool is not an int here
-        raise TypeError(f"expected an array of integers, got {value!r}")
-    return value
 
 
 class SemiInvariantSpace:
@@ -158,12 +152,11 @@ class SemiInvariantSpace:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SemiInvariantSpace":
-        """``rho``, each ``initial`` and each ``support`` must be arrays of
-        integers: a float, a string or a bool there is malformed, not rounded."""
+        """``rho``, each ``initial`` and each ``support`` pass ``int_array``."""
         try:
-            weight = TorusWeight(tuple(_int_array(data["rho"])))
+            weight = TorusWeight(tuple(int_array(data["rho"])))
             chains = tuple(
-                Chain(monomial_from_list(_int_array(c["initial"])), frozenset(_int_array(c["support"])))
+                Chain(monomial_from_list(int_array(c["initial"])), frozenset(int_array(c["support"])))
                 for c in data["chains"]
             )
         except (KeyError, TypeError, ValueError) as exc:

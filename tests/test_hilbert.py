@@ -109,6 +109,12 @@ class TestValidity:
         assert H.HilbertFunction.from_diff([0, 0, 3, 4, 5]).diff == (0, 0, 3)
         assert H.HilbertFunction.from_diff([0, 1]).diff == (0, 1, 3)
 
+    @pytest.mark.parametrize("raw", [[0, 0, 2.9], [0, True, 2], (0, 0, 3.0), [0, 0, "3"], "003", None])
+    def test_non_integers_are_refused_not_rounded(self, raw):
+        with pytest.raises(DomainError):
+            H.HilbertFunction.from_diff(raw)
+        assert H.is_valid(raw) is False
+
     def test_constructor_rejects_non_canonical_tuples(self):
         for diff in [(0, 2, 3), (0, 1), (0, 1, 1, 4), (-1, 2)]:
             with pytest.raises(DomainError):

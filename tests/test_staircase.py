@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from staircase_lab import hilbert as H
@@ -19,9 +19,10 @@ def full_ideal():
 
 
 def ref_from_columns(columns, stable_from):
-    """Reference construction: pad to stable_from with full columns, validate
-    every column up to stable_from, then trim trailing full columns."""
-    cols = [frozenset(int(a) for a in col) for col in columns]
+    """Reference construction: pad to stable_from with full columns, check
+    the range of every column up to stable_from, then both growth laws
+    column by column, then trim trailing full columns."""
+    cols = [frozenset(col) for col in columns]
     if stable_from is None:
         stable_from = len(cols)
 
@@ -35,17 +36,31 @@ def ref_from_columns(columns, stable_from):
     if stable_from < 0:
         raise MalformedIdealError("stable_from must be nonnegative")
     for n in range(stable_from + 1):
-        col, nxt = column(n), column(n + 1)
+        col = column(n)
         if any(a < 0 or a > n for a in col):
             raise MalformedIdealError(f"column {n} has exponent outside [0, {n}]: {sorted(col)}")
-        if not col <= nxt:
-            raise MalformedIdealError(f"column {n} not contained in column {n + 1}")
-        if not {a + 1 for a in col} <= nxt:
-            raise MalformedIdealError(f"column {n} violates y-multiplication into column {n + 1}")
+    for n in range(stable_from + 1):
+        col, nxt = column(n), column(n + 1)
+        if not col <= nxt or not {a + 1 for a in col} <= nxt:
+            raise MalformedIdealError("columns are not a staircase")
     stable = stable_from
     while stable > 0 and len(column(stable - 1)) == stable:
         stable -= 1
     return tuple(column(n) for n in range(stable)), stable
+
+
+def assert_matches_reference(build, columns, stable_from):
+    """``build()`` raises the reference construction's error, message and all,
+    or returns its staircase."""
+    try:
+        want = ref_from_columns(columns, stable_from)
+    except MalformedIdealError as exc:
+        with pytest.raises(MalformedIdealError) as got:
+            build()
+        assert str(got.value) == str(exc)
+        return
+    ideal = build()
+    assert (ideal.columns, ideal.stable_from) == want
 
 
 def ref_partitions(d, cap):
@@ -133,9 +148,11 @@ def ref_from_generators(gens):
 
 
 @st.composite
-def raw_columns(draw):
-    """Arbitrary column lists, mostly malformed, with an arbitrary stable_from."""
-    columns = draw(st.lists(st.lists(st.integers(-1, 6), max_size=5), max_size=6))
+def raw_columns(draw, unique=True):
+    """Arbitrary column lists, mostly malformed, with an arbitrary stable_from.
+    ``from_columns`` takes columns of distinct exponents; with
+    ``unique=False`` a column may repeat one, as ideal JSON may."""
+    columns = draw(st.lists(st.lists(st.integers(-1, 6), max_size=5, unique=unique), max_size=6))
     stable_from = draw(st.one_of(st.none(), st.integers(-2, 8)))
     return columns, stable_from
 
@@ -297,17 +314,11 @@ class TestValidation:
             S.GradedMonomialIdeal.from_columns([], -1)
 
     @given(st.one_of(raw_columns(), columns_of_ideals()))
+    @example(([[0], [], [5]], None))  # a range error behind an earlier growth error
+    @example(([[], [1], [0, 2]], None))  # heights (1, 2) account for every missing cell, yet increase
+    @example(([[], [0, 1], [1, 2]], None))  # h_1 = 0, and x^2 is missing past it
     def test_matches_pad_validate_trim(self, args):
-        columns, stable_from = args
-        try:
-            want = ref_from_columns(columns, stable_from)
-        except MalformedIdealError as exc:
-            with pytest.raises(MalformedIdealError) as got:
-                S.GradedMonomialIdeal.from_columns(columns, stable_from)
-            assert str(got.value) == str(exc)
-            return
-        ideal = S.GradedMonomialIdeal.from_columns(columns, stable_from)
-        assert (ideal.columns, ideal.stable_from) == want
+        assert_matches_reference(lambda: S.GradedMonomialIdeal.from_columns(*args), *args)
 
 
 class TestJson:
@@ -325,6 +336,35 @@ class TestJson:
     def test_malformed_json_rejected(self):
         with pytest.raises(DomainError):
             S.GradedMonomialIdeal.from_json_dict({"columns": [[0]]})
+
+    @pytest.mark.parametrize("data", [
+        {"columns": [[], [0.9, 1]], "stable_from": 2},
+        {"columns": [[], [0, 1]], "stable_from": 2.7},
+        {"columns": [[True]], "stable_from": 1},
+        {"columns": [["0"]], "stable_from": 1},
+        {"columns": [[0]], "stable_from": False},
+        {"columns": [[0]], "stable_from": "1"},
+        {"columns": "", "stable_from": 0},
+        [],
+    ])
+    def test_non_integers_are_malformed_not_rounded(self, data):
+        with pytest.raises(DomainError, match="^malformed ideal JSON"):
+            S.GradedMonomialIdeal.from_json_dict(data)
+
+    @pytest.mark.parametrize("text", ["{", b"\xff\xfe", "1" * 5000, "[" * 100_000, "[]"])
+    def test_bad_json_text_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="^malformed ideal JSON"):
+            S.GradedMonomialIdeal.from_json(text)
+
+    @given(raw_columns(unique=False))
+    def test_json_matches_pad_validate_trim(self, args):
+        columns, stable_from = args
+        data = {"columns": columns, "stable_from": stable_from}
+        if stable_from is None:
+            with pytest.raises(DomainError, match="^malformed ideal JSON"):
+                S.GradedMonomialIdeal.from_json_dict(data)
+            return
+        assert_matches_reference(lambda: S.GradedMonomialIdeal.from_json_dict(data), columns, stable_from)
 
 
 class TestEnumeration:

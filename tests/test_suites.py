@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from staircase_lab import cli, hilbert, inequalities, pyramids, staircase, suites
-from staircase_lab.errors import DomainError
+from staircase_lab import cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
+from staircase_lab.errors import DomainError, InternalInconsistencyError, MalformedIdealError
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["cases"]
@@ -128,6 +128,54 @@ class TestViolations:
             {"params": {"ideal": "(y, x^2)"}, "expected": "fixed iff strictly decreasing heights", "got": True},
             {"params": {"ideal": "(y, x^2)"}, "expected": "closure = ideal", "got": "(x, y)"},
         ]
+
+    def test_chain_invariants_reports_a_broken_chain_and_runs_on(self, monkeypatch):
+        cases = suites.run_suite("chain-invariants", max_colength=8).cases_run
+        check = standard_form.TypeChain.check_invariants
+
+        def broken(chain):
+            if (chain.ms, chain.kernel_c) == ((5,), 2):  # the chain of 0,0,1,3,4,6 alone
+                raise InternalInconsistencyError("m_0=5 < 2^r(c+2)=6")
+            check(chain)
+
+        monkeypatch.setattr(standard_form.TypeChain, "check_invariants", broken)
+        code, report = verify_json("--suite", "chain-invariants", "--max-colength", "8")
+        assert code == 1
+        assert (report["suite"], report["cases_run"]) == ("chain-invariants", cases)
+        assert report["violations"] == [
+            {"params": {"d": 7, "phi": "0,0,1,3,4,6"}, "expected": "chain invariants", "got": "m_0=5 < 2^r(c+2)=6"}
+        ]
+
+    def test_lemma_2_4_reports_a_broken_split_and_runs_on(self, monkeypatch):
+        cases = suites.run_suite("lemma-2-4", max_colength=8).cases_run
+        decompose = standard_form.decompose
+
+        def broken(phi):
+            if phi.as_text() == "0,0,1,3,4,6":
+                raise InternalInconsistencyError("m=5 < c+2=7 on (0, 0, 1, 3, 4, 6)")
+            return decompose(phi)
+
+        monkeypatch.setattr(standard_form, "decompose", broken)
+        code, report = verify_json("--suite", "lemma-2-4", "--max-colength", "8")
+        assert code == 1
+        assert (report["suite"], report["cases_run"]) == ("lemma-2-4", cases)
+        assert report["violations"] == [{
+            "params": {"d": 7, "phi": "0,0,1,3,4,6"},
+            "expected": "c + m == d and m >= c + 2",
+            "got": "m=5 < c+2=7 on (0, 0, 1, 3, 4, 6)",
+        }]
+
+    def test_sandwich_skips_only_colliding_limits(self, monkeypatch):
+        limit = torus.limit_ideal
+
+        def broken(space, direction):
+            if direction == "zero":
+                raise MalformedIdealError("columns are not a staircase")
+            return limit(space, direction)
+
+        monkeypatch.setattr(torus, "limit_ideal", broken)
+        code, out, err = run_verify("--suite", "sandwich", "--max-m", "6")
+        assert (code, out, err) == (2, "", "error: columns are not a staircase\n")
 
 
 class TestCaps:
