@@ -3,8 +3,18 @@
 Each entry generates its parameter grid from the side conditions that make
 the inequality meaningful (chain lower bounds, kernel-colength thresholds,
 the sharpened minimum regularities of small types) and evaluates it in exact
-integer arithmetic.  A scan returns the violating parameter tuples; the
-expected result is always an empty list.
+arithmetic at every point of that grid.
+
+A scan yields one item per row, a row being a fixed setting of the outer
+parameters: the number of points in the row, and the params dicts of the
+points that fail.  The innermost range is evaluated in one comprehension
+against the side that is constant along the row, and a params dict is built
+only for a failing point.  :func:`inequality_scan` sums the counts and sorts
+the violations; the expected result is always an empty list.
+
+The ``star``/``starbis`` scans walk every chain (m_0 .. m_r) and call
+``a_bound`` and ``q_value`` once per chain; whatever the caps, they stay
+within r <= 3, c <= 6 and at most 4 steps above each chain lower bound.
 """
 
 from __future__ import annotations
@@ -38,126 +48,123 @@ def _scan_5_1(caps: ScanCaps):
     for r in range(1, caps.max_r + 1):
         for c in range(0, caps.max_c + 1):
             lb = 2**r * (c + 2)
-            for m0 in range(lb, lb + caps.m_span + 1):
-                ok = m0 * (m0 - 1) > 2 * (c * c + c * r + r * (r + 3) + 1)
-                yield {"r": r, "c": c, "m0": m0}, ok
+            m0s = range(lb, lb + caps.m_span + 1)
+            rhs = 2 * (c * c + c * r + r * (r + 3) + 1)
+            yield len(m0s), [{"r": r, "c": c, "m0": m0} for m0 in m0s if not m0 * (m0 - 1) > rhs]
 
 
 def _scan_5_2(caps: ScanCaps):
     for c in range(1, caps.max_c + 1):
         lb = 2 * c + 1 if c >= 5 else c + 2
-        for m in range(lb, lb + caps.m_span + 1):
-            ok = m * (m - 1) > 2 * c * c - 2 * c + 2
-            yield {"c": c, "m": m}, ok
+        ms = range(lb, lb + caps.m_span + 1)
+        rhs = 2 * c * c - 2 * c + 2
+        yield len(ms), [{"c": c, "m": m} for m in ms if not m * (m - 1) > rhs]
 
 
 def _scan_6_1(caps: ScanCaps):
     for r in range(2, caps.max_r + 1):
         lb = _min_m0(r, 0)
-        for m0 in range(lb, lb + caps.m_span + 1):
-            ok = m0 * (m0 - 11) > 2 * r * (r + 3) - 6
-            yield {"r": r, "m0": m0}, ok
+        m0s = range(lb, lb + caps.m_span + 1)
+        rhs = 2 * r * (r + 3) - 6
+        yield len(m0s), [{"r": r, "m0": m0} for m0 in m0s if not m0 * (m0 - 11) > rhs]
 
 
 def _scan_6_2(caps: ScanCaps):
     for r in range(2, caps.max_r + 1):
         for c in range(1, caps.max_c + 1):
             lb = _min_m0(r, c)
-            for m0 in range(lb, lb + caps.m_span + 1):
-                rhs = 2 * c * c + 2 * (r - 2) * c + 2 * r * (r + 3) - 4
-                yield {"r": r, "c": c, "m0": m0}, m0 * (m0 - 11) > rhs
+            m0s = range(lb, lb + caps.m_span + 1)
+            rhs = 2 * c * c + 2 * (r - 2) * c + 2 * r * (r + 3) - 4
+            yield len(m0s), [{"r": r, "c": c, "m0": m0} for m0 in m0s if not m0 * (m0 - 11) > rhs]
 
 
 def _scan_6_3(caps: ScanCaps):
     for r in range(2, caps.max_r + 1):
-        for c in range(2 if r == 2 else 1, caps.max_c + 1):
-            lhs = 2**r * (c + 2) * (2**r * c + 2 ** (r + 1) - 11)
-            rhs = 2 * c * c + 2 * (r - 2) * c + 2 * r * (r + 3) - 4
-            yield {"r": r, "c": c}, lhs > rhs
+        cs = range(2 if r == 2 else 1, caps.max_c + 1)
+        p = 2**r
+        yield len(cs), [
+            {"r": r, "c": c} for c in cs
+            if not p * (c + 2) * (p * c + 2 * p - 11) > 2 * c * c + 2 * (r - 2) * c + 2 * r * (r + 3) - 4
+        ]
 
 
 def _scan_6_4(caps: ScanCaps):
     for r in range(3, caps.max_r + 1):
-        for c in range(1, caps.max_c + 1):
-            lhs = (2 ** (2 * r) - 2) * c * c + (2 ** (2 * r + 1) - 2 * r) * c
-            yield {"r": r, "c": c}, lhs > 2 * r * (r + 3)
+        cs = range(1, caps.max_c + 1)
+        a, b, rhs = 2 ** (2 * r) - 2, 2 ** (2 * r + 1) - 2 * r, 2 * r * (r + 3)
+        yield len(cs), [{"r": r, "c": c} for c in cs if not a * c * c + b * c > rhs]
 
 
 def _scan_6_5(caps: ScanCaps):
     for r in range(2, caps.max_r + 1):
         for c in range(0, caps.max_c + 1):
             lb = _min_m0(r, c)
-            for m0 in range(lb, lb + caps.m_span + 1):
-                rhs = 3 * c * c + 2 * c * r - 7 * c - 10 + 2 * r * r
-                yield {"r": r, "c": c, "m0": m0}, m0 * (m0 - 2 * c - 7) > rhs
+            m0s = range(lb, lb + caps.m_span + 1)
+            rhs = 3 * c * c + 2 * c * r - 7 * c - 10 + 2 * r * r
+            yield len(m0s), [{"r": r, "c": c, "m0": m0} for m0 in m0s if not m0 * (m0 - 2 * c - 7) > rhs]
 
 
 def _scan_6_3_3(caps: ScanCaps):
     """The leftover small-kernel cases of type 1: reduced inequalities per
     colength, with the one boundary configuration checked exactly."""
-    for m0 in range(7, 7 + caps.m_span + 1):
-        yield {"c": 0, "m0": m0}, m0 * (m0 - 3) > 4
-    for m0 in range(6, 6 + caps.m_span + 1):
-        yield {"c": 1, "m0": m0}, m0 * (m0 - 5) > 2
-    for m0 in range(8, 8 + caps.m_span + 1):
-        if m0 == 8:
-            # boundary configuration c=2, m1=4, m0=8: the total change of the
-            # orbit degree is at most (8+9)+1+2 = 20 < Q(7) on colength 14
-            yield {"c": 2, "m0": m0}, q_value(14, 7) > 20
-        else:
-            yield {"c": 2, "m0": m0}, m0 * (m0 - 7) > 8
-    for m0 in range(10, 10 + caps.m_span + 1):
-        yield {"c": 3, "m0": m0}, m0 * (m0 - 9) > -6
+    # (c, least m0, k, e): m0 (m0 - k) > e for every m0 from the least one on
+    for c, lb, k, e in ((0, 7, 3, 4), (1, 6, 5, 2), (2, 8, 7, 8), (3, 10, 9, -6)):
+        m0s = range(lb, lb + caps.m_span + 1)
+        # boundary configuration c=2, m1=4, m0=8: the total change of the
+        # orbit degree is at most (8+9)+1+2 = 20 < Q(7) on colength 14
+        yield len(m0s), [
+            {"c": c, "m0": m0} for m0 in m0s
+            if not (q_value(14, 7) > 20 if (c, m0) == (2, 8) else m0 * (m0 - k) > e)
+        ]
+
+
+# The closing quadratics of 6.3.2 as (a, b, e, first c): a c^2 + b c + e > 0
+# for c >= first, kept with their literal decimal coefficients as exact rationals.
+_QUADRATICS_6_3_2 = {
+    "slow-step": (Fraction("0.75"), 6, 4, 0),
+    "fast-step": (Fraction("0.46"), Fraction("0.152"), -Fraction("6.776"), 4),
+    "vice-corner": (2, 10, -6, 1),
+    "order-one": (Fraction("1.282416"), Fraction("7.188832"), -Fraction("7.093584"), 1),
+}
 
 
 def _scan_6_3_2(caps: ScanCaps):
-    """Closing quadratics of the order-bounded type-1 estimates, kept with
-    their literal decimal coefficients as exact rationals."""
-    q = Fraction
-    for c in range(0, caps.max_c + 1):
-        yield {"c": c, "branch": "slow-step"}, q("0.75") * c * c + 6 * c + 4 > 0
-        if c >= 4:
-            ok = q("0.46") * c * c + q("0.152") * c - q("6.776") > 0
-            yield {"c": c, "branch": "fast-step"}, ok
-        if c >= 1:
-            yield {"c": c, "branch": "vice-corner"}, 2 * c * c + 10 * c - 6 > 0
-            ok = q("1.282416") * c * c + q("7.188832") * c - q("7.093584") > 0
-            yield {"c": c, "branch": "order-one"}, ok
+    """Closing quadratics of the order-bounded type-1 estimates."""
+    for branch, (a, b, e, first) in _QUADRATICS_6_3_2.items():
+        cs = range(first, caps.max_c + 1)
+        yield len(cs), [{"c": c, "branch": branch} for c in cs if not a * c * c + b * c + e > 0]
 
 
 def _scan_7_1_1(caps: ScanCaps):
     for c in range(5, caps.max_c + 1):
-        for m in range(2 * c + 1, 2 * c + 1 + caps.m_span + 1):
-            yield {"c": c, "m": m}, m * (m - 1) > 2 * c * c - 2 * c + 2
+        ms = range(2 * c + 1, 2 * c + 1 + caps.m_span + 1)
+        rhs = 2 * c * c - 2 * c + 2
+        yield len(ms), [{"c": c, "m": m} for m in ms if not m * (m - 1) > rhs]
 
 
 def _scan_7_1_2(caps: ScanCaps):
     """Deformation-order variant over a kernel below its own bound: the
     36-fold clearing of m(m - c/3 - 7/3) > 73c^2/36 - 29c/18 + 28/9, plus
     the closing quadratic 47c^2 + 22c - 160 > 0."""
-    for c in range(5, caps.max_c + 1):
-        yield {"c": c, "check": "quadratic"}, 47 * c * c + 22 * c - 160 > 0
-        for m in range(2 * c + 1, 2 * c + 1 + caps.m_span + 1):
-            ok = 36 * m * m - 12 * c * m - 84 * m > 73 * c * c - 58 * c + 112
-            yield {"c": c, "m": m}, ok
+    cs = range(5, caps.max_c + 1)
+    yield len(cs), [{"c": c, "check": "quadratic"} for c in cs if not 47 * c * c + 22 * c - 160 > 0]
+    for c in cs:
+        ms = range(2 * c + 1, 2 * c + 1 + caps.m_span + 1)
+        slope, rhs = 12 * c + 84, 73 * c * c - 58 * c + 112
+        yield len(ms), [{"c": c, "m": m} for m in ms if not 36 * m * m - slope * m > rhs]
 
 
-def _chains(caps: ScanCaps, r: int, c: int):
-    """Feasible chain vectors (m_0 .. m_r): each sub-ideal keeps colength >= 5,
-    every level satisfies m_(i-1) >= (colength below) + 2."""
+def _chains(caps: ScanCaps, r: int, c: int) -> list[tuple[int, ...]]:
+    """Feasible chain vectors (m_0 .. m_r), in the order of (m_r, .., m_0): each
+    sub-ideal keeps colength >= 5, every level satisfies m_(i-1) >= (colength
+    below) + 2.  Built one level at a time, each partial chain (m_i .. m_r)
+    carried with the colength c + m_i + .. + m_r below its next level."""
     span = min(caps.m_span, 4)
-
-    def extend(suffix: list[int], colength_below: int):
-        if len(suffix) == r + 1:
-            yield list(reversed(suffix))
-            return
-        lb = max(colength_below + 2, 1)
-        for m in range(lb, lb + span + 1):
-            yield from extend(suffix + [m], colength_below + m)
-
-    m_r_lb = max(c + 2, 5 - c)
-    for m_r in range(m_r_lb, m_r_lb + span + 1):
-        yield from extend([m_r], c + m_r)
+    lb = max(c + 2, 5 - c)
+    level = [((m_r,), c + m_r) for m_r in range(lb, lb + span + 1)]
+    for _ in range(r):
+        level = [((m,) + ms, below + m) for ms, below in level for m in range(below + 2, below + 2 + span + 1)]
+    return [ms for ms, _ in level]
 
 
 def _scan_star(case: str, caps: ScanCaps):
@@ -166,22 +173,23 @@ def _scan_star(case: str, caps: ScanCaps):
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
         for c in range(0, min(caps.max_c, 6) + 1):
-            for ms in _chains(caps, r, c):
-                d = c + sum(ms)
-                bound = a_bound(case, c=c, r=r, ms=tuple(ms))
-                lhs = q_value(d, ms[0] - 1)
-                rhs = (c - 1) ** 2 + c * (r + 1) + bound
-                yield {"case": case, "r": r, "c": c, "ms": tuple(ms)}, lhs > rhs
+            chains = _chains(caps, r, c)
+            slack = (c - 1) ** 2 + c * (r + 1)
+            yield len(chains), [
+                {"case": case, "r": r, "c": c, "ms": ms} for ms in chains
+                if not q_value(c + sum(ms), ms[0] - 1) > slack + a_bound(case, c=c, r=r, ms=ms)
+            ]
 
 
 def _scan_starbis(case: str, caps: ScanCaps):
     """The master inequality at kernel colength zero: Q(m0 - 1) > A."""
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
-        for ms in _chains(caps, r, 0):
-            d = sum(ms)
-            bound = a_bound(case, c=0, r=r, ms=tuple(ms))
-            yield {"case": case, "r": r, "ms": tuple(ms)}, q_value(d, ms[0] - 1) > bound
+        chains = _chains(caps, r, 0)
+        yield len(chains), [
+            {"case": case, "r": r, "ms": ms} for ms in chains
+            if not q_value(sum(ms), ms[0] - 1) > a_bound(case, c=0, r=r, ms=ms)
+        ]
 
 
 SCANS = {
@@ -223,10 +231,9 @@ def inequality_scan(name: str, caps: ScanCaps | None = None) -> ScanResult:
         raise DomainError(f"unknown inequality {name!r}; known: {sorted(SCANS)}")
     caps = caps or ScanCaps()
     result = ScanResult(name)
-    for params, ok in SCANS[name](caps):
-        result.cases_run += 1
-        if not ok:
-            result.violations.append(params)
+    for points, failed in SCANS[name](caps):
+        result.cases_run += points
+        result.violations += failed
     result.violations.sort(key=lambda params: sorted(params.items()).__repr__())
     return result
 

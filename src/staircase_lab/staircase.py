@@ -31,6 +31,14 @@ class GradedMonomialIdeal:
             raise MalformedIdealError(f"heights must be a positive non-increasing sequence: {h}")
 
     @staticmethod
+    def _trusted(heights: tuple[int, ...]) -> "GradedMonomialIdeal":
+        """The ideal of a partition, built unchecked: only for heights the
+        package has validated or built as a partition itself."""
+        ideal = object.__new__(GradedMonomialIdeal)
+        object.__setattr__(ideal, "heights", heights)
+        return ideal
+
+    @staticmethod
     def from_columns(columns, stable_from=None) -> "GradedMonomialIdeal":
         """Validated staircase from a list of distinct-int columns: those from ``stable_from``
         on are dropped, missing ones below it are full, trailing full ones are trimmed.
@@ -148,11 +156,12 @@ class GradedMonomialIdeal:
 def from_generators(gens) -> GradedMonomialIdeal:
     """Ideal generated by (x, y)-monomials, given as (ex, ey) pairs.
 
-    Finite colength requires a pure x-power and a pure y-power among the
-    generated monomials, i.e. generators with zero y- and zero x-exponent.
+    Each pair passes ``int_array``.  Finite colength requires a pure x-power
+    and a pure y-power among the generated monomials, i.e. generators with
+    zero y- and zero x-exponent.
     Below the least pure x-power, h_i = min{gy : gx <= i}.
     """
-    pairs = [(int(gx), int(gy)) for gx, gy in gens]
+    pairs = [(gx, gy) for gx, gy in map(int_array, gens)]
     if any(gx < 0 or gy < 0 for gx, gy in pairs):
         raise DomainError(f"negative exponent in generators {pairs}")
     x_powers = [gx for gx, gy in pairs if gy == 0]
@@ -187,4 +196,4 @@ def enumerate_ideals(d: int) -> list[GradedMonomialIdeal]:
     """
     if d < 0:
         raise RangeError("colength must be nonnegative")
-    return [GradedMonomialIdeal(heights) for heights in _partitions(d, d if d else 1)]
+    return [GradedMonomialIdeal._trusted(heights) for heights in _partitions(d, d if d else 1)]

@@ -380,6 +380,10 @@ class TestEnumeration:
     def test_matches_per_cell_reference(self, d):
         assert S.enumerate_ideals(d) == ref_enumerate_ideals(d)
 
+    @pytest.mark.parametrize("d", range(21))
+    def test_unchecked_ideals_equal_the_validated_ones(self, d):
+        assert S.enumerate_ideals(d) == [S.GradedMonomialIdeal(h) for h in ref_partitions(d, max(d, 1))]
+
     def test_all_distinct_and_right_colength(self):
         for d in range(8):
             ideals = S.enumerate_ideals(d)
@@ -388,6 +392,11 @@ class TestEnumeration:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("bad", [(2.7, 0), (True, 1), "3"])
+    def test_non_integer_exponents_are_refused_not_rounded(self, bad):
+        with pytest.raises(DomainError, match="expected an array of integers"):
+            S.from_generators([bad, (0, 1), (1, 0)])
+
     @given(ideals_small)
     def test_round_trip_through_generators(self, ideal):
         if ideal.colength == 0:

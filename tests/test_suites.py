@@ -71,9 +71,9 @@ class TestViolations:
     def test_ineq_tags_a_failed_point_with_its_name(self, monkeypatch):
         scan = inequalities.SCANS["5.2"]
 
-        def broken(caps):
-            for params, ok in scan(caps):
-                yield params, ok and params != {"c": 3, "m": 7}
+        def broken(caps):  # one row per c from 1; plant a failure in the row of c = 3
+            for c, (points, failed) in enumerate(scan(caps), 1):
+                yield points, failed + [{"c": 3, "m": 7}] * (c == 3)
 
         monkeypatch.setitem(inequalities.SCANS, "5.2", broken)
         code, report = verify_json("--suite", "ineq", "--name", "5.2", "--max-c", "5")
