@@ -7,9 +7,8 @@ exit code 1 on any violation, 2 when a key of ``DEEP_CAPS`` names no suite
 finishes in about 2 s (best of 3) on a 2-core Python 3.11 host, with the
 suite's other caps fixed (endpoint's frame and seam caps grow together in
 the ratio 64:12, a-bound keeps max_c at 3, stabilization extra_levels at 4,
-ineq max_r at 7 and m_span at 40).
-The caps of genus-negativity, pyramid-oracle-full and pyramid-monotonic
-are not yet fit to it; their suites finish in under 1 s.
+ineq max_r at 7 and m_span at 40, genus-negativity m_extent at 40 and
+nu_extent at 15).
 """
 
 import sys
@@ -20,9 +19,9 @@ from staircase_lab import suites
 DEEP_CAPS = {
     "special-chi": {"max_colength": 3200},
     "pyramid-oracle": {"max_frame": 48},
-    "pyramid-oracle-full": {"max_frame": 5},
+    "pyramid-oracle-full": {"max_frame": 20},
     "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 116},
-    "pyramid-monotonic": {"max_frame": 600},
+    "pyramid-monotonic": {"max_frame": 1300},
     "endpoint": {"max_frame": 2432, "max_n": 456},
     "gstar-crosscheck": {"max_colength": 60},
     "gstar-monotonic": {"max_colength": 35},
@@ -33,7 +32,7 @@ DEEP_CAPS = {
     "chain-invariants": {"max_colength": 57},
     "form-agreement": {"max_colength": 34},
     "ineq": {"max_c": 8000, "max_r": 7, "m_span": 40},
-    "genus-negativity": {"max_c": 40, "m_extent": 40, "nu_extent": 15},
+    "genus-negativity": {"max_c": 4800, "m_extent": 40, "nu_extent": 15},
     "ch14": {"max_e": 260},
     "ch7-catalog": {"max_m": 80},
     "bang": {"max_m": 480},

@@ -13,7 +13,11 @@ column that already holds k monomials (all distinct) adds b - k.  So the
 search grades the fixed monomials once (the plain columns of the space, and
 the pick of any chain left with a single option) and walks the other chains
 depth first, adding b - k per pick (and to the right-domain grade when the
-column lies right of the split) instead of regrading every selection.
+column lies right of the split) instead of regrading every selection.  Each
+distinct option monomial is numbered once per search, and the walk marks the
+monomials in use by flags in a bytearray indexed by that number, so it
+hashes no monomial.  The chain with the most options is walked last, and its
+picks are compared in place: the walk makes no call per selection.
 """
 
 from __future__ import annotations
@@ -83,9 +87,12 @@ def _fold(space: SemiInvariantSpace, split: DomainSplit | None):
 
     The fixed monomials are the plain columns and the pick of each deformed
     chain left with one option once those hitting a plain monomial are
-    dropped.  Returns their alpha-grade, their count in each column that an
-    option reaches, the set of forced picks, and per remaining chain its
-    options, each as (monomial, column, y-degree, right of the split).
+    dropped.  Each distinct option monomial gets an integer slot, so that
+    the flags are sized by the options, never by the degree.  Returns the
+    fixed monomials' alpha-grade, their count in each column that an option
+    reaches, a bytearray of taken flags with the forced picks set, and per
+    remaining chain its options, each as (slot, column, y-degree, right of
+    the split), the chain with the most options first.
     """
     columns = space.columns
     kept = []
@@ -98,44 +105,60 @@ def _fold(space: SemiInvariantSpace, split: DomainSplit | None):
         kept.append([m for m in options if m.ey not in columns.get(m.xy_degree, ())])
     if sum(map(len, columns.values())) + len(kept) != space.dimension:
         raise InternalInconsistencyError("duplicate initial monomials slipped through")
+    slots: dict[Monomial, int] = {}
+    for options in kept:
+        for m in options:
+            slots.setdefault(m, len(slots))
+    taken = bytearray(len(slots))
     forced = [options[0] for options in kept if len(options) == 1]
-    used = set(forced)
-    if len(used) != len(forced):
-        raise DegenerateSpaceError("no collision-free selection exists")
-    counts = {m.xy_degree: len(columns.get(m.xy_degree, ())) for options in kept for m in options}
+    for m in forced:
+        if taken[slots[m]]:
+            raise DegenerateSpaceError("no collision-free selection exists")
+        taken[slots[m]] = 1
+    counts = {m.xy_degree: len(columns.get(m.xy_degree, ())) for m in slots}
     grade = alpha_grade_columns(columns.values())
     # joined to the plain columns, each forced pick loses the k plain monomials of its column
     grade += alpha_grade_monomials(forced) - sum(counts[m.xy_degree] for m in forced)
     for m in forced:
         counts[m.xy_degree] += 1
     choices = [
-        [(m, m.xy_degree, m.ey, split is not None and split.is_right(m)) for m in options]
+        [(slots[m], m.xy_degree, m.ey, split is not None and split.is_right(m)) for m in options]
         for options in kept
         if len(options) != 1
     ]
-    return grade, counts, used, choices
+    choices.sort(key=len, reverse=True)
+    return grade, counts, taken, choices
 
 
-def _walk(choices, i: int, counts: dict, used: set, key: tuple[int, int]):
+def _walk(choices, i: int, counts: dict, taken: bytearray, key: tuple[int, int]):
     """Lexicographic (min, max) of the selection keys that extend ``key`` by
-    one pick from each of ``choices[i:]``, or None when all of them collide.
+    one pick from each of ``choices[i]``, ``choices[i - 1]``, ...,
+    ``choices[0]``, or None when all of them collide.
 
-    ``counts`` (monomials per column) and ``used`` (the forced and current
-    picks) are restored before returning.
+    A pick is free when the flag of its slot in ``taken`` is clear.  The
+    picks of ``choices[0]`` complete a selection and are compared in place,
+    without a call.  ``counts`` (monomials per column) and ``taken`` (the
+    forced and current picks) are restored before returning.
     """
-    if i == len(choices):
-        return key, key
     grade, right = key
+    last = i == 0
     lo = hi = None
-    for mon, col, ey, is_right in choices[i]:
-        if mon in used:
+    for slot, col, ey, is_right in choices[i]:
+        if taken[slot]:
             continue
         step = ey - counts[col]
-        used.add(mon)
+        if last:
+            found = (grade + step, right + step if is_right else right)
+            if lo is None or found < lo:
+                lo = found
+            if hi is None or found > hi:
+                hi = found
+            continue
+        taken[slot] = 1
         counts[col] += 1
-        found = _walk(choices, i + 1, counts, used, (grade + step, right + step if is_right else right))
+        found = _walk(choices, i - 1, counts, taken, (grade + step, right + step if is_right else right))
         counts[col] -= 1
-        used.remove(mon)
+        taken[slot] = 0
         if found is None:
             continue
         if lo is None or found[0] < lo:
@@ -150,13 +173,17 @@ def _extremes(space: SemiInvariantSpace, split: DomainSplit | None):
     over chain selections, in one depth-first walk.  The right part counts
     the walked picks only: the fixed monomials add the same to every
     selection, and only differences of it are used.  It is 0 without a
-    split.
+    split.  When every deformed chain is forced, the fixed monomials are
+    the one selection and the walk is not entered.  The walk starts at the
+    last chain, so the longest, ``choices[0]``, is the one compared in place.
 
     Every walked chain has at least two options before the fixed ones are
     dropped, so the budget bounds the depth by log2(SELECTION_BUDGET).
     """
-    grade, counts, used, choices = _fold(space, split)
-    found = _walk(choices, 0, counts, used, (grade, 0))
+    grade, counts, taken, choices = _fold(space, split)
+    if not choices:
+        return (grade, 0), (grade, 0)
+    found = _walk(choices, len(choices) - 1, counts, taken, (grade, 0))
     if found is None:
         raise DegenerateSpaceError("no collision-free selection exists")
     return found

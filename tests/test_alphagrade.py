@@ -265,6 +265,72 @@ class TestOnePassExtremes:
         assert deformed <= set(calls)
 
 
+SHIFT = T.TorusWeight((-1, 1, 0))  # x^a y^b -> x^(a-j) y^(b+j): every step stays in one column layer
+X2, XY, Y2 = Monomial(2, 0, 0), Monomial(1, 1, 0), Monomial(0, 2, 0)
+
+
+def make_chain(initial, *steps):
+    return T.Chain(initial, frozenset([0, *steps]))
+
+
+def no_walk(*args):
+    raise AssertionError("the walk was entered")
+
+
+class TestSlotWalk:
+    def test_all_forced_chains_skip_the_walk(self, monkeypatch):
+        # the step of x^2 lands on the plain xy, so x^2 is forced and nothing is walked
+        space = T.SemiInvariantSpace(SHIFT, [make_chain(X2, 1), make_chain(XY)])
+        monkeypatch.setattr(A, "_walk", no_walk)
+        grade = A.alpha_grade_monomials([X2, XY])
+        assert A.minmax_alpha_grade(space) == (grade, grade)
+        for threshold in range(space.degree + 1):
+            assert A.right_domain_spread(space, A.DomainSplit(threshold)) == 0
+
+    def test_a_pick_is_freed_for_the_next_sibling(self):
+        # selections (x^2, xy), (x^2, y^2), (xy, y^2) grade 0, 1, 2: the
+        # maximum needs xy again in the second chain after the first chain tried it
+        space = T.SemiInvariantSpace(SHIFT, [make_chain(X2, 1), make_chain(XY, 1)])
+        assert A.minmax_alpha_grade(space) == ref_minmax(space) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "chains",
+        [
+            # three chains share the options x^2 and xy: the first two walked take both
+            [make_chain(X2, 1), make_chain(X2, 1), make_chain(X2, 1)],
+            # y^2 is plain, so xy and x^2 are forced picks and take both options of the walked chain
+            [make_chain(Y2), make_chain(XY, 1), make_chain(X2, 2), make_chain(X2, 1)],
+        ],
+        ids=["by-walked-picks", "by-forced-picks"],
+    )
+    def test_last_chain_with_every_option_taken_is_degenerate(self, chains):
+        space = unchecked_space(SHIFT, chains)
+        with pytest.raises(DegenerateSpaceError, match="no collision-free selection exists"):
+            A.minmax_alpha_grade(space)
+        with pytest.raises(DegenerateSpaceError, match="no collision-free selection exists"):
+            A.right_domain_spread(space, A.DomainSplit(1))
+
+    def test_two_forced_picks_on_one_monomial_are_degenerate(self, monkeypatch):
+        # xy is plain, so both repeats of x^2 are left with x^2 alone
+        space = unchecked_space(SHIFT, [make_chain(XY), make_chain(X2, 1), make_chain(X2, 1), make_chain(Y2)])
+        monkeypatch.setattr(A, "_walk", no_walk)
+        with pytest.raises(DegenerateSpaceError, match="no collision-free selection exists"):
+            A.minmax_alpha_grade(space)
+        with pytest.raises(DegenerateSpaceError, match="no collision-free selection exists"):
+            A.right_domain_spread(space, A.DomainSplit(0))
+
+    @pytest.mark.parametrize("label, space", REFERENCE_SPACES[::4], ids=[label for label, _ in REFERENCE_SPACES[::4]])
+    def test_one_grading_call_per_search(self, monkeypatch, label, space):
+        """The per-layer benchmark counts rely on one alpha_grade_monomials call per search."""
+        calls = []
+        grade = A.alpha_grade_monomials
+        monkeypatch.setattr(A, "alpha_grade_monomials", lambda monomials: calls.append(1) or grade(monomials))
+        A.minmax_alpha_grade(space)
+        assert len(calls) == 1
+        A.right_domain_spread(space, A.DomainSplit(space.degree // 2))
+        assert len(calls) == 2
+
+
 def outcome(compute):
     """The value, or the type of the search error raised instead."""
     try:
