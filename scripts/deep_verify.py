@@ -18,9 +18,9 @@ from staircase_lab import suites
 
 DEEP_CAPS = {
     "special-chi": {"max_colength": 3200},
-    "pyramid-oracle": {"max_frame": 48},
+    "pyramid-oracle": {"max_frame": 80},
     "pyramid-oracle-full": {"max_frame": 20},
-    "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 116},
+    "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 120},
     "pyramid-monotonic": {"max_frame": 1300},
     "endpoint": {"max_frame": 2432, "max_n": 456},
     "gstar-crosscheck": {"max_colength": 60},

@@ -214,31 +214,44 @@ def check_bang(space: SemiInvariantSpace, phi) -> bool:
     return q_value(phi.colength, phi.regularity - 1) + lo > hi
 
 
+def a_bound_formula(case: str, *, c: int, r: int):
+    """The closed-form bound of :func:`a_bound` for one (case, c, r), as a
+    function of the chain ms.
+
+    The arguments are checked here, once; the function returned assumes ms
+    holds what its case needs: m_0..m_r for "I1"/"I2", at least m_0 for
+    "II1"/"II2".
+    """
+    if r < 0 or c < 0:
+        raise DomainError(f"need r >= 0 and c >= 0, got r={r}, c={c}")
+    if case in ("I1", "I2"):
+        if r == 0:
+            return lambda ms: 0
+        base = r * (r + 3) if case == "I1" else r * (r + c)
+        return lambda ms: base + sum(ms[1:])
+    if case in ("II1", "II2"):
+        if r < 1:
+            raise DomainError(f"case {case} is stated for r >= 1")
+        if case == "II1":
+            slope, base = 4, r * (r + 3) - c - 1
+        else:
+            slope, base = c + 2, r * r - 2 * (c + 2) + comb(c, 2)
+        return lambda ms: slope * ms[0] + base
+    raise DomainError(f"unknown bound case {case!r}")
+
+
 def a_bound(case: str, *, c: int, r: int, ms: tuple[int, ...] = ()) -> int:
     """Closed-form bound for the right-domain alpha-grade spread, per regime.
 
     Cases "I1"/"I2" need the full chain m_0..m_r; "II1"/"II2" need r >= 1 and
     use only m_0.
     """
-    if r < 0 or c < 0:
-        raise DomainError(f"need r >= 0 and c >= 0, got r={r}, c={c}")
-    if case in ("I1", "I2"):
-        if r == 0:
-            return 0
-        if len(ms) != r + 1:
-            raise DomainError(f"case {case} needs m_0..m_{r}, got {ms}")
-        tail = sum(ms[1:])
-        return r * (r + 3) + tail if case == "I1" else r * (r + c) + tail
-    if case in ("II1", "II2"):
-        if r < 1:
-            raise DomainError(f"case {case} is stated for r >= 1")
-        if not ms:
-            raise DomainError(f"case {case} needs m_0")
-        m0 = ms[0]
-        if case == "II1":
-            return 4 * m0 + r * (r + 3) - c - 1
-        return (c + 2) * m0 + r * r - 2 * (c + 2) + comb(c, 2)
-    raise DomainError(f"unknown bound case {case!r}")
+    bound = a_bound_formula(case, c=c, r=r)
+    if case in ("I1", "I2") and r > 0 and len(ms) != r + 1:
+        raise DomainError(f"case {case} needs m_0..m_{r}, got {ms}")
+    if case in ("II1", "II2") and not ms:
+        raise DomainError(f"case {case} needs m_0")
+    return bound(ms)
 
 
 def genus_nu(d: int, nu: int) -> int:

@@ -12,9 +12,10 @@ against the side that is constant along the row, and a params dict is built
 only for a failing point.  :func:`inequality_scan` sums the counts and sorts
 the violations; the expected result is always an empty list.
 
-The ``star``/``starbis`` scans walk every chain (m_0 .. m_r) and call
-``a_bound`` and ``q_value`` once per chain; whatever the caps, they stay
-within r <= 3, c <= 6 and at most 4 steps above each chain lower bound.
+The ``star``/``starbis`` scans walk every chain (m_0 .. m_r); they check the
+bound's arguments once per row with ``a_bound_formula`` and evaluate it and
+``q_value`` once per chain.  Whatever the caps, they stay within r <= 3,
+c <= 6 and at most 4 steps above each chain lower bound.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .alphagrade import a_bound, q_value
+from .alphagrade import a_bound_formula, q_value
 from .errors import DomainError
 
 
@@ -175,9 +176,10 @@ def _scan_star(case: str, caps: ScanCaps):
         for c in range(0, min(caps.max_c, 6) + 1):
             chains = _chains(caps, r, c)
             slack = (c - 1) ** 2 + c * (r + 1)
+            bound = a_bound_formula(case, c=c, r=r)
             yield len(chains), [
                 {"case": case, "r": r, "c": c, "ms": ms} for ms in chains
-                if not q_value(c + sum(ms), ms[0] - 1) > slack + a_bound(case, c=c, r=r, ms=ms)
+                if not q_value(c + sum(ms), ms[0] - 1) > slack + bound(ms)
             ]
 
 
@@ -186,9 +188,10 @@ def _scan_starbis(case: str, caps: ScanCaps):
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
         chains = _chains(caps, r, 0)
+        bound = a_bound_formula(case, c=0, r=r)
         yield len(chains), [
             {"case": case, "r": r, "ms": ms} for ms in chains
-            if not q_value(sum(ms), ms[0] - 1) > a_bound(case, c=0, r=r, ms=ms)
+            if not q_value(sum(ms), ms[0] - 1) > bound(ms)
         ]
 
 

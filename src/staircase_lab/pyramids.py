@@ -6,10 +6,18 @@ column {a_1 < ... < a_m} is (a_1 + ... + a_m) - (1 + ... + (m-1)).  The
 maximal weight over all pyramids of type (c, d) has a closed form indexed by
 the unique representation d = n(n+1) - r or d = n^2 - r with 0 <= r < n;
 its two rewritings are evaluated as six times the weight in integers, and
-the divisibility by 6 is asserted.  A knapsack DP over the columns confirms
-it at every frame, and the brute-force searches here guard the DP at small
-frames: incremental depth-first walks over the columns that still reach
-every pyramid of the given type.
+the divisibility by 6 is asserted.
+
+Two oracles check it, and neither consults it.  A knapsack DP over the
+columns confirms it at every frame: one table per frame holds the best
+weight of every column suffix for every colength up to the frame, and a
+witness walk per colength reads a maximal pyramid off it.  The exhaustive
+searches guard the DP at small frames.  Each first builds a per-deficit
+pick table, the picks of each column that leave a deficit the later columns
+can still meet, and then walks the columns depth first over those lists,
+the last two columns closed as one nested loop.  They leave out only
+branches that cannot reach the colength, so they still visit every pyramid
+of the given type.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
+from operator import add, itemgetter
 
 from .errors import DomainError, InternalInconsistencyError, RangeError
 
@@ -184,34 +193,62 @@ def _column_options(i: int, full_subsets: bool) -> tuple:
     return tuple(options)
 
 
-def max_weight_dp(c: int, d: int, full_subsets: bool = False):
-    """Maximal weight over pyramids of type (c, d) with a witness, by a knapsack DP.
+@dataclass(frozen=True)
+class WeightTable:
+    """The knapsack table of one frame, for every colength up to the frame.
 
     The weight is a sum over columns and the colength a sum of the entries
     each column misses, so best[i][r], the largest weight of columns i..c-1
     that together miss r entries, is the maximum over the options of column
-    i of its weight plus best[i + 1][r - a].  The witness takes, column by
-    column, the option with the smallest key that still reaches the maximum,
-    which is the tie-break of ``brute_force_max_weight``: (-w, avec) for top
-    segments, (-w, sorted column tuples) with ``full_subsets=True``.  The
-    closed form is never consulted.
+    i of its weight plus best[i + 1][r - a].  One table holds every r <= c,
+    so it answers each colength d of its frame; only the witness walk runs
+    per d.  The closed form is never consulted.
     """
+
+    options: tuple  # per column, its ``_column_options`` by increasing key
+    best: tuple
+
+    @staticmethod
+    def build(c: int, full_subsets: bool = False) -> "WeightTable":
+        if c < 1:
+            raise DomainError(f"need a positive frame, got c={c}")
+        options = [_column_options(i, full_subsets) for i in range(c)]
+        best = [None] * c + [(0,) + (float("-inf"),) * c]
+        for i in reversed(range(c)):
+            weights, nxt = [w for _, w, _, _ in options[i]], best[i + 1]
+            # options are in order a = 0..i+1, so nxt[r::-1] pairs option a with nxt[r - a]
+            best[i] = tuple(max(map(add, weights, nxt[r::-1])) for r in range(c + 1))
+        return WeightTable(tuple(tuple(sorted(opts, key=itemgetter(2))) for opts in options), tuple(best))
+
+    @property
+    def frame(self) -> int:
+        return len(self.options)
+
+    def witness(self, d: int):
+        """Maximal weight of type (frame, d) and a witness pyramid.
+
+        Column by column, the witness takes the option with the smallest key
+        that still reaches the maximum, which is the tie-break of
+        ``brute_force_max_weight``: (-w, avec) for top segments, (-w, sorted
+        column tuples) with ``full_subsets=True``.
+        """
+        if not 1 <= d <= self.frame:
+            raise DomainError(f"need 1 <= d <= c, got d={d}, c={self.frame}")
+        columns, r = [], d
+        for i, options in enumerate(self.options):
+            nxt, target = self.best[i + 1], self.best[i][r]
+            a, column = next((a, column) for a, w, _, column in options if a <= r and w + nxt[r - a] == target)
+            columns.append(column)
+            r -= a
+        return self.best[0][d], Pyramid.from_columns(columns)
+
+
+def max_weight_dp(c: int, d: int, full_subsets: bool = False):
+    """Maximal weight over pyramids of type (c, d) with a witness, by a knapsack DP:
+    the :class:`WeightTable` of frame c and its witness walk for d."""
     if not 1 <= d <= c:
         raise DomainError(f"need 1 <= d <= c, got d={d}, c={c}")
-    options = [_column_options(i, full_subsets) for i in range(c)]
-    best = [None] * c + [[0] + [float("-inf")] * d]
-    for i in reversed(range(c)):
-        nxt = best[i + 1]
-        best[i] = [max(w + nxt[r - a] for a, w, _, _ in options[i] if a <= r) for r in range(d + 1)]
-    columns, r = [], d
-    for i in range(c):
-        nxt = best[i + 1]
-        _, a, column = min(
-            (key, a, column) for a, w, key, column in options[i] if a <= r and w + nxt[r - a] == best[i][r]
-        )
-        columns.append(column)
-        r -= a
-    return best[0][d], Pyramid.from_columns(columns)
+    return WeightTable.build(c, full_subsets).witness(d)
 
 
 def _column_pool(i: int, full_subsets: bool) -> list:
@@ -233,35 +270,56 @@ def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
     weight is attained on one); ``full_subsets=True`` searches arbitrary
     column subsets to guard that reduction, at a smaller frame cap.
 
-    One depth-first walk picks a column at a time, carrying the running
-    weight and the entries still to be missed.  It cuts a branch only when
-    that deficit is negative or more than the later columns can miss, so it
-    still reaches every pyramid of colength d.  Each pool is in increasing
-    pick order, so pyramids are met in increasing order of their pick tuples
-    and keeping strictly heavier ones keeps the smallest key (-w, picks):
+    A per-deficit pick table comes first: fits[i][rest] lists, in pool
+    order, the picks of column i whose deficit left over, rest - missed, is
+    neither negative nor more than the later columns can miss, each with
+    that new deficit.  A depth-first walk then picks a column at a time from
+    these lists, carrying the running weight, and tests nothing per node.
+    Since the columns after the last can miss nothing, fits[c - 1][rest]
+    holds exactly the picks that miss all of rest, so the last two columns
+    close as one nested loop with no call per pyramid.  Only branches that
+    cannot reach colength d are left out, so the walk still visits and
+    weighs every pyramid of type (c, d).  Each pool is in increasing pick
+    order, so pyramids are met in increasing order of their pick tuples and
+    keeping strictly heavier ones keeps the smallest key (-w, picks):
     (-w, avec) for top segments, (-w, sorted column tuples) for subsets.
+    Nothing is kept between calls.
     """
     if not 1 <= d <= c:
         raise RangeError(f"need 1 <= d <= c, got d={d}, c={c}")
     cap = FULL_SUBSET_FRAME_CAP if full_subsets else TOP_SEGMENT_FRAME_CAP
     if c > cap:
         raise RangeError(f"frame {c} beyond the search budget ({cap})")
-    pools = [_column_pool(i, full_subsets) for i in range(c)]
     # room[i]: the most entries columns i..c-1 can miss together
     room = [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
+    pools = [_column_pool(i, full_subsets) for i in range(c)]
+    fits = [
+        [[(pick, rest - missed, cw) for pick, missed, cw in pool if 0 <= rest - missed <= room[i + 1]]
+         for rest in range(d + 1)]
+        for i, pool in enumerate(pools)
+    ]
     picks = [None] * c
-    best = [-1, None]  # every weight is >= 0, so the first pyramid reached replaces it
+    best_w, best_picks = -1, None  # every weight is >= 0, so the first pyramid reached replaces it
 
     def walk(i: int, w: int, rest: int) -> None:
-        if i == c:
-            if w > best[0]:
-                best[:] = w, tuple(picks)
-            return
-        for pick, missed, cw in pools[i]:
-            if 0 <= rest - missed <= room[i + 1]:
+        nonlocal best_w, best_picks
+        if i < c - 2:
+            for pick, left, cw in fits[i][rest]:
                 picks[i] = pick
-                walk(i + 1, w + cw, rest - missed)
+                walk(i + 1, w + cw, left)
+            return
+        # columns c - 2 and c - 1: room[c] == 0, so last_fits[left] holds just the picks that miss all of left
+        last_fits = fits[i + 1]
+        for pick, left, cw in fits[i][rest]:
+            w2 = w + cw
+            for last, _, lw in last_fits[left]:
+                if w2 + lw > best_w:
+                    best_w, best_picks = w2 + lw, (*picks[:i], pick, last)
 
-    walk(0, 0, d)
-    weight, chosen = best
-    return weight, Pyramid.from_columns(chosen) if full_subsets else Pyramid.from_initial_degrees(chosen)
+    if c == 1:  # a single column, which has to miss all of d
+        for pick, _, cw in fits[0][d]:
+            if cw > best_w:
+                best_w, best_picks = cw, (pick,)
+    else:
+        walk(0, 0, d)
+    return best_w, Pyramid.from_columns(best_picks) if full_subsets else Pyramid.from_initial_degrees(best_picks)

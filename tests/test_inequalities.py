@@ -56,7 +56,7 @@ def test_violations_are_reported_not_raised():
 
 # The per-point scans the row scans replaced, kept as the reference: each
 # yields (params, ok) for every scanned point.  They call the module's
-# a_bound, q_value and _min_m0, so a planted fault reaches both sides.
+# a_bound_formula, q_value and _min_m0, so a planted fault reaches both sides.
 
 
 def ref_5_1(caps):
@@ -180,7 +180,7 @@ def ref_star(case, caps):
         for c in range(0, min(caps.max_c, 6) + 1):
             for ms in ref_chains(caps, r, c):
                 d = c + sum(ms)
-                bound = I.a_bound(case, c=c, r=r, ms=tuple(ms))
+                bound = I.a_bound_formula(case, c=c, r=r)(tuple(ms))
                 lhs = I.q_value(d, ms[0] - 1)
                 rhs = (c - 1) ** 2 + c * (r + 1) + bound
                 yield {"case": case, "r": r, "c": c, "ms": tuple(ms)}, lhs > rhs
@@ -191,7 +191,7 @@ def ref_starbis(case, caps):
     for r in range(r_lo, min(caps.max_r, 3) + 1):
         for ms in ref_chains(caps, r, 0):
             d = sum(ms)
-            bound = I.a_bound(case, c=0, r=r, ms=tuple(ms))
+            bound = I.a_bound_formula(case, c=0, r=r)(tuple(ms))
             yield {"case": case, "r": r, "ms": tuple(ms)}, I.q_value(d, ms[0] - 1) > bound
 
 
@@ -229,7 +229,7 @@ GRID = [I.ScanCaps(c, r, s) for c, r, s in product((0, 1, 4, 5, 30), (0, 1, 2, 3
 
 FAULTS = {
     "none": (),
-    "a_bound+40": (("a_bound", lambda f: lambda *args, **kw: f(*args, **kw) + 40),),
+    "a_bound+40": (("a_bound_formula", lambda f: lambda *args, **kw: lambda ms, bound=f(*args, **kw): bound(ms) + 40),),
     "q_value-60": (("q_value", lambda f: lambda d, n: f(d, n) - 60),),
     "min_m0=0": (("_min_m0", lambda f: lambda r, c: 0),),
 }

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,20 @@ class TestKnapsackDP:
                 assert w == P.max_weight_closed_form(c, d)
                 assert (witness.weight(), witness.colength) == (w, d)
 
+    @pytest.mark.parametrize("full,cap", [(False, 24), (True, 7)])
+    def test_frame_table_matches_the_per_colength_reference(self, full, cap):
+        for c in range(1, cap + 1):
+            table = P.WeightTable.build(c, full)
+            assert table.frame == c
+            for d in range(1, c + 1):
+                want_w, want = _reference_dp(c, d, full)
+                for w, witness in (table.witness(d), P.max_weight_dp(c, d, full)):
+                    assert (w, witness.columns) == (want_w, want.columns), (c, d)
+
+    def test_each_call_builds_its_own_table(self):
+        assert P.WeightTable.build(6) is not P.WeightTable.build(6)
+        assert P.WeightTable.build(6) == P.WeightTable.build(6)
+
     def test_never_consults_the_closed_form(self, monkeypatch):
         def closed_form(c, d):
             raise AssertionError(f"closed form consulted at (c={c}, d={d})")
@@ -171,6 +186,11 @@ class TestKnapsackDP:
             P.max_weight_dp(3, 4)
         with pytest.raises(DomainError):
             P.max_weight_dp(3, 0)
+        for d in (0, 4):
+            with pytest.raises(DomainError):
+                P.WeightTable.build(3).witness(d)
+        with pytest.raises(DomainError):
+            P.WeightTable.build(0)
 
 
 class TestEndpointConsistency:
@@ -201,6 +221,49 @@ def _reference_search(c, d, full_subsets=False):
     return -neg_w, pyr
 
 
+def _reference_walk(c, d, full_subsets=False):
+    """The exhaustive walk as a plain recursion that tests every pick of
+    every column at every node; ``brute_force_max_weight`` has to give the
+    same weight and the same witness."""
+    pools = [P._column_pool(i, full_subsets) for i in range(c)]
+    room = [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
+    picks = [None] * c
+    best = [-1, None]
+
+    def walk(i, w, rest):
+        if i == c:
+            if w > best[0]:
+                best[:] = w, tuple(picks)
+            return
+        for pick, missed, cw in pools[i]:
+            if 0 <= rest - missed <= room[i + 1]:
+                picks[i] = pick
+                walk(i + 1, w + cw, rest - missed)
+
+    walk(0, 0, d)
+    weight, chosen = best
+    return weight, P.Pyramid.from_columns(chosen) if full_subsets else P.Pyramid.from_initial_degrees(chosen)
+
+
+def _reference_dp(c, d, full_subsets=False):
+    """The knapsack DP with its own suffix table for one d, r <= d; the
+    frame table has to give the same weight and the same witness."""
+    options = [P._column_options(i, full_subsets) for i in range(c)]
+    best = [None] * c + [[0] + [float("-inf")] * d]
+    for i in reversed(range(c)):
+        nxt = best[i + 1]
+        best[i] = [max(w + nxt[r - a] for a, w, _, _ in options[i] if a <= r) for r in range(d + 1)]
+    columns, r = [], d
+    for i in range(c):
+        nxt = best[i + 1]
+        _, a, column = min(
+            (key, a, column) for a, w, key, column in options[i] if a <= r and w + nxt[r - a] == best[i][r]
+        )
+        columns.append(column)
+        r -= a
+    return best[0][d], P.Pyramid.from_columns(columns)
+
+
 def _fraction_rewritings(case, n, r, d, c):
     """Both closed-form rewritings of the maximal weight in exact rationals."""
     n, r = Fraction(n), Fraction(r)
@@ -224,6 +287,31 @@ class TestExhaustiveWalk:
             for d in range(1, c + 1):
                 assert P.brute_force_max_weight(c, d, full_subsets=True) == _reference_search(c, d, True), (c, d)
 
+    @pytest.mark.parametrize("full,cap", [(False, P.TOP_SEGMENT_FRAME_CAP), (True, P.FULL_SUBSET_FRAME_CAP)])
+    def test_matches_the_recursive_reference_walk(self, full, cap):
+        for c in range(1, cap + 1):
+            for d in range(1, c + 1):
+                w, witness = P.brute_force_max_weight(c, d, full)
+                want_w, want = _reference_walk(c, d, full)
+                assert (w, witness.columns) == (want_w, want.columns), (c, d)
+
+    def test_the_budget_is_checked_before_any_table_is_built(self, monkeypatch):
+        def pool(i, full_subsets):
+            raise AssertionError(f"pool of column {i} built")
+
+        monkeypatch.setattr(P, "_column_pool", pool)
+        with pytest.raises(RangeError):
+            P.brute_force_max_weight(P.TOP_SEGMENT_FRAME_CAP + 1, 3)
+        with pytest.raises(RangeError):
+            P.brute_force_max_weight(P.FULL_SUBSET_FRAME_CAP + 1, 3, full_subsets=True)
+
+    def test_each_call_builds_its_own_tables(self, monkeypatch):
+        built = []
+        pool = P._column_pool
+        monkeypatch.setattr(P, "_column_pool", lambda i, full_subsets: built.append(i) or pool(i, full_subsets))
+        assert P.brute_force_max_weight(6, 4) == P.brute_force_max_weight(6, 4)
+        assert built == [*range(6)] * 2
+
     def test_never_consults_the_closed_form_or_the_dp(self, monkeypatch):
         def consulted(*args, **kwargs):
             raise AssertionError(f"consulted at {args}")
@@ -231,6 +319,7 @@ class TestExhaustiveWalk:
         want = [P.max_weight_closed_form(c, d) for c in range(1, 6) for d in range(1, c + 1)]
         monkeypatch.setattr(P, "max_weight_closed_form", consulted)
         monkeypatch.setattr(P, "max_weight_dp", consulted)
+        monkeypatch.setattr(P, "WeightTable", consulted)
         for full in (False, True):
             got = [P.brute_force_max_weight(c, d, full)[0] for c in range(1, 6) for d in range(1, c + 1)]
             assert got == want

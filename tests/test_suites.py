@@ -52,13 +52,13 @@ class TestViolations:
         assert report["violations"] == [{"params": {"d": 7}, "expected": 7, "got": 6}]
 
     def test_pyramid_oracle_reports_every_failed_check_of_a_case(self, monkeypatch):
-        dp = pyramids.max_weight_dp
+        witness_of = pyramids.WeightTable.witness
 
-        def broken(c, d, full_subsets=False):
-            weight, witness = dp(c, d, full_subsets=full_subsets)
-            return weight + ((c, d) == (3, 2)), witness
+        def broken(table, d):
+            weight, witness = witness_of(table, d)
+            return weight + ((table.frame, d) == (3, 2)), witness
 
-        monkeypatch.setattr(pyramids, "max_weight_dp", broken)
+        monkeypatch.setattr(pyramids.WeightTable, "witness", broken)
         code, report = verify_json("--suite", "pyramid-oracle", "--max-frame", "4")
         assert code == 1
         assert (report["suite"], report["cases_run"]) == ("pyramid-oracle", 19)
@@ -211,6 +211,32 @@ class TestCoverage:
         suite, caps = key.split(" ", 1)
         report = suites.run_suite(suite, **json.loads(caps))
         assert (report.cases_run, report.violations) == (GOLDEN[key], [])
+
+    @pytest.mark.parametrize("suite,full", [("pyramid-oracle", False), ("pyramid-oracle-full", True)])
+    def test_pyramid_oracle_builds_one_table_per_frame(self, monkeypatch, suite, full):
+        built = []
+        build = pyramids.WeightTable.build
+        monkeypatch.setattr(pyramids.WeightTable, "build", lambda c, full_subsets: built.append((c, full_subsets))
+                            or build(c, full_subsets))
+        assert suites.run_suite(suite, max_frame=6).ok
+        assert built == [(c, full) for c in range(1, 7)]
+
+    @pytest.mark.parametrize("caps", [{}, {"max_c": 6, "max_r": 2, "m_span": 3}])
+    def test_ineq_counts_the_cases_of_every_scan(self, caps):
+        scan_caps = inequalities.ScanCaps(**caps)
+        want = sum(inequalities.inequality_scan(n, scan_caps).cases_run for n in inequalities.all_inequality_names())
+        assert suites.run_suite("ineq", **caps).cases_run == want
+
+    def test_a_batch_counts_as_its_passing_cases(self, monkeypatch):
+        def batches():
+            yield 3
+            yield ()
+            yield (({"x": 1}, 0, 1),)
+            yield 1
+
+        monkeypatch.setitem(suites.SUITES, "batches", batches)
+        report = suites.run_suite("batches")
+        assert (report.cases_run, report.violations) == (6, [{"params": {"x": 1}, "expected": 0, "got": 1}])
 
     @pytest.mark.parametrize("name", sorted(deep_verify.DEEP_CAPS))
     def test_deep_caps_bind(self, name):
