@@ -18,8 +18,8 @@ from staircase_lab import suites
 
 DEEP_CAPS = {
     "special-chi": {"max_colength": 3200},
-    "pyramid-oracle": {"max_frame": 80},
-    "pyramid-oracle-full": {"max_frame": 20},
+    "pyramid-oracle": {"max_frame": 90},
+    "pyramid-oracle-full": {"max_frame": 780},
     "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 120},
     "pyramid-monotonic": {"max_frame": 1300},
     "endpoint": {"max_frame": 2432, "max_n": 456},

@@ -8,16 +8,11 @@ the unique representation d = n(n+1) - r or d = n^2 - r with 0 <= r < n;
 its two rewritings are evaluated as six times the weight in integers, and
 the divisibility by 6 is asserted.
 
-Two oracles check it, and neither consults it.  A knapsack DP over the
-columns confirms it at every frame: one table per frame holds the best
-weight of every column suffix for every colength up to the frame, and a
-witness walk per colength reads a maximal pyramid off it.  The exhaustive
-searches guard the DP at small frames.  Each first builds a per-deficit
-pick table, the picks of each column that leave a deficit the later columns
-can still meet, and then walks the columns depth first over those lists,
-the last two columns closed as one nested loop.  They leave out only
-branches that cannot reach the colength, so they still visit every pyramid
-of the given type.
+Two oracles check it, and neither consults it: a knapsack DP over
+top-segment columns (one table per frame, a witness walk per colength) at
+every frame, and exhaustive searches over every pyramid of a type at small
+frames.  The reduction to top segments is checked per column at every frame,
+and by the search over all column subsets at small frames.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
-from operator import add, itemgetter
+from operator import add
 
 from .errors import DomainError, InternalInconsistencyError, RangeError
 
@@ -81,17 +76,13 @@ class Pyramid:
     def weight(self) -> int:
         return sum(column_weight(col) for col in self.columns)
 
-    def is_top_segment(self) -> bool:
-        return all(
-            col == frozenset(range(min(col), i + 1)) if col else True
-            for i, col in enumerate(self.columns)
-        )
-
     def initial_degrees(self) -> tuple[int, ...]:
         """a(i) per column of a top-segment pyramid (i + 1 for an empty column)."""
-        if not self.is_top_segment():
+        avec = tuple(min(col, default=i + 1) for i, col in enumerate(self.columns))
+        # i + 1 - a distinct degrees from a to i fill [a, i]
+        if any(len(col) != i + 1 - a or max(col, default=i) != i for i, (a, col) in enumerate(zip(avec, self.columns))):
             raise DomainError("initial degrees only defined for top-segment pyramids")
-        return tuple(min(col) if col else i + 1 for i, col in enumerate(self.columns))
+        return avec
 
 
 @dataclass(frozen=True)
@@ -174,28 +165,14 @@ def endpoint_consistency(c: int, n: int) -> bool:
 
 
 @functools.cache
-def _column_options(i: int, full_subsets: bool) -> tuple:
-    """(a, weight, key, column) for each number a of entries column i misses.
-
-    A top-segment column missing a entries is [a, i], keyed by a.  With
-    ``full_subsets`` the option is found by enumerating the subsets of [0, i]
-    of size i + 1 - a: the heaviest one, the smallest sorted tuple among
-    ties, keyed by that tuple.
-    """
-    options = []
-    for a in range(i + 2):
-        if full_subsets:
-            key = min(itertools.combinations(range(i + 1), i + 1 - a), key=lambda sub: (-column_weight(sub), sub))
-            column = frozenset(key)
-        else:
-            key, column = a, frozenset(range(a, i + 1))
-        options.append((a, column_weight(column), key, column))
-    return tuple(options)
+def _column_options(i: int) -> tuple:
+    """(a, weight, column) for a = 0..i+1 entries column i misses: the top segment [a, i]."""
+    return tuple((a, column_weight(range(a, i + 1)), frozenset(range(a, i + 1))) for a in range(i + 2))
 
 
 @dataclass(frozen=True)
 class WeightTable:
-    """The knapsack table of one frame, for every colength up to the frame.
+    """The knapsack table of one frame over top segments, for every colength up to the frame.
 
     The weight is a sum over columns and the colength a sum of the entries
     each column misses, so best[i][r], the largest weight of columns i..c-1
@@ -205,20 +182,20 @@ class WeightTable:
     per d.  The closed form is never consulted.
     """
 
-    options: tuple  # per column, its ``_column_options`` by increasing key
+    options: tuple  # per column, its ``_column_options``
     best: tuple
 
     @staticmethod
-    def build(c: int, full_subsets: bool = False) -> "WeightTable":
+    def build(c: int) -> "WeightTable":
         if c < 1:
             raise DomainError(f"need a positive frame, got c={c}")
-        options = [_column_options(i, full_subsets) for i in range(c)]
+        options = tuple(_column_options(i) for i in range(c))
         best = [None] * c + [(0,) + (float("-inf"),) * c]
         for i in reversed(range(c)):
-            weights, nxt = [w for _, w, _, _ in options[i]], best[i + 1]
+            weights, nxt = [w for _, w, _ in options[i]], best[i + 1]
             # options are in order a = 0..i+1, so nxt[r::-1] pairs option a with nxt[r - a]
             best[i] = tuple(max(map(add, weights, nxt[r::-1])) for r in range(c + 1))
-        return WeightTable(tuple(tuple(sorted(opts, key=itemgetter(2))) for opts in options), tuple(best))
+        return WeightTable(options, tuple(best))
 
     @property
     def frame(self) -> int:
@@ -227,28 +204,25 @@ class WeightTable:
     def witness(self, d: int):
         """Maximal weight of type (frame, d) and a witness pyramid.
 
-        Column by column, the witness takes the option with the smallest key
-        that still reaches the maximum, which is the tie-break of
-        ``brute_force_max_weight``: (-w, avec) for top segments, (-w, sorted
-        column tuples) with ``full_subsets=True``.
+        Column by column, the witness takes the smallest a that still reaches
+        the maximum, the (-w, avec) tie-break of ``brute_force_max_weight``.
+        It is built from the table's own columns, unvalidated.
         """
         if not 1 <= d <= self.frame:
             raise DomainError(f"need 1 <= d <= c, got d={d}, c={self.frame}")
         columns, r = [], d
         for i, options in enumerate(self.options):
             nxt, target = self.best[i + 1], self.best[i][r]
-            a, column = next((a, column) for a, w, _, column in options if a <= r and w + nxt[r - a] == target)
+            a, column = next((a, column) for a, w, column in options if a <= r and w + nxt[r - a] == target)
             columns.append(column)
             r -= a
-        return self.best[0][d], Pyramid.from_columns(columns)
+        return self.best[0][d], Pyramid(tuple(columns))
 
 
-def max_weight_dp(c: int, d: int, full_subsets: bool = False):
+def max_weight_dp(c: int, d: int):
     """Maximal weight over pyramids of type (c, d) with a witness, by a knapsack DP:
     the :class:`WeightTable` of frame c and its witness walk for d."""
-    if not 1 <= d <= c:
-        raise DomainError(f"need 1 <= d <= c, got d={d}, c={c}")
-    return WeightTable.build(c, full_subsets).witness(d)
+    return WeightTable.build(c).witness(d)
 
 
 def _column_pool(i: int, full_subsets: bool) -> list:

@@ -51,6 +51,15 @@ class TestWeight:
             assert pyr.weight() == c - 1
             assert pyr.weight() == P.max_weight_closed_form(c, 1)
 
+    def test_initial_degrees_round_trip_and_reject_other_columns(self):
+        for avec in itertools.product(*(range(i + 2) for i in range(4))):
+            if any(avec):  # colength >= 1
+                assert P.Pyramid.from_initial_degrees(avec).initial_degrees() == avec
+        # not [a, i]: a column without its top, a degree above i, a gap, a right-sized column above i
+        for columns in [({0}, {0}), ({0}, {2}), ({0}, set(), {0, 2}), ({0}, {1}, {1, 3})]:
+            with pytest.raises(DomainError):
+                P.Pyramid(tuple(map(frozenset, columns))).initial_degrees()
+
 
 class TestNRDecomposition:
     @pytest.mark.parametrize(
@@ -147,8 +156,11 @@ class TestKnapsackDP:
     @given(st.integers(min_value=1, max_value=5), st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_full_subset_search(self, c, data):
+        # by weight: the full walk's witness may be another maximal pyramid, as at (3, 3)
         d = data.draw(st.integers(min_value=1, max_value=c))
-        assert P.max_weight_dp(c, d, full_subsets=True) == P.brute_force_max_weight(c, d, full_subsets=True)
+        w, _ = P.max_weight_dp(c, d)
+        w_full, witness = P.brute_force_max_weight(c, d, full_subsets=True)
+        assert (w_full, witness.colength, witness.weight()) == (w, d, w)
 
     def test_matches_closed_form(self):
         for c in range(1, 25):
@@ -157,14 +169,13 @@ class TestKnapsackDP:
                 assert w == P.max_weight_closed_form(c, d)
                 assert (witness.weight(), witness.colength) == (w, d)
 
-    @pytest.mark.parametrize("full,cap", [(False, 24), (True, 7)])
-    def test_frame_table_matches_the_per_colength_reference(self, full, cap):
-        for c in range(1, cap + 1):
-            table = P.WeightTable.build(c, full)
+    def test_frame_table_matches_the_per_colength_reference(self):
+        for c in range(1, 25):
+            table = P.WeightTable.build(c)
             assert table.frame == c
             for d in range(1, c + 1):
-                want_w, want = _reference_dp(c, d, full)
-                for w, witness in (table.witness(d), P.max_weight_dp(c, d, full)):
+                want_w, want = _reference_dp(c, d)
+                for w, witness in (table.witness(d), P.max_weight_dp(c, d)):
                     assert (w, witness.columns) == (want_w, want.columns), (c, d)
 
     def test_each_call_builds_its_own_table(self):
@@ -179,7 +190,6 @@ class TestKnapsackDP:
         for c in range(1, 8):
             for d in range(1, c + 1):
                 P.max_weight_dp(c, d)
-                P.max_weight_dp(c, d, full_subsets=True)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -245,19 +255,19 @@ def _reference_walk(c, d, full_subsets=False):
     return weight, P.Pyramid.from_columns(chosen) if full_subsets else P.Pyramid.from_initial_degrees(chosen)
 
 
-def _reference_dp(c, d, full_subsets=False):
+def _reference_dp(c, d):
     """The knapsack DP with its own suffix table for one d, r <= d; the
     frame table has to give the same weight and the same witness."""
-    options = [P._column_options(i, full_subsets) for i in range(c)]
+    options = [P._column_options(i) for i in range(c)]
     best = [None] * c + [[0] + [float("-inf")] * d]
     for i in reversed(range(c)):
         nxt = best[i + 1]
-        best[i] = [max(w + nxt[r - a] for a, w, _, _ in options[i] if a <= r) for r in range(d + 1)]
+        best[i] = [max(w + nxt[r - a] for a, w, _ in options[i] if a <= r) for r in range(d + 1)]
     columns, r = [], d
     for i in range(c):
         nxt = best[i + 1]
-        _, a, column = min(
-            (key, a, column) for a, w, key, column in options[i] if a <= r and w + nxt[r - a] == best[i][r]
+        a, column = min(
+            (a, column) for a, w, column in options[i] if a <= r and w + nxt[r - a] == best[i][r]
         )
         columns.append(column)
         r -= a

@@ -65,7 +65,36 @@ class TestViolations:
         columns = [[0], [1], [1, 2]]
         assert report["violations"] == [
             {"params": {"c": 3, "d": 2}, "expected": 3, "got": 4},
+            {"params": {"c": 3, "d": 2, "check": "witness"}, "expected": [2, 4], "got": [2, 3]},
             {"params": {"c": 3, "d": 2, "guard": "exhaustive"}, "expected": [3, columns], "got": [4, columns]},
+        ]
+
+    # the witness at (12, 5) has a = (0 x 9, 1, 2, 2) and weight 47; [a, i] weighs a * (i + 1 - a)
+    @pytest.mark.parametrize("avec,got", [
+        ((0,) * 9 + (1, 9, 2), [12, 47]),  # column 10 as [9, 10]: the same weight, 7 more entries missed
+        ((0,) * 11 + (5,), [5, 35]),  # colength 5, a lighter pyramid
+    ])
+    def test_pyramid_oracle_checks_the_dp_witness_beyond_the_search_budget(self, monkeypatch, avec, got):
+        witness_of = pyramids.WeightTable.witness
+
+        def broken(table, d):
+            weight, witness = witness_of(table, d)
+            return weight, pyramids.Pyramid.from_initial_degrees(avec) if (table.frame, d) == (12, 5) else witness
+
+        monkeypatch.setattr(pyramids.WeightTable, "witness", broken)
+        report = suites.run_suite("pyramid-oracle", max_frame=12)
+        assert report.violations == [{"params": {"c": 12, "d": 5, "check": "witness"}, "expected": [5, 47], "got": got}]
+
+    def test_pyramid_oracle_full_checks_the_colength_of_the_walk_witness(self, monkeypatch):
+        walk = pyramids.brute_force_max_weight
+
+        def broken(c, d, full_subsets=False):  # at (3, 2), the witness of (3, 3), which weighs as much
+            return walk(c, d + ((c, d) == (3, 2)), full_subsets)
+
+        monkeypatch.setattr(pyramids, "brute_force_max_weight", broken)
+        report = suites.run_suite("pyramid-oracle-full", max_frame=4)
+        assert report.violations == [
+            {"params": {"c": 3, "d": 2, "guard": "exhaustive"}, "expected": [3, 2, 3], "got": [3, 3, 3]}
         ]
 
     def test_ineq_tags_a_failed_point_with_its_name(self, monkeypatch):
@@ -181,9 +210,19 @@ class TestViolations:
 class TestCaps:
     @pytest.mark.parametrize(
         "args",
-        [("--suite", "borel", "--max-frame", "9"), ("--suite", "borel", "--name", "5.2")],
+        [
+            ("--suite", "borel", "--max-frame", "9"),
+            ("--suite", "borel", "--name", "5.2"),
+            ("pyramid-oracle-full", {"max_frame": 4, "full": False}),  # caps no flag spells: run_suite itself
+            ("pyramid-oracle", {"full": True}),
+        ],
     )
     def test_a_cap_the_suite_does_not_take_is_a_usage_error(self, args):
+        if isinstance(args[-1], dict):
+            suite, caps = args
+            with pytest.raises(DomainError, match=f"^suite '{suite}' does not take the caps"):
+                suites.run_suite(suite, **caps)
+            return
         code, out, err = run_verify(*args)
         assert code == 2
         assert out == ""
@@ -212,14 +251,24 @@ class TestCoverage:
         report = suites.run_suite(suite, **json.loads(caps))
         assert (report.cases_run, report.violations) == (GOLDEN[key], [])
 
-    @pytest.mark.parametrize("suite,full", [("pyramid-oracle", False), ("pyramid-oracle-full", True)])
-    def test_pyramid_oracle_builds_one_table_per_frame(self, monkeypatch, suite, full):
+    @pytest.mark.parametrize(
+        "suite,last", [("pyramid-oracle", 6), ("pyramid-oracle-full", pyramids.FULL_SUBSET_FRAME_CAP)]
+    )
+    def test_pyramid_oracle_builds_one_table_per_frame(self, monkeypatch, suite, last):
         built = []
         build = pyramids.WeightTable.build
-        monkeypatch.setattr(pyramids.WeightTable, "build", lambda c, full_subsets: built.append((c, full_subsets))
-                            or build(c, full_subsets))
+        monkeypatch.setattr(pyramids.WeightTable, "build", lambda c: built.append(c) or build(c))
         assert suites.run_suite(suite, max_frame=6).ok
-        assert built == [(c, full) for c in range(1, 7)]
+        assert built == [*range(1, last + 1)]
+
+    def test_pyramid_oracle_full_builds_no_subset_pool_past_the_search_budget(self, monkeypatch):
+        # the full-subset pools double per column; past the budget the per-column check stands in
+        built = []
+        pool = pyramids._column_pool
+        monkeypatch.setattr(pyramids, "_column_pool", lambda i, full_subsets: built.append((i, full_subsets))
+                            or pool(i, full_subsets))
+        assert suites.run_suite("pyramid-oracle-full", max_frame=30).ok
+        assert {i for i, full in built if full} == set(range(pyramids.FULL_SUBSET_FRAME_CAP))
 
     @pytest.mark.parametrize("caps", [{}, {"max_c": 6, "max_r": 2, "m_span": 3}])
     def test_ineq_counts_the_cases_of_every_scan(self, caps):
