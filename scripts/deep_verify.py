@@ -17,20 +17,20 @@ import time
 from staircase_lab import suites
 
 DEEP_CAPS = {
-    "special-chi": {"max_colength": 3200},
+    "special-chi": {"max_colength": 4000},
     "pyramid-oracle": {"max_frame": 90},
     "pyramid-oracle-full": {"max_frame": 780},
     "prop-4-1": {"max_frame_closed": 256, "max_frame_oracle": 120},
     "pyramid-monotonic": {"max_frame": 1300},
     "endpoint": {"max_frame": 2432, "max_n": 456},
-    "gstar-crosscheck": {"max_colength": 60},
-    "gstar-monotonic": {"max_colength": 35},
+    "gstar-crosscheck": {"max_colength": 62},
+    "gstar-monotonic": {"max_colength": 37},
     "regularity-bound": {"max_colength": 65},
     "hf-ideal-agreement": {"max_colength": 36},
-    "lemma-2-4": {"max_colength": 58},
-    "corollary-2-2": {"max_colength": 59},
-    "chain-invariants": {"max_colength": 57},
-    "form-agreement": {"max_colength": 34},
+    "lemma-2-4": {"max_colength": 59},
+    "corollary-2-2": {"max_colength": 61},
+    "chain-invariants": {"max_colength": 59},
+    "form-agreement": {"max_colength": 35},
     "ineq": {"max_c": 8000, "max_r": 7, "m_span": 40},
     "genus-negativity": {"max_c": 4800, "m_extent": 40, "nu_extent": 15},
     "ch14": {"max_e": 260},

@@ -40,6 +40,6 @@ class InternalInconsistencyError(StaircaseLabError):
 
 def int_array(values):
     """``values`` itself, if a list or tuple of ints: a bool, float or string is refused, not rounded."""
-    if type(values) not in (list, tuple) or any(type(v) is not int for v in values):
+    if type(values) not in (list, tuple) or not set(map(type, values)) <= {int}:
         raise DomainError(f"expected an array of integers, got {values!r}")
     return values

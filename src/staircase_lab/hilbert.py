@@ -8,60 +8,71 @@ where it stays.  The colength is the total deficiency
 ``sum(n + 1 - diff[n])``.
 
 A sequence from outside the package (the constructor, ``from_diff``,
-``parse``) is validated once, where it enters.  The enumerator and the
-staircases build admissible sequences directly and skip that check.
+``parse``) is validated once, where it enters, by one scan: it finds alpha
+and the first diagonal index and checks each stretch in a C-level pass.  The
+kernels and glued sequences of ``standard_form`` pass the same scan.  The
+enumerator and the staircases build admissible sequences directly, skip it,
+and hand each function its colength as they build it.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import comb
+from operator import eq, le, lt
 
 from .errors import DomainError, InternalInconsistencyError, int_array
 
 Verdict = str  # "less" | "equal" | "greater" | "incomparable"
 
 
-def _canonical_diff(raw) -> tuple[int, ...]:
-    """Validate a raw difference sequence and trim/extend it to the first
-    diagonal index (diff[e] == e + 1), with the diagonal tail implied."""
-    seq = int_array(raw)
-    if any(v < 0 for v in seq):
+class cached:
+    """A value computed on first access and stored in the instance's dict,
+    where it then shadows this descriptor.  It takes no lock: a race at worst
+    computes the same value twice."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _canonical(seq) -> tuple[int, ...]:
+    """A sequence of ints checked admissible in one scan, and trimmed or
+    extended to its first diagonal index e (seq[e] == e + 1).  With alpha its
+    first nonzero index: below e each entry is at most its index, from alpha
+    to e the entries increase strictly, and from e on they stay diagonal."""
+    if min(seq, default=0) < 0:
         raise DomainError(f"negative entry in difference sequence {seq}")
-    if not _diff_is_valid(seq):
+    size = len(seq)
+    e = next(compress(count(), map(eq, seq, count(1))), size)
+    alpha = next(compress(count(), seq), size)
+    if not (
+        all(map(le, seq[:e], count()))
+        and all(map(lt, seq[alpha:e], seq[alpha + 1 : e]))
+        and all(map(eq, seq[e:], count(e + 1)))
+    ):
         raise DomainError(f"not a valid difference sequence: {seq}")
-    e = next((n for n, v in enumerate(seq) if v == n + 1), len(seq))
     return tuple(seq[:e]) + (e + 1,)
 
 
-def _diff_is_valid(seq) -> bool:
-    started = False
-    prev = 0
-    on_diagonal = False
-    for n, v in enumerate(seq):
-        if v < 0 or v > n + 1:
-            return False
-        if on_diagonal and v != n + 1:
-            return False
-        if started and not on_diagonal and v < prev + 1:
-            return False
-        if v > 0:
-            started = True
-        if v == n + 1:
-            on_diagonal = True
-        prev = v
-    return True
+def _canonical_diff(raw) -> tuple[int, ...]:
+    """A raw difference sequence validated and made canonical."""
+    return _canonical(int_array(raw))
 
 
 def is_valid(raw) -> bool:
     """Whether ``raw`` is a list or tuple of ints that is an admissible difference sequence."""
     try:
-        return _diff_is_valid(int_array(raw))
+        _canonical_diff(raw)
     except DomainError:
         return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -71,11 +82,14 @@ class HilbertFunction:
     diff: tuple[int, ...]
 
     @staticmethod
-    def _trusted(diff: tuple[int, ...]) -> "HilbertFunction":
+    def _trusted(diff: tuple[int, ...], colength: int | None = None) -> "HilbertFunction":
         """The function of a canonical, admissible tuple, built unchecked: only
-        for sequences the package has validated or built admissible itself."""
+        for sequences the package has validated or built admissible itself.
+        A builder that knows the colength passes it, and it is stored."""
         phi = object.__new__(HilbertFunction)
         object.__setattr__(phi, "diff", diff)
+        if colength is not None:
+            object.__setattr__(phi, "colength", colength)
         return phi
 
     @staticmethod
@@ -95,19 +109,14 @@ class HilbertFunction:
         if self.diff != _canonical_diff(self.diff):
             raise DomainError(f"non-canonical difference sequence {self.diff}")
 
-    def diff_at(self, n: int) -> int:
-        if n < 0:
-            return 0
-        return self.diff[n] if n < len(self.diff) else n + 1
-
-    @cached_property
+    @cached
     def colength(self) -> int:
-        return sum(n + 1 - v for n, v in enumerate(self.diff))
+        return comb(len(self.diff) + 1, 2) - sum(self.diff)
 
     @property
     def alpha(self) -> int:
         """Minimal degree with a nonzero value."""
-        return next(n for n, v in enumerate(self.diff) if v > 0)
+        return next(compress(count(), self.diff))
 
     @property
     def regularity(self) -> int:
@@ -119,25 +128,20 @@ class HilbertFunction:
 
         Evaluated through two independent formulas that must agree exactly:
         a cumulative sum of phi(n) over n = 0..d, and a closed form in the
-        partial sum of phi below the regularity e.  The sum is O(d): it
-        accumulates diff up to e and then steps phi(n) = phi(n-1) + n + 1.
-        It uses no closed form past the regularity, which would turn it into
-        the other evaluation.  The closed form is O(e).  The value is cached.
+        partial sum of phi below the regularity e.  The sum is O(d): one
+        ``accumulate`` over diff up to e and over the diagonal values n + 1
+        past it.  It uses no closed form past the regularity, which would turn
+        it into the other evaluation.  The closed form is O(e).  The value is
+        cached.
         """
         return self._g_star
 
-    @cached_property
+    @cached
     def _g_star(self) -> int:
         d = self.colength
         e = self.regularity
-        prefix = list(itertools.accumulate(self.diff))  # phi(0..e)
-        by_sum = sum(prefix)
-        v = prefix[-1]
-        for n in range(e + 1, d + 1):
-            v += n + 1
-            by_sum += v
-        by_sum += -comb(d + 3, 3) + d * d + 1
-        s = sum(prefix[: max(e - 1, 0)])
+        by_sum = sum(accumulate(chain(self.diff, range(e + 2, d + 2)))) - comb(d + 3, 3) + d * d + 1
+        s = sum(accumulate(self.diff[: max(e - 1, 0)]))  # phi(0..e-2)
         by_closed = s - comb(e + 1, 3) + d * (e - 2) + 1
         if by_sum != by_closed:
             raise InternalInconsistencyError(
@@ -152,22 +156,31 @@ class HilbertFunction:
         return self.as_text()
 
 
-def _values(phi: HilbertFunction, length: int) -> tuple[int, ...]:
-    """phi(0), ..., phi(length - 1), for length past the regularity."""
-    values = list(itertools.accumulate(phi.diff))
-    v = values[-1]
-    for n in range(len(values), length):
-        v += n + 1
-        values.append(v)
-    return tuple(values)
+def _packed(functions) -> tuple[list[int], int]:
+    """Each function's values phi(0..L-1) packed into one int, a lane of whole
+    bytes per degree, and the mask of the lanes' top (guard) bits.
+
+    L passes every regularity; past both regularities two functions of one
+    colength agree, so one L serves every pair and phi(L-1) is the largest
+    value.  Every value stays below its lane's guard bit, so in
+    (b | guard) - a no lane borrows from the next, and a lane keeps its guard
+    bit iff b >= a there.
+    """
+    length = max((phi.regularity for phi in functions), default=0) + 1
+    rows = [list(accumulate(chain(phi.diff, range(len(phi.diff) + 1, length + 1)))) for phi in functions]
+    width = max((row[-1] for row in rows), default=0).bit_length() // 8 + 1  # bytes, guard bit included
+    guard = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    lanes = (b"".join(map(int.to_bytes, row, repeat(width), repeat("little"))) for row in rows)
+    return [int.from_bytes(lane, "little") for lane in lanes], guard
 
 
-def _verdict(a: tuple[int, ...], b: tuple[int, ...]) -> Verdict:
+def _order(a: int, b: int, guard: int) -> Verdict:
+    """The pointwise verdict between two functions packed by ``_packed``."""
     if a == b:
         return "equal"
-    if all(map(operator.le, a, b)):
+    if ((b | guard) - a) & guard == guard:
         return "less"
-    if all(map(operator.ge, a, b)):
+    if ((a | guard) - b) & guard == guard:
         return "greater"
     return "incomparable"
 
@@ -176,8 +189,8 @@ def compare(phi: HilbertFunction, psi: HilbertFunction) -> Verdict:
     """Pointwise partial-order verdict between equal-colength functions."""
     if phi.colength != psi.colength:
         raise DomainError("comparing Hilbert functions of different colengths")
-    length = max(phi.regularity, psi.regularity) + 1
-    return _verdict(_values(phi, length), _values(psi, length))
+    (a, b), guard = _packed((phi, psi))
+    return _order(a, b, guard)
 
 
 def enumerate_hilbert_functions(d: int) -> list[HilbertFunction]:
@@ -197,7 +210,7 @@ def enumerate_hilbert_functions(d: int) -> list[HilbertFunction]:
         for v in range(max(lo, n + 1 - deficit), n + 1):
             extend(prefix + (v,), v + 1 if v else 0, deficit - (n + 1 - v))
         if deficit == 0:  # only the diagonal value fits, and it ends the sequence
-            out.append(trusted(prefix + (n + 1,)))
+            out.append(trusted(prefix + (n + 1,), d))
 
     extend((), 0, d)
     return out
@@ -244,15 +257,12 @@ def pairwise_comparable(functions) -> list[tuple[HilbertFunction, HilbertFunctio
     functions = list(functions)
     if len({phi.colength for phi in functions}) > 1:
         raise DomainError("comparing Hilbert functions of different colengths")
-    # past both regularities two functions of one colength agree, so one
-    # padding length serves every pair
-    length = max((phi.regularity for phi in functions), default=0) + 1
-    values = [_values(phi, length) for phi in functions]
+    packed, guard = _packed(functions)
     # one verdict per unordered pair; sorting the index pairs restores the
     # order of the ordered pairs (i, j)
     pairs = []
-    for i, j in itertools.combinations(range(len(functions)), 2):
-        verdict = _verdict(values[i], values[j])
+    for i, j in combinations(range(len(functions)), 2):
+        verdict = _order(packed[i], packed[j], guard)
         if verdict == "less":
             pairs.append((i, j))
         elif verdict == "greater":

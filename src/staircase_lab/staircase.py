@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate, count, takewhile
+from functools import lru_cache
+from itertools import accumulate, chain, compress, count, repeat, takewhile
+from operator import add, le
 
 from .errors import DomainError, MalformedIdealError, RangeError, int_array
-from .hilbert import HilbertFunction
+from .hilbert import HilbertFunction, cached
 from .monomials import Monomial
 
 
@@ -59,18 +60,15 @@ class GradedMonomialIdeal:
             raise MalformedIdealError("columns are not a staircase")
         return GradedMonomialIdeal(h)
 
-    @cached_property
+    @cached
     def stable_from(self) -> int:
-        return max((i + b for i, b in enumerate(self.heights)), default=0)
+        return max(map(add, self.heights, count()), default=0)
 
-    @cached_property
+    @cached
     def columns(self) -> tuple[frozenset[int], ...]:
-        # cell (j, b) of the quotient, b < h_j, is missing from column j + b
-        missing = [[] for _ in range(self.stable_from)]
-        for j, b in enumerate(self.heights):
-            for n in range(j, j + b):
-                missing[n].append(n - j)
-        return tuple(frozenset(range(n + 1)).difference(miss) for n, miss in enumerate(missing))
+        # column n holds y^a iff a >= h_(n-a), with h_i = 0 past the heights
+        h = self.heights + (0,) * (self.stable_from - len(self.heights))
+        return tuple(frozenset(compress(range(n + 1), map(le, h[n::-1], count()))) for n in range(self.stable_from))
 
     def column(self, n: int) -> frozenset[int]:
         if n < 0:
@@ -86,16 +84,19 @@ class GradedMonomialIdeal:
     def hilbert_function(self) -> HilbertFunction:
         return self._hilbert_function
 
-    @cached_property
+    @cached
     def _hilbert_function(self) -> HilbertFunction:
-        # column n misses one cell for each i with i <= n < i + h_i; the cells'
+        # column n misses one cell for each i with i <= n < i + h_i: the
+        # min(n + 1, len(h)) cells begun by degree n less those ended, so
+        # diff[n] = max(0, n + 1 - len(h)) + #{i : i + h_i <= n}.  The cells'
         # degrees fill 0..stable_from - 1, so the diff is admissible, and
         # canonical with its first diagonal entry at stable_from
-        delta = [0] * (self.stable_from + 1)
-        for i, b in enumerate(self.heights):
-            delta[i] += 1
-            delta[i + b] -= 1
-        return HilbertFunction._trusted(tuple([n + 1 - missing for n, missing in enumerate(accumulate(delta))]))
+        h, top = self.heights, self.stable_from
+        ended = [0] * (top + 1)
+        for n in map(add, h, count()):
+            ended[n] += 1
+        diff = list(map(add, chain(repeat(0, len(h)), range(1, top + 2 - len(h))), accumulate(ended)))
+        return HilbertFunction._trusted(tuple(diff), self.colength)  # from a list: sized once, never shrunk
 
     def section_monomials(self, n: int) -> list[Monomial]:
         """Monomial basis of the degree-n section space (z-saturated columns)."""

@@ -34,6 +34,40 @@ def ref_g_star(diff):
     return total - comb(d + 3, 3) + d * d + 1
 
 
+def ref_is_valid(seq):
+    """Admissibility entry by entry: each entry in [0, n + 1], strictly
+    increasing after the first nonzero one, and diagonal from the first
+    diagonal entry on."""
+    started = False
+    prev = 0
+    on_diagonal = False
+    for n, v in enumerate(seq):
+        if v < 0 or v > n + 1:
+            return False
+        if on_diagonal and v != n + 1:
+            return False
+        if started and not on_diagonal and v < prev + 1:
+            return False
+        if v > 0:
+            started = True
+        if v == n + 1:
+            on_diagonal = True
+        prev = v
+    return True
+
+
+def ref_canonical(seq):
+    """Trimmed or extended to the first diagonal entry."""
+    e = next((n for n, v in enumerate(seq) if v == n + 1), len(seq))
+    return tuple(seq[:e]) + (e + 1,)
+
+
+# arbitrary int lists: length 0-12, entry n in [-2, n + 2]
+raw_lists = st.integers(min_value=0, max_value=12).flatmap(
+    lambda size: st.tuples(*(st.integers(min_value=-2, max_value=n + 2) for n in range(size))).map(list)
+)
+
+
 def ref_verdict(a, b):
     # past the colength both functions sit on the diagonal, so n <= d suffices
     top = ref_colength(a.diff) + 1
@@ -103,7 +137,19 @@ class TestValidity:
     def test_generated_sequences_are_valid(self, diff):
         assert H.is_valid(diff)
         phi = H.HilbertFunction.from_diff(diff)
-        assert phi.diff_at(phi.regularity) == phi.regularity + 1
+        assert phi.diff[phi.regularity] == phi.regularity + 1
+
+    @settings(max_examples=400)
+    @given(st.one_of(raw_lists, valid_diffs()))
+    def test_scan_matches_the_entrywise_reference(self, seq):
+        ok = ref_is_valid(seq)
+        assert H.is_valid(seq) is ok
+        if ok:
+            assert H.HilbertFunction.from_diff(seq).diff == ref_canonical(seq)
+            return
+        message = "negative entry" if min(seq) < 0 else "not a valid"
+        with pytest.raises(DomainError, match=message):
+            H.HilbertFunction.from_diff(seq)
 
     def test_canonical_trims_the_diagonal_tail(self):
         assert H.HilbertFunction.from_diff([0, 0, 3, 4, 5]).diff == (0, 0, 3)
@@ -152,6 +198,7 @@ class TestCatalog:
     def test_enumeration_matches_the_validated_reference(self, d):
         functions = H.enumerate_hilbert_functions(d)
         assert [phi.diff for phi in functions] == [phi.diff for phi in ref_enumerate(d)]
+        assert all(phi.colength == ref_colength(phi.diff) == d for phi in functions)
         # each function is canonical and admissible, as the validated path builds it
         assert all(H.HilbertFunction.from_diff(phi.diff) == phi for phi in functions)
 
@@ -254,6 +301,31 @@ class TestCompare:
         expected = [(a, b) for a, b in itertools.permutations(functions, 2) if ref_verdict(a, b) == "less"]
         assert H.pairwise_comparable(functions) == expected
 
+    @pytest.mark.parametrize("d", range(17))
+    def test_every_pair_matches_the_reference(self, d):
+        functions = H.enumerate_hilbert_functions(d)
+        for phi, psi in itertools.product(functions, repeat=2):
+            assert H.compare(phi, psi) == ref_verdict(phi, psi)
+        expected = [(a, b) for a, b in itertools.permutations(functions, 2) if ref_verdict(a, b) == "less"]
+        assert H.pairwise_comparable(functions) == expected
+
+    @pytest.mark.parametrize(
+        "d,low,high",
+        [
+            # phi(16) = C(18, 2) - d is the largest value: 128 needs lanes of two bytes, 127 fits in one
+            (25, (0, 0, 0, 0, 0, 0, 3, 8), (0, 0, 0, 0, 1, 5, *range(6, 16), 17)),
+            (26, (0, 0, 0, 0, 0, 0, 2, 8), (0, 0, 0, 0, 0, *range(5, 16), 17)),
+        ],
+    )
+    def test_lane_width_boundary(self, d, low, high):
+        phi, psi = H.HilbertFunction(low), H.HilbertFunction(high)
+        assert phi.colength == psi.colength == d
+        assert ref_phi(high, 16) == comb(18, 2) - d
+        for a, b in itertools.product([phi, psi], repeat=2):
+            assert H.compare(a, b) == ref_verdict(a, b)
+        assert H.compare(phi, psi) == "less"
+        assert H.pairwise_comparable([psi, phi]) == [(phi, psi)]
+
     def test_pairwise_keeps_the_ordered_pair_order(self):
         # phi < psi, each given twice as distinct equal objects; equal copies make no pair
         psi0, phi0, psi1, phi1 = (H.HilbertFunction.from_diff(d) for d in [(0, 1, 2), (0, 0, 3)] * 2)
@@ -289,4 +361,4 @@ class TestDeformationBound:
         # chi(n) = n(n-1)/2 below the regularity, for the odd-colength family
         chi = H.special_chi(7)
         for n in range(1, 4):
-            assert sum(chi.diff_at(k) for k in range(n + 1)) == n * (n - 1) // 2
+            assert sum(chi.diff[: n + 1]) == n * (n - 1) // 2

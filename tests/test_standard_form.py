@@ -8,7 +8,7 @@ from staircase_lab import staircase as S
 from staircase_lab import standard_form as SF
 from staircase_lab import torus as T
 from staircase_lab.catalog import build_space, case_by_name
-from staircase_lab.errors import DomainError, MarkerUndefinedError
+from staircase_lab.errors import DomainError, InternalInconsistencyError, MarkerUndefinedError
 from staircase_lab.monomials import Monomial
 
 from .strategies import hf_small
@@ -53,6 +53,14 @@ class TestDecompose:
         phi = SF.compose(psi, 4)
         assert phi.colength == 5 and phi.g_star() == 3
         assert SF.decompose(phi) == (psi, 4)
+
+    @pytest.mark.parametrize("diff", [(0, 0, 2, 1, 5), (0, 1, 1, 1, 5)])
+    def test_rejects_a_non_admissible_kernel(self, diff):
+        # built past validation; both genus evaluations agree and exceed the bound
+        phi = H.HilbertFunction._trusted(diff)
+        assert phi.g_star() > H.deformation_bound(phi.colength)
+        with pytest.raises(InternalInconsistencyError, match="shifted kernel"):
+            SF.decompose(phi)
 
     @given(hf_small)
     def test_round_trip_when_defined(self, phi):
