@@ -9,6 +9,14 @@ suite's other caps fixed (endpoint's frame and seam caps grow together in
 the ratio 64:12, a-bound keeps max_c at 3, stabilization extra_levels at 4,
 ineq max_r at 7 and m_span at 40, genus-negativity m_extent at 40 and
 nu_extent at 15).
+
+The host's speed drifts by up to 2x within minutes, so the caps of
+special-chi, gstar-crosscheck, gstar-monotonic, lemma-2-4, corollary-2-2,
+chain-invariants and form-agreement, refit when the Hilbert-function layer
+got faster, read "about 2 s" as the time of the slower code at its cap
+fitted under the rule above, measured in rounds alternating with it: each is
+the largest cap whose best-of-3 time, scaled by perfbench's calibration
+loop, came out no higher on average over the rounds.
 """
 
 import sys

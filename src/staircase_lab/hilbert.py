@@ -10,9 +10,10 @@ where it stays.  The colength is the total deficiency
 A sequence from outside the package (the constructor, ``from_diff``,
 ``parse``) is validated once, where it enters, by one scan: it finds alpha
 and the first diagonal index and checks each stretch in a C-level pass.  The
-kernels and glued sequences of ``standard_form`` pass the same scan.  The
-enumerator and the staircases build admissible sequences directly, skip it,
-and hand each function its colength as they build it.
+kernels and glued sequences of ``standard_form`` enter through ``from_diff``
+and pass the same scan.  The enumerator and the staircases build admissible
+sequences directly and skip it; every function derives its colength from
+its diff on first use.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ class cached:
         return value
 
 
-def _canonical(seq) -> tuple[int, ...]:
-    """A sequence of ints checked admissible in one scan, and trimmed or
+def _canonical_diff(raw) -> tuple[int, ...]:
+    """A list or tuple of ints checked admissible in one scan, and trimmed or
     extended to its first diagonal index e (seq[e] == e + 1).  With alpha its
     first nonzero index: below e each entry is at most its index, from alpha
     to e the entries increase strictly, and from e on they stay diagonal."""
+    seq = int_array(raw)
     if min(seq, default=0) < 0:
         raise DomainError(f"negative entry in difference sequence {seq}")
     size = len(seq)
@@ -59,11 +61,6 @@ def _canonical(seq) -> tuple[int, ...]:
     ):
         raise DomainError(f"not a valid difference sequence: {seq}")
     return tuple(seq[:e]) + (e + 1,)
-
-
-def _canonical_diff(raw) -> tuple[int, ...]:
-    """A raw difference sequence validated and made canonical."""
-    return _canonical(int_array(raw))
 
 
 def is_valid(raw) -> bool:
@@ -82,14 +79,11 @@ class HilbertFunction:
     diff: tuple[int, ...]
 
     @staticmethod
-    def _trusted(diff: tuple[int, ...], colength: int | None = None) -> "HilbertFunction":
+    def _trusted(diff: tuple[int, ...]) -> "HilbertFunction":
         """The function of a canonical, admissible tuple, built unchecked: only
-        for sequences the package has validated or built admissible itself.
-        A builder that knows the colength passes it, and it is stored."""
+        for sequences the package has validated or built admissible itself."""
         phi = object.__new__(HilbertFunction)
         object.__setattr__(phi, "diff", diff)
-        if colength is not None:
-            object.__setattr__(phi, "colength", colength)
         return phi
 
     @staticmethod
@@ -210,7 +204,7 @@ def enumerate_hilbert_functions(d: int) -> list[HilbertFunction]:
         for v in range(max(lo, n + 1 - deficit), n + 1):
             extend(prefix + (v,), v + 1 if v else 0, deficit - (n + 1 - v))
         if deficit == 0:  # only the diagonal value fits, and it ends the sequence
-            out.append(trusted(prefix + (n + 1,), d))
+            out.append(trusted(prefix + (n + 1,)))
 
     extend((), 0, d)
     return out

