@@ -22,7 +22,6 @@ picks are compared in place: the walk makes no call per selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     DomainError,
     InternalInconsistencyError,
     RangeError,
+    Record,
 )
 from .hilbert import special_chi
 from .monomials import Monomial
@@ -68,8 +68,7 @@ def q_value(d: int, n: int) -> int:
     return comb(n + 2, 2) - d
 
 
-@dataclass(frozen=True)
-class DomainSplit:
+class DomainSplit(Record):
     """Split of equal-degree monomials at total x,y-degree c + r."""
 
     threshold: int

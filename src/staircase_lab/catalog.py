@@ -8,19 +8,17 @@ check the cycle-degree formulas and the bound Q(m-1) + min > max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .hilbert import HilbertFunction
 from .monomials import Monomial
 from .staircase import GradedMonomialIdeal, from_generators
 from .torus import SemiInvariantSpace, TorusWeight, deformed_section_space
 
 
-@dataclass(frozen=True)
-class DeformationCase:
+class DeformationCase(Record):
     """One deformation family, parametrized by the regularity m."""
 
     name: str

@@ -18,12 +18,11 @@ its diff on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import comb
 from operator import eq, le, lt
 
-from .errors import DomainError, InternalInconsistencyError, int_array
+from .errors import DomainError, InternalInconsistencyError, Record, int_array
 
 Verdict = str  # "less" | "equal" | "greater" | "incomparable"
 
@@ -72,8 +71,7 @@ def is_valid(raw) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(Record):
     """A Hilbert function, canonically stored up to its regularity index."""
 
     diff: tuple[int, ...]

@@ -20,18 +20,14 @@ c <= 6 and at most 4 steps above each chain lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .alphagrade import a_bound_formula, q_value
 from .errors import DomainError
 
 
-@dataclass
 class ScanCaps:
-    max_c: int = 50
-    max_r: int = 6
-    m_span: int = 25  # how far above its lower bound each regularity runs
+    def __init__(self, max_c: int = 50, max_r: int = 6, m_span: int = 25):
+        # m_span: how far above its lower bound each regularity runs
+        self.max_c, self.max_r, self.m_span = max_c, max_r, m_span
 
 
 def _min_m0(r: int, c: int) -> int:
@@ -119,13 +115,13 @@ def _scan_6_3_3(caps: ScanCaps):
         ]
 
 
-# The closing quadratics of 6.3.2 as (a, b, e, first c): a c^2 + b c + e > 0
-# for c >= first, kept with their literal decimal coefficients as exact rationals.
+# The closing quadratics of 6.3.2 as (a, b, e, first c): a c^2 + b c + e > 0 for c >= first,
+# each row its decimals times the noted power of ten: a positive factor keeps the sign.
 _QUADRATICS_6_3_2 = {
-    "slow-step": (Fraction("0.75"), 6, 4, 0),
-    "fast-step": (Fraction("0.46"), Fraction("0.152"), -Fraction("6.776"), 4),
+    "slow-step": (75, 600, 400, 0),  # 100 x (0.75, 6, 4)
+    "fast-step": (460, 152, -6776, 4),  # 1000 x (0.46, 0.152, -6.776)
     "vice-corner": (2, 10, -6, 1),
-    "order-one": (Fraction("1.282416"), Fraction("7.188832"), -Fraction("7.093584"), 1),
+    "order-one": (1282416, 7188832, -7093584, 1),  # 10^6 x (1.282416, 7.188832, -7.093584)
 }
 
 
@@ -218,11 +214,9 @@ SCANS = {
 }
 
 
-@dataclass
 class ScanResult:
-    name: str
-    cases_run: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.cases_run, self.violations = name, 0, []
 
     @property
     def ok(self) -> bool:

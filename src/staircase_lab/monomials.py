@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
+class Monomial(Record):
     """A monomial x^ex * y^ey * z^ez with nonnegative exponents."""
 
+    __slots__ = ("ex", "ey", "ez")  # the hottest record: constructor and hash spelled out
     ex: int
     ey: int
     ez: int
 
-    def __post_init__(self):
-        if self.ex < 0 or self.ey < 0 or self.ez < 0:
-            raise DomainError(f"negative exponent in monomial {(self.ex, self.ey, self.ez)}")
+    def __init__(self, ex: int, ey: int, ez: int):
+        if ex < 0 or ey < 0 or ez < 0:
+            raise DomainError(f"negative exponent in monomial {(ex, ey, ez)}")
+        object.__setattr__(self, "ex", ex)
+        object.__setattr__(self, "ey", ey)
+        object.__setattr__(self, "ez", ez)
+
+    def __hash__(self):
+        return hash((self.ex, self.ey, self.ez))
+
+    def __reduce__(self):
+        return Monomial, (self.ex, self.ey, self.ez)
 
     @property
     def degree(self) -> int:

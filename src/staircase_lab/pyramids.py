@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb, isqrt
 from operator import add
 
-from .errors import DomainError, InternalInconsistencyError, RangeError
+from .errors import DomainError, InternalInconsistencyError, RangeError, Record
 
 TOP_SEGMENT_FRAME_CAP = 9
 FULL_SUBSET_FRAME_CAP = 5
@@ -34,8 +33,7 @@ def column_weight(column) -> int:
     return sum(column) - comb(len(column), 2)
 
 
-@dataclass(frozen=True)
-class Pyramid:
+class Pyramid(Record):
     columns: tuple[frozenset[int], ...]
 
     @staticmethod
@@ -85,8 +83,7 @@ class Pyramid:
         return avec
 
 
-@dataclass(frozen=True)
-class NRDecomposition:
+class NRDecomposition(Record):
     """The unique representation d = n(n+1) - r or d = n^2 - r, 0 <= r < n."""
 
     case: str  # "square_pronic" (d = n(n+1) - r) or "square" (d = n^2 - r)
@@ -170,8 +167,7 @@ def _column_options(i: int) -> tuple:
     return tuple((a, column_weight(range(a, i + 1)), frozenset(range(a, i + 1))) for a in range(i + 2))
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(Record):
     """The knapsack table of one frame over top segments, for every colength up to the frame.
 
     The weight is a sum over columns and the colength a sum of the entries

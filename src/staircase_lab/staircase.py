@@ -12,18 +12,16 @@ degree-n section space is ``sum_i z^(n-i) * V_i``.  Columns with index
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat, takewhile
 from operator import add, le
 
-from .errors import DomainError, MalformedIdealError, RangeError, int_array
+from .errors import DomainError, MalformedIdealError, RangeError, Record, int_array
 from .hilbert import HilbertFunction, cached
 from .monomials import Monomial
 
 
-@dataclass(frozen=True)
-class GradedMonomialIdeal:
+class GradedMonomialIdeal(Record):
     heights: tuple[int, ...]
 
     def __post_init__(self):
@@ -58,7 +56,7 @@ class GradedMonomialIdeal:
         h = tuple(takewhile(bool, heights))
         if any(a < b for a, b in zip(h, h[1:])) or top * (top + 1) // 2 - sum(map(len, cols)) != sum(h):
             raise MalformedIdealError("columns are not a staircase")
-        return GradedMonomialIdeal(h)
+        return GradedMonomialIdeal._trusted(h)
 
     @cached
     def stable_from(self) -> int:
@@ -115,7 +113,7 @@ class GradedMonomialIdeal:
         """Smallest Borel-fixed staircase containing this one: the largest
         strictly decreasing heights below these, g_i = min(h_i, g_(i-1) - 1)."""
         closure = accumulate(self.heights, lambda g, b: min(b, g - 1))
-        return GradedMonomialIdeal(tuple(takewhile(lambda g: g > 0, closure)))
+        return GradedMonomialIdeal._trusted(tuple(takewhile(lambda g: g > 0, closure)))
 
     def to_json_dict(self) -> dict:
         return {"columns": [sorted(col) for col in self.columns], "stable_from": self.stable_from}
@@ -174,7 +172,7 @@ def from_generators(gens) -> GradedMonomialIdeal:
     for gx, gy in pairs:
         if gx < width:
             lowest[gx] = min(lowest[gx], gy)
-    return GradedMonomialIdeal(tuple(accumulate(lowest, min)))
+    return GradedMonomialIdeal._trusted(tuple(accumulate(lowest, min)))
 
 
 @lru_cache(maxsize=None)

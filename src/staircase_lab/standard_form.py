@@ -10,10 +10,9 @@ form, and the chain data generate the marker monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, InternalInconsistencyError, MarkerUndefinedError
+from .errors import DomainError, InternalInconsistencyError, MarkerUndefinedError, Record
 from .hilbert import HilbertFunction, deformation_bound
 from .monomials import Monomial
 from .staircase import GradedMonomialIdeal
@@ -66,8 +65,7 @@ def compose(psi: HilbertFunction, m: int) -> HilbertFunction:
     return phi
 
 
-@dataclass(frozen=True)
-class TypeChain:
+class TypeChain(Record):
     """Chain data of the iterated decomposition.
 
     ``ms`` lists m_0 > m_1 > ... > m_r (empty for type -1); ``kernel_c`` and
@@ -148,8 +146,7 @@ def iota_table(ells) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MarkerSet:
+class MarkerSet(Record):
     """The six distinguished monomials attached to one chain level."""
 
     m_up: Monomial
@@ -193,8 +190,7 @@ def marker_monomials(chain: TypeChain) -> list[MarkerSet]:
     return out
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Record):
     """Ideal-level split I = ell * K(-1) + (monomial) * O(-m)."""
 
     ell: str  # 'x' or 'y'

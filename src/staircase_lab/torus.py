@@ -18,15 +18,13 @@ when asked for.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .errors import DegenerateLimitError, DomainError, int_array
+from .errors import DegenerateLimitError, DomainError, Record, int_array
 from .monomials import Monomial, monomial_from_list
 from .staircase import GradedMonomialIdeal
 
 
-@dataclass(frozen=True)
-class TorusWeight:
+class TorusWeight(Record):
     rho: tuple[int, int, int]
 
     def __post_init__(self):
@@ -41,8 +39,7 @@ class TorusWeight:
         return mon.shift(j * r0, j * r1, j * r2)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     initial: Monomial
     support: frozenset[int]
 

@@ -392,16 +392,20 @@ class TestDeterminism:
 
 
 ALPHAGRADE_MODULES = ("alphagrade", "hilbert", "monomials", "pyramids", "staircase", "torus")
+# standard modules whose import no request needs to pay: ``dataclasses``
+# (and through it ``inspect``), and ``fractions`` (with ``decimal``)
+NOT_IMPORTED = {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def imported_modules(*args):
-    """Exit code of one fresh ``python -m staircase_lab`` request, and the
-    package modules it imported (read from ``-X importtime``)."""
+    """Exit code of one fresh ``python -m staircase_lab`` request, the
+    package modules it imported and the ``NOT_IMPORTED`` ones it imported
+    (read from ``-X importtime``)."""
     result = subprocess.run(
         [sys.executable, "-X", "importtime", *BASE[1:], *args], capture_output=True, text=True, timeout=120, check=False
     )
     names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
-    return result.returncode, {name for name in names if name.split(".")[0] == "staircase_lab"}
+    return result.returncode, {name for name in names if name.split(".")[0] == "staircase_lab"}, names & NOT_IMPORTED
 
 
 class TestColdStart:
@@ -433,4 +437,15 @@ class TestColdStart:
         space_file.write_text(build_space(case_by_name("7.3"), 4).to_json())
         args = [a.format(space=space_file, missing=tmp_path / "missing.json") for a in args]
         base = {"staircase_lab", "staircase_lab.cli", "staircase_lab.errors"}
-        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules})
+        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules}, set())
+
+    def test_no_module_of_the_package_imports_the_unneeded_standard_modules(self):
+        import pkgutil
+
+        import staircase_lab
+
+        names = [f"staircase_lab.{m.name}" for m in pkgutil.iter_modules(staircase_lab.__path__) if m.name != "__main__"]
+        assert len(names) >= 12
+        code = f"import sys, {', '.join(names)}\nprint(sorted(set(sys.modules) & {NOT_IMPORTED!r}))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout == "[]\n"

@@ -144,6 +144,23 @@ def ref_6_3_2(caps):
             yield {"c": c, "branch": "order-one"}, ok
 
 
+def test_6_3_2_rows_are_positive_multiples_of_their_decimals():
+    """The integer rows of the 6.3.2 quadratics against the decimal coefficients:
+    each row is its decimals times one positive factor, and keeps its first c."""
+    q = Fraction
+    decimals = {
+        "slow-step": (q("0.75"), 6, 4, 0),
+        "fast-step": (q("0.46"), q("0.152"), -q("6.776"), 4),
+        "vice-corner": (2, 10, -6, 1),
+        "order-one": (q("1.282416"), q("7.188832"), -q("7.093584"), 1),
+    }
+    assert I._QUADRATICS_6_3_2.keys() == decimals.keys()
+    for branch, (a, b, e, first) in I._QUADRATICS_6_3_2.items():
+        da, db, de, dfirst = decimals[branch]
+        factor = q(a) / da
+        assert factor > 0 and (b, e, first) == (factor * db, factor * de, dfirst), branch
+
+
 def ref_7_1_1(caps):
     for c in range(5, caps.max_c + 1):
         for m in range(2 * c + 1, 2 * c + 1 + caps.m_span + 1):

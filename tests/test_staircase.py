@@ -216,6 +216,27 @@ class TestPartitionStorage:
         ideal = S.from_generators(gens)
         assert (ideal.columns, ideal.stable_from) == want
 
+    @given(
+        st.one_of(raw_columns(), columns_of_ideals()),
+        st.one_of(
+            st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=6),
+            ideals_small.map(lambda ideal: ideal.generators()),
+        ),
+        ideals_small,
+    )
+    def test_unchecked_builders_equal_the_validating_constructor(self, columns, gens, ideal):
+        """``from_columns``, ``from_generators`` and ``borel_closure`` prove their heights
+        a partition and build unchecked: each ideal is one the checked constructor accepts."""
+        builds = (lambda: S.GradedMonomialIdeal.from_columns(*columns), lambda: S.from_generators(gens),
+                  ideal.borel_closure)
+        for build in builds:
+            try:
+                got = build()
+            except DomainError:
+                continue
+            assert type(got.heights) is tuple and set(map(type, got.heights)) <= {int}
+            assert got == S.GradedMonomialIdeal(got.heights)
+
 
 class TestColength:
     def test_full_ideal(self):
