@@ -10,14 +10,14 @@ bounds for the true orbit degree.
 
 The alpha-grade of a selection is order-independent: adding y-degree b to a
 column that already holds k monomials (all distinct) adds b - k.  So the
-search grades the fixed monomials once (the plain columns of the space, and
-the pick of any chain left with a single option) and walks the other chains
-depth first, adding b - k per pick (and to the right-domain grade when the
-column lies right of the split) instead of regrading every selection.  Each
-distinct option monomial is numbered once per search, and the walk marks the
-monomials in use by flags in a bytearray indexed by that number, so it
-hashes no monomial.  The chain with the most options is walked last, and its
-picks are compared in place: the walk makes no call per selection.
+first search on a space grades the fixed monomials once (the plain columns,
+and the pick of any chain left with a single option), numbers each distinct
+option, an (x,y-degree, y-degree) pair, and keeps this fold on the space.
+Every search then walks the other chains depth first, adding b - k per pick,
+marks the options in use by flags in a bytearray, and compares one int per
+selection, grade * S + right: S = 1 without a split, and otherwise a power
+of two above 2 * (degree + 1) * (walked chains), which bounds 2 * |right|.
+The last two chains close in one nested loop, with no call per selection.
 """
 
 from __future__ import annotations
@@ -78,114 +78,138 @@ class DomainSplit(Record):
             raise DomainError("split threshold must be nonnegative")
 
     def is_right(self, mon: Monomial) -> bool:
-        return mon.xy_degree > self.threshold
+        return self.right_of(mon.xy_degree)
+
+    def right_of(self, xy_degree: int) -> bool:
+        return xy_degree > self.threshold
 
 
-def _fold(space: SemiInvariantSpace, split: DomainSplit | None):
-    """Grade the fixed monomials once and list the options of the other chains.
+def _fold(space: SemiInvariantSpace):
+    """The split-independent part of a search, worked out once per space.
 
     The fixed monomials are the plain columns and the pick of each deformed
     chain left with one option once those hitting a plain monomial are
-    dropped.  Each distinct option monomial gets an integer slot, so that
-    the flags are sized by the options, never by the degree.  Returns the
-    fixed monomials' alpha-grade, their count in each column that an option
-    reaches, a bytearray of taken flags with the forced picks set, and per
-    remaining chain its options, each as (slot, column, y-degree, right of
-    the split), the chain with the most options first.
+    dropped.  Options are (x,y-degree, y-degree) pairs read off the supports,
+    whose exponents every constructor of a space has checked.  Each distinct
+    option gets a slot and each column it reaches a number, so that nothing
+    is sized by the degree.  Returns the fixed monomials' alpha-grade, their
+    count per column number, the taken flags with the forced picks set, per
+    walked chain its options as (slot, column number, y-degree), the chain
+    with the most options first, and the x,y-degree of each column number.
     """
     columns = space.columns
+    r0, r1, _ = space.weight.rho
     kept = []
     budget = 1
     for chain in space.deformed:
-        options = chain.monomials(space.weight)
-        budget *= len(options)
+        budget *= len(chain.support)
         if budget > SELECTION_BUDGET:
             raise RangeError(f"selection budget exceeded: > {SELECTION_BUDGET} combinations")
-        kept.append([m for m in options if m.ey not in columns.get(m.xy_degree, ())])
+        i, b = chain.initial.xy_degree, chain.initial.ey
+        options = [(i + j * (r0 + r1), b + j * r1) for j in chain.support]
+        kept.append([(col, ey) for col, ey in options if ey not in columns.get(col, ())])
     if sum(map(len, columns.values())) + len(kept) != space.dimension:
         raise InternalInconsistencyError("duplicate initial monomials slipped through")
-    slots: dict[Monomial, int] = {}
-    for options in kept:
-        for m in options:
-            slots.setdefault(m, len(slots))
+    slots = {pair: k for k, pair in enumerate(dict.fromkeys(pair for options in kept for pair in options))}
     taken = bytearray(len(slots))
     forced = [options[0] for options in kept if len(options) == 1]
-    for m in forced:
-        if taken[slots[m]]:
+    for pair in forced:
+        if taken[slots[pair]]:
             raise DegenerateSpaceError("no collision-free selection exists")
-        taken[slots[m]] = 1
-    counts = {m.xy_degree: len(columns.get(m.xy_degree, ())) for m in slots}
+        taken[slots[pair]] = 1
+    numbers = {col: k for k, col in enumerate(dict.fromkeys(col for col, _ in slots))}
+    counts = [len(columns.get(col, ())) for col in numbers]
     grade = alpha_grade_columns(columns.values())
     # joined to the plain columns, each forced pick loses the k plain monomials of its column
-    grade += alpha_grade_monomials(forced) - sum(counts[m.xy_degree] for m in forced)
-    for m in forced:
-        counts[m.xy_degree] += 1
-    choices = [
-        [(slots[m], m.xy_degree, m.ey, split is not None and split.is_right(m)) for m in options]
-        for options in kept
-        if len(options) != 1
-    ]
-    choices.sort(key=len, reverse=True)
-    return grade, counts, taken, choices
+    grade += alpha_grade_monomials([Monomial(col - ey, ey, space.degree - col) for col, ey in forced])
+    grade -= sum(counts[numbers[col]] for col, _ in forced)
+    for col, _ in forced:
+        counts[numbers[col]] += 1
+    walked = sorted((options for options in kept if len(options) != 1), key=len, reverse=True)
+    choices = tuple(tuple((slots[pair], numbers[pair[0]], pair[1]) for pair in options) for options in walked)
+    return grade, tuple(counts), bytes(taken), choices, tuple(numbers)
 
 
-def _walk(choices, i: int, counts: dict, taken: bytearray, key: tuple[int, int]):
-    """Lexicographic (min, max) of the selection keys that extend ``key`` by
-    one pick from each of ``choices[i]``, ``choices[i - 1]``, ...,
-    ``choices[0]``, or None when all of them collide.
+def _walk(choices, i: int, counts: list, taken: bytearray, key: int):
+    """(min, max) of the packed keys that extend ``key`` by one pick from
+    each of ``choices[i]``, ``choices[i - 1]``, ..., ``choices[0]``, or None
+    when all of them collide.
 
-    A pick is free when the flag of its slot in ``taken`` is clear.  The
-    picks of ``choices[0]`` complete a selection and are compared in place,
-    without a call.  ``counts`` (monomials per column) and ``taken`` (the
-    forced and current picks) are restored before returning.
+    A pick (slot, column number, y-degree, multiplier) is free when its flag
+    in ``taken`` is clear, and adds its step, the y-degree minus the count
+    of its column, times its multiplier.  ``choices[1]`` and ``choices[0]``
+    close in one nested loop.  ``counts`` and ``taken`` are restored.
     """
-    grade, right = key
-    last = i == 0
+    if i == 0:  # a single walked chain
+        found = [key + (ey - counts[col]) * mult for slot, col, ey, mult in choices[0] if not taken[slot]]
+        return (min(found), max(found)) if found else None
     lo = hi = None
-    for slot, col, ey, is_right in choices[i]:
+    if i > 1:
+        for slot, col, ey, mult in choices[i]:
+            if taken[slot]:
+                continue
+            step = ey - counts[col]
+            taken[slot] = 1
+            counts[col] += 1
+            found = _walk(choices, i - 1, counts, taken, key + step * mult)
+            counts[col] -= 1
+            taken[slot] = 0
+            if found is None:
+                continue
+            if lo is None or found[0] < lo:
+                lo = found[0]
+            if hi is None or found[1] > hi:
+                hi = found[1]
+        return None if lo is None else (lo, hi)
+    last = choices[0]
+    for slot, col, ey, mult in choices[1]:
         if taken[slot]:
             continue
-        step = ey - counts[col]
-        if last:
-            found = (grade + step, right + step if is_right else right)
-            if lo is None or found < lo:
-                lo = found
-            if hi is None or found > hi:
-                hi = found
-            continue
+        outer = key + (ey - counts[col]) * mult
         taken[slot] = 1
         counts[col] += 1
-        found = _walk(choices, i - 1, counts, taken, (grade + step, right + step if is_right else right))
+        for slot2, col2, ey2, mult2 in last:
+            if taken[slot2]:
+                continue
+            found = outer + (ey2 - counts[col2]) * mult2
+            if lo is None:
+                lo = hi = found
+            elif found < lo:
+                lo = found
+            elif found > hi:
+                hi = found
         counts[col] -= 1
         taken[slot] = 0
-        if found is None:
-            continue
-        if lo is None or found[0] < lo:
-            lo = found[0]
-        if hi is None or found[1] > hi:
-            hi = found[1]
     return None if lo is None else (lo, hi)
 
 
 def _extremes(space: SemiInvariantSpace, split: DomainSplit | None):
     """Lexicographic min and max of (alpha-grade, right-domain alpha-grade)
     over chain selections, in one depth-first walk.  The right part counts
-    the walked picks only: the fixed monomials add the same to every
-    selection, and only differences of it are used.  It is 0 without a
-    split.  When every deformed chain is forced, the fixed monomials are
-    the one selection and the walk is not entered.  The walk starts at the
-    last chain, so the longest, ``choices[0]``, is the one compared in place.
+    the walked picks only (0 without a split): the fixed monomials add the
+    same to every selection, and only differences of it are used.  A search
+    that succeeds keeps the fold on the space; each copies what it walks.
 
-    Every walked chain has at least two options before the fixed ones are
-    dropped, so the budget bounds the depth by log2(SELECTION_BUDGET).
+    A pick adds its step times S + 1 right of the split, times S elsewhere:
+    S = 1 without a split, else the power of two above 2 * (degree + 1) *
+    len(walked).  Every step lies in [-degree, degree], so |right| <= degree
+    * len(walked) < S / 2: the packed order is the lexicographic one, and key / S rounded
+    to the nearest int is the grade.  Every walked chain has at least two
+    options before the fixed ones are dropped, so the budget bounds the
+    depth by log2(SELECTION_BUDGET).
     """
-    grade, counts, taken, choices = _fold(space, split)
-    if not choices:
-        return (grade, 0), (grade, 0)
-    found = _walk(choices, len(choices) - 1, counts, taken, (grade, 0))
+    fold = space._search or _fold(space)
+    grade, counts, taken, choices, xy_degrees = fold
+    scale = 1 if split is None else 1 << (2 * (space.degree + 1) * len(choices)).bit_length()
+    mults = [scale + (split is not None and split.right_of(col)) for col in xy_degrees]
+    walked = [[(slot, col, ey, mults[col]) for slot, col, ey in options] for options in choices]
+    key = grade * scale
+    found = _walk(walked, len(walked) - 1, list(counts), bytearray(taken), key) if walked else (key, key)
     if found is None:
         raise DegenerateSpaceError("no collision-free selection exists")
-    return found
+    space._search = fold
+    lo, hi = ((k + scale // 2) // scale for k in found)
+    return (lo, found[0] - lo * scale), (hi, found[1] - hi * scale)
 
 
 def minmax_alpha_grade(space: SemiInvariantSpace) -> tuple[int, int]:

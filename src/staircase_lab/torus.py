@@ -80,7 +80,7 @@ class SemiInvariantSpace:
     section space, in basis order (built on first use).
     """
 
-    __slots__ = ("weight", "degree", "dimension", "columns", "deformed", "_chains")
+    __slots__ = ("weight", "degree", "dimension", "columns", "deformed", "_chains", "_search")
 
     def __init__(self, weight: TorusWeight, chains):
         chains = tuple(chains)
@@ -111,6 +111,7 @@ class SemiInvariantSpace:
         self.deformed = tuple(deformed)
         self.dimension = sum(map(len, columns.values())) + len(self.deformed) if chains is None else len(chains)
         self._chains = chains
+        self._search = None  # the selection search's fold, kept by alphagrade
 
     @property
     def chains(self) -> tuple[Chain, ...]:

@@ -106,14 +106,26 @@ def unchecked_space(weight, chains):
     return space
 
 
+def fresh(space):
+    """A copy of ``space`` on which no search has run yet."""
+    copy = object.__new__(T.SemiInvariantSpace)
+    copy._fill(space.weight, space.degree, space.columns, space.deformed, space._chains)
+    return copy
+
+
 @st.composite
 def chain_spaces(draw):
-    """Section spaces of small staircases with a few random chain supports.
+    """Section spaces of small staircases with 1-8 random chain supports.
 
     Small torus weights and steps make chains land on fixed monomials and on
-    each other's options; sometimes a chain repeats another's initial.
+    each other's options; sometimes a chain repeats another's initial.  Half
+    of the draws deform 5-8 chains by one step each out of the section space
+    when the staircase allows it: each such chain keeps both of its options,
+    so the walk goes three or more chains deep while the brute-force
+    reference stays small.
     """
-    ideal = draw(ideals_small)
+    deep = draw(st.booleans())
+    ideal = draw(ideals_small.filter(lambda ideal: ideal.colength >= 5) if deep else ideals_small)
     basis = ideal.section_monomials(ideal.colength + draw(st.integers(0, 1)))
     r0, r1 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
     weight = T.TorusWeight((r0, r1, -r0 - r1)) if (r0, r1) != (0, 0) else T.TorusWeight((1, -1, 0))
@@ -132,9 +144,19 @@ def chain_spaces(draw):
         top = reach(mon)
         return frozenset([0, *draw(st.sets(st.integers(1, top), min_size=1))]) if top else frozenset([0])
 
-    movable = [mon for mon in basis if reach(mon)] or basis
-    picks = draw(st.lists(st.sampled_from(movable), min_size=1, max_size=4, unique=True))
-    chains = [T.Chain(mon, support(mon) if mon in picks else frozenset([0])) for mon in basis]
+    sections = set(basis)
+    leaving = {}  # the steps that take a section monomial out of the section space
+    for mon in basis:
+        if out := [j for j in range(1, reach(mon) + 1) if weight.step(mon, j) not in sections]:
+            leaving[mon] = out
+    if deep and len(leaving) >= 5:
+        picks = draw(st.lists(st.sampled_from(list(leaving)), min_size=5, max_size=8, unique=True))
+        supports = {mon: frozenset([0, draw(st.sampled_from(leaving[mon]))]) for mon in picks}
+    else:
+        movable = [mon for mon in basis if reach(mon)] or basis
+        picks = draw(st.lists(st.sampled_from(movable), min_size=1, max_size=4, unique=True))
+        supports = {mon: support(mon) for mon in picks}
+    chains = [T.Chain(mon, supports.get(mon, frozenset([0]))) for mon in basis]
     if draw(st.integers(0, 4)) == 4:
         repeat = draw(st.sampled_from(basis))
         chains.append(T.Chain(repeat, support(repeat)))
@@ -255,14 +277,20 @@ class TestOnePassExtremes:
             assert A.right_domain_spread(space, split) == ref_spread(space, split), threshold
 
     def test_spread_enumerates_the_selections_once(self, monkeypatch):
-        calls = []
-        monomials = T.Chain.monomials
+        """One space folds its options once, across minmax_alpha_grade and
+        right_domain_spread at every threshold: one fold, and at most one
+        option pass per deformed chain."""
+        calls, folds = [], []
+        monomials, fold = T.Chain.monomials, A._fold
         space = double_deformation_space()
         monkeypatch.setattr(T.Chain, "monomials", lambda chain, weight: calls.append(chain) or monomials(chain, weight))
-        A.right_domain_spread(space, A.DomainSplit(3))
-        deformed = {chain for chain in space.chains if len(chain.support) > 1}
-        assert set(Counter(calls).values()) == {1}
-        assert deformed <= set(calls)
+        monkeypatch.setattr(A, "_fold", lambda space: folds.append(space) or fold(space))
+        A.minmax_alpha_grade(space)
+        for threshold in range(space.degree + 1):
+            A.right_domain_spread(space, A.DomainSplit(threshold))
+        A.minmax_alpha_grade(space)
+        assert folds == [space]
+        assert set(Counter(calls).values()) <= {1}
 
 
 SHIFT = T.TorusWeight((-1, 1, 0))  # x^a y^b -> x^(a-j) y^(b+j): every step stays in one column layer
@@ -321,13 +349,21 @@ class TestSlotWalk:
 
     @pytest.mark.parametrize("label, space", REFERENCE_SPACES[::4], ids=[label for label, _ in REFERENCE_SPACES[::4]])
     def test_one_grading_call_per_search(self, monkeypatch, label, space):
-        """The per-layer benchmark counts rely on one alpha_grade_monomials call per search."""
+        """The first search on a space makes one alpha_grade_monomials call
+        (the per-layer benchmark counts it), whichever search it is, and the
+        later searches on that space make none."""
         calls = []
         grade = A.alpha_grade_monomials
         monkeypatch.setattr(A, "alpha_grade_monomials", lambda monomials: calls.append(1) or grade(monomials))
+        space, spread_first = fresh(space), fresh(space)
         A.minmax_alpha_grade(space)
         assert len(calls) == 1
-        A.right_domain_spread(space, A.DomainSplit(space.degree // 2))
+        for threshold in range(space.degree + 1):
+            A.right_domain_spread(space, A.DomainSplit(threshold))
+        A.minmax_alpha_grade(space)
+        assert len(calls) == 1
+        A.right_domain_spread(spread_first, A.DomainSplit(space.degree // 2))
+        A.minmax_alpha_grade(spread_first)
         assert len(calls) == 2
 
 
@@ -366,6 +402,25 @@ class TestIncrementalMatchesNaive:
                 split = A.DomainSplit(threshold)
                 got = outcome(lambda: A.right_domain_spread(space, split))
                 assert got == outcome(lambda: ref_spread(space, split)), threshold
+
+
+class TestSearchesOnOneSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(chain_spaces(), st.data())
+    def test_any_order_matches_a_fresh_space_and_the_reference(self, space, data):
+        """The fold kept by one search serves the next at any threshold; a
+        search that raises keeps nothing, and raises again."""
+        queries = [None, *range(space.degree + 1)]  # None: minmax_alpha_grade
+        order = data.draw(st.permutations(queries)) + data.draw(st.lists(st.sampled_from(queries), max_size=4))
+        for threshold in order:
+            if threshold is None:
+                search, ref = A.minmax_alpha_grade, ref_minmax
+            else:
+                split = A.DomainSplit(threshold)
+                search, ref = (lambda s: A.right_domain_spread(s, split)), (lambda s: ref_spread(s, split))
+            got = outcome(lambda: search(space))
+            assert got == outcome(lambda: search(fresh(space))) == outcome(lambda: ref(space)), threshold
+            assert (space._search is None) == isinstance(got, type)
 
 
 class TestBang:
