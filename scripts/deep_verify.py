@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Nightly profile: every verification suite at its deep range caps.
 
-Prints one line per suite and a final summary with the total wall time;
-exit code 1 on any violation, 2 when a key of ``DEEP_CAPS`` names no suite
-(nothing runs then).  The caps follow one rule: each is the largest that
+Prints one line per suite, ending with the caps it ran with, and a final
+summary with the total wall time; exit code 1 on any violation, 2 when a key
+of ``DEEP_CAPS`` names no suite (nothing runs then).  The caps follow one rule: each is the largest that
 finishes in about 2 s (best of 3) on a 2-core Python 3.11 host, with the
 suite's other caps fixed (endpoint's frame and seam caps grow together in
 the ratio 64:12, a-bound keeps max_c at 3, stabilization extra_levels at 4,
@@ -19,6 +19,7 @@ the largest cap whose best-of-3 time, scaled by perfbench's calibration
 loop, came out no higher on average over the rounds.
 """
 
+import json
 import sys
 import time
 
@@ -42,12 +43,12 @@ DEEP_CAPS = {
     "ineq": {"max_c": 8000, "max_r": 7, "m_span": 40},
     "genus-negativity": {"max_c": 4800, "m_extent": 40, "nu_extent": 15},
     "ch14": {"max_e": 260},
-    "ch7-catalog": {"max_m": 80},
-    "bang": {"max_m": 480},
+    "ch7-catalog": {"max_m": 400},
+    "bang": {"max_m": 1600},
     "stabilization": {"max_colength": 27, "extra_levels": 4},
-    "sandwich": {"max_m": 82},
-    "pyramid-alpha-link": {"max_colength": 26},
-    "a-bound": {"max_r": 7, "max_c": 3},
+    "sandwich": {"max_m": 340},
+    "pyramid-alpha-link": {"max_colength": 28},
+    "a-bound": {"max_r": 12, "max_c": 3},
     "borel": {"max_colength": 29},
 }
 
@@ -60,9 +61,10 @@ def main() -> int:
     failures = 0
     start = time.perf_counter()
     for name in suites.SUITES:
-        report = suites.run_suite(name, **DEEP_CAPS.get(name, {}))
+        caps = DEEP_CAPS.get(name, {})
+        report = suites.run_suite(name, **caps)
         status = "ok" if report.ok else f"{len(report.violations)} VIOLATION(S)"
-        print(f"{name:22s} cases={report.cases_run:8d} elapsed={report.elapsed:7.2f}s {status}")
+        print(f"{name:22s} cases={report.cases_run:8d} elapsed={report.elapsed:7.2f}s {status} caps={json.dumps(caps)}")
         if not report.ok:
             failures += 1
             for violation in report.violations[:5]:

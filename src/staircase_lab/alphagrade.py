@@ -3,21 +3,32 @@
 The alpha-grade of a monomial subspace is a column-wise weight: a column of
 y-degrees {c_1 < ... < c_r} contributes (c_1 + ... + c_r) - (1 + ... + (r-1)).
 For a staircase this yields the degree of the orbit-closure cycle of its
-graded pieces, constant once the degree is at least the colength.  For a
+graded pieces, constant once the degree is at least the colength.  Column
+n of a staircase with heights h and Hilbert differences diff has diff[n]
+members, whose y-degrees sum to C(n + 1, 2) less the missing b < h_(n-b);
+over all n the missing ones sum to sum_i C(h_i, 2).  So the columns below
+T = ``stable_from`` grade to
+
+    C(T + 1, 3) - sum_i C(h_i, 2) - sum_(n<T) C(diff[n], 2),
+
+``GradedMonomialIdeal.alpha_grade``; :func:`alpha_grade_columns` and
+:func:`cycle_degree` keep the column sum as its reference.  For a
 semi-invariant space, selecting one supported monomial per chain (collisions
 contribute nothing) and taking extremes of the alpha-grade gives computable
 bounds for the true orbit degree.
 
 The alpha-grade of a selection is order-independent: adding y-degree b to a
 column that already holds k monomials (all distinct) adds b - k.  So the
-first search on a space grades the fixed monomials once (the plain columns,
-and the pick of any chain left with a single option), numbers each distinct
-option, an (x,y-degree, y-degree) pair, and keeps this fold on the space.
-Every search then walks the other chains depth first, adding b - k per pick,
-marks the options in use by flags in a bytearray, and compares one int per
-selection, grade * S + right: S = 1 without a split, and otherwise a power
-of two above 2 * (degree + 1) * (walked chains), which bounds 2 * |right|.
-The last two chains close in one nested loop, with no call per selection.
+first search on a space grades the fixed monomials once (the plain ones, by
+their columns or, for a section space, by its staircase's closed form less
+the cells its chains take out, and the pick of any chain left with a single
+option), numbers each distinct option, an (x,y-degree, y-degree) pair, and
+keeps this fold on the space.  Every search then walks the other chains
+depth first, adding b - k per pick, marks the options in use by flags in a
+bytearray, and compares one int per selection, grade * S + right: S = 1
+without a split, and otherwise a power of two above 2 * (degree + 1) *
+(walked chains), which bounds 2 * |right|.  The last two chains close in
+one nested loop, with no call per selection.
 """
 
 from __future__ import annotations
@@ -84,10 +95,43 @@ class DomainSplit(Record):
         return xy_degree > self.threshold
 
 
+def _plain_part(space: SemiInvariantSpace):
+    """The plain monomials of a space: their alpha-grade, their number, and
+    tests of an (x,y-degree, y-degree) pair's membership and of a column's
+    count.  A section space reads them off its staircase (heights h, diff
+    and closed-form grade, each worked out once): column n holds y^b iff
+    b >= h_(n-b), it has diff[n] members, and taking y^b out of a column of
+    k members lowers the grade by b - (k - 1)."""
+    if space.staircase is None:
+        columns = space.columns
+        return (
+            alpha_grade_columns(columns.values()),
+            sum(map(len, columns.values())),
+            lambda col, ey: ey in columns.get(col, ()),
+            lambda col: len(columns.get(col, ())),
+        )
+    ideal, taken = space.staircase, space.taken
+    h, diff = ideal.heights, ideal.hilbert_function().diff
+
+    def members(col):
+        return diff[col] if col < len(diff) else col + 1
+
+    grade = ideal.alpha_grade
+    for col, eys in taken.items():
+        for k, ey in enumerate(eys):
+            grade -= ey - (members(col) - k - 1)
+    return (
+        grade,
+        space.dimension - len(space.deformed),
+        lambda col, ey: ey >= (h[col - ey] if col - ey < len(h) else 0) and ey not in taken.get(col, ()),
+        lambda col: members(col) - len(taken.get(col, ())),
+    )
+
+
 def _fold(space: SemiInvariantSpace):
     """The split-independent part of a search, worked out once per space.
 
-    The fixed monomials are the plain columns and the pick of each deformed
+    The fixed monomials are the plain ones and the pick of each deformed
     chain left with one option once those hitting a plain monomial are
     dropped.  Options are (x,y-degree, y-degree) pairs read off the supports,
     whose exponents every constructor of a space has checked.  Each distinct
@@ -97,7 +141,7 @@ def _fold(space: SemiInvariantSpace):
     walked chain its options as (slot, column number, y-degree), the chain
     with the most options first, and the x,y-degree of each column number.
     """
-    columns = space.columns
+    grade, plain_count, is_plain, count_of = _plain_part(space)
     r0, r1, _ = space.weight.rho
     kept = []
     budget = 1
@@ -107,8 +151,8 @@ def _fold(space: SemiInvariantSpace):
             raise RangeError(f"selection budget exceeded: > {SELECTION_BUDGET} combinations")
         i, b = chain.initial.xy_degree, chain.initial.ey
         options = [(i + j * (r0 + r1), b + j * r1) for j in chain.support]
-        kept.append([(col, ey) for col, ey in options if ey not in columns.get(col, ())])
-    if sum(map(len, columns.values())) + len(kept) != space.dimension:
+        kept.append([(col, ey) for col, ey in options if not is_plain(col, ey)])
+    if plain_count + len(kept) != space.dimension:
         raise InternalInconsistencyError("duplicate initial monomials slipped through")
     slots = {pair: k for k, pair in enumerate(dict.fromkeys(pair for options in kept for pair in options))}
     taken = bytearray(len(slots))
@@ -118,8 +162,7 @@ def _fold(space: SemiInvariantSpace):
             raise DegenerateSpaceError("no collision-free selection exists")
         taken[slots[pair]] = 1
     numbers = {col: k for k, col in enumerate(dict.fromkeys(col for col, _ in slots))}
-    counts = [len(columns.get(col, ())) for col in numbers]
-    grade = alpha_grade_columns(columns.values())
+    counts = [count_of(col) for col in numbers]
     # joined to the plain columns, each forced pick loses the k plain monomials of its column
     grade += alpha_grade_monomials([Monomial(col - ey, ey, space.degree - col) for col, ey in forced])
     grade -= sum(counts[numbers[col]] for col, _ in forced)

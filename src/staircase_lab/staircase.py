@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat, takewhile
+from math import comb
 from operator import add, le
 
 from .errors import DomainError, MalformedIdealError, RangeError, Record, int_array
@@ -95,6 +96,14 @@ class GradedMonomialIdeal(Record):
             ended[n] += 1
         diff = list(map(add, chain(repeat(0, len(h)), range(1, top + 2 - len(h))), accumulate(ended)))
         return HilbertFunction._trusted(tuple(diff))  # from a list: sized once, never shrunk
+
+    @cached
+    def alpha_grade(self) -> int:
+        """Alpha-grade of the columns below ``stable_from`` (the full ones
+        weigh 0): C(T + 1, 3) - sum_i C(h_i, 2) - sum_(n<T) C(diff[n], 2)."""
+        top = self.stable_from
+        missing = sum(map(comb, self.heights, repeat(2)))
+        return comb(top + 1, 3) - missing - sum(map(comb, self._hilbert_function.diff[:top], repeat(2)))
 
     def section_monomials(self, n: int) -> list[Monomial]:
         """Monomial basis of the degree-n section space (z-saturated columns)."""

@@ -307,13 +307,7 @@ def suite_ch7_catalog(max_m: int = 10):
     for case in catalog.CASES:
         for m in range(case.min_m, max_m + 1):
             space = catalog.build_space(case, m)
-            zero = torus.limit_ideal(space, "zero")
-            inf = torus.limit_ideal(space, "infinity")
-            level = space.degree
-            got = (
-                alphagrade.alpha_grade_columns(zero.column(i) for i in range(level + 1)),
-                alphagrade.alpha_grade_columns(inf.column(i) for i in range(level + 1)),
-            )
+            got = (torus.limit_ideal(space, "zero").alpha_grade, torus.limit_ideal(space, "infinity").alpha_grade)
             want = (case.deg_zero(m), case.deg_infinity(m))
             yield () if got == want else (({"case": case.name, "m": m}, want, got),)
 
@@ -354,19 +348,18 @@ def suite_sandwich(max_m: int = 9):
                 limit = torus.limit_ideal(space, direction)
             except DegenerateLimitError:
                 continue  # colliding limit monomials: no cycle on that side
-            level = space.degree
-            deg = alphagrade.alpha_grade_columns(limit.column(i) for i in range(level + 1))
+            deg = limit.alpha_grade
             if not lo <= deg <= hi:
                 found.append(({"fixture": label, "direction": direction}, (lo, hi), deg))
         yield found
 
 
 def suite_pyramid_alpha_link(max_colength: int = 8):
-    """Pyramid weight of the section space at degree d-1 equals its alpha-grade."""
+    """Pyramid weight of the section space at degree d-1 equals the
+    closed-form alpha-grade of the staircase."""
     for d, ideal in _ideals(1, max_colength):
-        cols = [ideal.column(i) for i in range(d)]
-        pyr = pyramids.Pyramid.from_columns(cols)
-        grade = alphagrade.alpha_grade_columns(cols)
+        pyr = pyramids.Pyramid.from_columns([ideal.column(i) for i in range(d)])
+        grade = ideal.alpha_grade
         yield () if pyr.colength == d and pyr.weight() == grade else (({"ideal": str(ideal)}, grade, pyr.weight()),)
 
 

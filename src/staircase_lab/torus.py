@@ -7,19 +7,26 @@ monomials M.  Only the support of the coefficients matters here, so a chain
 is its initial monomial plus the set of step indices carrying a nonzero
 coefficient (0 always included).
 
-Most chains of a section space are plain (support {0}): a single monomial.
-A space therefore keeps its plain chains as one set of y-exponents per
-x,y-degree, like a staircase column, and a ``Chain`` only for each deformed
-chain.  Building a space, grading it and taking its limits then cost
-O(degree + options) rather than O(dimension); the chain list is built only
-when asked for.
+Most chains of a space are plain (support {0}): a single monomial.  A space
+keeps a ``Chain`` only for each deformed chain, and its plain chains in one
+of two forms.  A space given by its chains (a ``--space`` file, a test) is in
+column form: one set of y-exponents per x,y-degree, like a staircase column.
+A section space built by :func:`deformed_section_space` keeps its
+staircase's heights, truncated to the degree n (h_i -> min(h_i, n + 1 - i)),
+and the cells its chains take out.  Its plain part is graded in closed form
+(``alpha_grade`` of the staircase, less each taken cell), and its limits
+move cells on the heights.  Building a space, grading it and taking its
+limits then cost O(degree + options) rather than O(dimension); the columns
+and the chain list are built only when asked for.
 """
 
 from __future__ import annotations
 
 import json
+from math import comb
+from operator import lt
 
-from .errors import DegenerateLimitError, DomainError, Record, int_array
+from .errors import DegenerateLimitError, DomainError, MalformedIdealError, Record, int_array
 from .monomials import Monomial, monomial_from_list
 from .staircase import GradedMonomialIdeal
 
@@ -74,13 +81,22 @@ def _group(chains) -> tuple[dict, list[Chain]]:
 
 
 class SemiInvariantSpace:
-    """A space in column form: ``columns`` maps an x,y-degree to the
-    y-exponents of the plain chains of that degree, ``deformed`` lists the
-    other chains.  ``chains`` is every chain, in the order given or, for a
-    section space, in basis order (built on first use).
+    """A space of chains of one degree.  ``deformed`` lists the chains with
+    more than one supported step; the plain chains are kept
+
+    * in column form: ``columns`` maps an x,y-degree to the y-exponents of
+      the plain chains of that degree (``staircase`` and ``taken`` are None);
+    * or, for a section space, as ``staircase``, the ideal truncated at the
+      degree, whose section monomials of this degree are the plain chains
+      and the deformed chains' initials, and ``taken``, which maps an
+      x,y-degree to the y-exponents of those initials.  ``columns`` is built
+      on first use.
+
+    ``chains`` is every chain, in the order given or, for a section space,
+    in basis order (built on first use).
     """
 
-    __slots__ = ("weight", "degree", "dimension", "columns", "deformed", "_chains", "_search")
+    __slots__ = ("weight", "degree", "dimension", "deformed", "staircase", "taken", "_columns", "_chains", "_search")
 
     def __init__(self, weight: TorusWeight, chains):
         chains = tuple(chains)
@@ -97,21 +113,43 @@ class SemiInvariantSpace:
                 chain.monomials(weight)  # raises on a negative exponent
         self._fill(weight, chains[0].initial.degree, *_group(chains), chains)
 
-    @classmethod
-    def _from_columns(cls, weight: TorusWeight, degree: int, columns: dict, deformed) -> "SemiInvariantSpace":
-        """A space from parts already checked by the caller."""
-        space = cls.__new__(cls)
-        space._fill(weight, degree, columns, deformed, None)
-        return space
-
     def _fill(self, weight, degree, columns, deformed, chains) -> None:
+        """Column form, from parts already checked by the caller."""
         self.weight = weight
         self.degree = degree
-        self.columns = columns
+        self._columns = columns
         self.deformed = tuple(deformed)
-        self.dimension = sum(map(len, columns.values())) + len(self.deformed) if chains is None else len(chains)
+        self.dimension = len(chains)
+        self.staircase = self.taken = None
         self._chains = chains
         self._search = None  # the selection search's fold, kept by alphagrade
+
+    @classmethod
+    def _section(cls, weight, degree, staircase, deformed, dimension) -> "SemiInvariantSpace":
+        """A section space of ``staircase``, from parts already checked by the caller."""
+        space = cls.__new__(cls)
+        space.weight = weight
+        space.degree = degree
+        space.staircase = staircase
+        space.deformed = tuple(deformed)
+        space.taken = {}
+        for chain in space.deformed:
+            space.taken.setdefault(chain.initial.xy_degree, []).append(chain.initial.ey)
+        space.dimension = dimension
+        space._columns = space._chains = space._search = None
+        return space
+
+    @property
+    def columns(self) -> dict:
+        if self._columns is None:
+            ideal, taken = self.staircase, self.taken
+            columns = {}
+            for i in range(self.degree + 1):
+                col = ideal.column(i) if i < ideal.stable_from else range(i + 1)  # a full column stays a range
+                if col:
+                    columns[i] = frozenset(col).difference(taken[i]) if i in taken else col
+            self._columns = columns
+        return self._columns
 
     @property
     def chains(self) -> tuple[Chain, ...]:
@@ -182,6 +220,8 @@ def limit_ideal(space: SemiInvariantSpace, direction: str) -> GradedMonomialIdea
         tops = [c.final(space.weight) for c in space.deformed]
     else:
         raise DomainError(f"direction must be 'zero' or 'infinity', got {direction!r}")
+    if space.staircase is not None:
+        return _moved_limit(space, tops, direction)
     grown: dict[int, set[int]] = {}
     for mon in tops:
         i = mon.xy_degree
@@ -192,6 +232,42 @@ def limit_ideal(space: SemiInvariantSpace, direction: str) -> GradedMonomialIdea
         grown[i].add(mon.ey)
     cols = [grown[i] if i in grown else space.columns.get(i, ()) for i in range(space.degree + 1)]
     return GradedMonomialIdeal.from_columns(cols, space.degree + 1)
+
+
+def _moved_limit(space: SemiInvariantSpace, tops, direction: str) -> GradedMonomialIdeal:
+    """``limit_ideal`` of a section space, by moving cells on its staircase's
+    heights: the chains' initial cells leave the ideal and the tops join it.
+    Every top is checked before any height moves, so that this raises what
+    the column form raises: a top on a plain monomial or on an earlier top
+    collides, and otherwise the cells missing over each x^i must be the
+    segment 0..h_i - 1, with h non-increasing.
+    """
+    h = space.staircase.heights
+    leave: dict[int, set[int]] = {}  # x-exponent -> y-exponents of the cells leaving the ideal
+    join: dict[int, set[int]] = {}
+    for chain in space.deformed:
+        leave.setdefault(chain.initial.ex, set()).add(chain.initial.ey)
+    for mon in tops:
+        i, b = mon.ex, mon.ey
+        joined = join.setdefault(i, set())
+        if b in joined or (b >= (h[i] if i < len(h) else 0) and b not in leave.get(i, ())):
+            raise DegenerateLimitError(f"colliding {direction}-limit monomials")
+        joined.add(b)
+    heights = list(h)
+    for i in leave.keys() | join.keys():
+        gone, back = leave.get(i, set()), join.get(i, set())
+        up, down = gone - back, back - gone  # the initials are above h_i, the other tops below it
+        if i >= len(heights):
+            heights += [0] * (i + 1 - len(heights))
+        base = heights[i]
+        if (up and down) or up != set(range(base, base + len(up))) or down != set(range(base - len(down), base)):
+            raise MalformedIdealError("columns are not a staircase")
+        heights[i] = base + len(up) - len(down)
+    if any(map(lt, heights, heights[1:])):
+        raise MalformedIdealError("columns are not a staircase")
+    while heights and not heights[-1]:
+        heights.pop()
+    return GradedMonomialIdeal._trusted(tuple(heights))
 
 
 def deformed_section_space(
@@ -207,16 +283,13 @@ def deformed_section_space(
     already a plain section are dropped (they reduce away against the
     monomial basis); a step hitting another chain's initial is rejected.
     The chains are checked in basis order.  Pass no deformations for the
-    all-monomial section space.
+    all-monomial section space.  The space keeps the staircase truncated at
+    the level, which has the same section monomials of that degree.
     """
-    columns = {}
-    for i in range(level + 1):
-        col = ideal.column(i) if i < ideal.stable_from else range(i + 1)  # a full column stays a range
-        if col:
-            columns[i] = col
+    heights = tuple(map(min, ideal.heights, range(level + 1, 0, -1)))
 
-    def is_section(mon):
-        return mon.ey in columns.get(mon.xy_degree, ())
+    def is_section(mon):  # of degree level: x^i y^b is a section iff b >= h_i
+        return mon.ey >= (heights[mon.ex] if mon.ex < len(heights) else 0)
 
     deformations = {initial: list(steps) for initial, steps in deformations}
     missing = [m for m in deformations if m.degree != level or not is_section(m)]
@@ -236,9 +309,7 @@ def deformed_section_space(
             support.add(j)
         if len(support) > 1:
             chains.append(Chain(mon, frozenset(support)))
-    for chain in chains:
-        i = chain.initial.xy_degree
-        columns[i] = frozenset(columns[i]).difference([chain.initial.ey])
-    if not columns:
+    dimension = comb(level + 2, 2) - sum(heights) if level >= 0 else 0
+    if not dimension:
         raise DomainError("semi-invariant space needs at least one chain")
-    return SemiInvariantSpace._from_columns(weight, level, columns, chains)
+    return SemiInvariantSpace._section(weight, level, GradedMonomialIdeal._trusted(heights), chains, dimension)

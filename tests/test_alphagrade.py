@@ -27,9 +27,9 @@ from staircase_lab.errors import (
     RangeError,
 )
 from staircase_lab.monomials import Monomial
-from staircase_lab.suites import _KERNELS, _minimal_chain
+from staircase_lab.suites import _KERNELS, _minimal_chain, run_suite
 
-from .strategies import ideals_small
+from .strategies import COLLIDING_FINALS, deformation_inputs, ideals_small
 
 
 def naive_selections(space):
@@ -109,24 +109,37 @@ def unchecked_space(weight, chains):
 def fresh(space):
     """A copy of ``space`` on which no search has run yet."""
     copy = object.__new__(T.SemiInvariantSpace)
-    copy._fill(space.weight, space.degree, space.columns, space.deformed, space._chains)
+    for name in T.SemiInvariantSpace.__slots__:
+        setattr(copy, name, getattr(space, name))
+    copy._search = None
     return copy
 
 
+def unchecked_section_space(ideal, level, weight, deformed):
+    """A section space whose chains the builder has not reduced: a step onto
+    a plain section monomial stays an option, so that the search's and the
+    limit's own membership tests on the heights are reached."""
+    base = T.deformed_section_space(ideal, level, weight, ())
+    return T.SemiInvariantSpace._section(weight, level, base.staircase, deformed, base.dimension)
+
+
 @st.composite
-def chain_spaces(draw):
-    """Section spaces of small staircases with 1-8 random chain supports.
+def chain_spaces(draw, section_form=st.booleans()):
+    """Section spaces of small staircases with 1-8 random chain supports,
+    kept over the staircase's heights when ``section_form`` draws True and
+    in column form otherwise.
 
     Small torus weights and steps make chains land on fixed monomials and on
-    each other's options; sometimes a chain repeats another's initial.  Half
-    of the draws deform 5-8 chains by one step each out of the section space
-    when the staircase allows it: each such chain keeps both of its options,
-    so the walk goes three or more chains deep while the brute-force
-    reference stays small.
+    each other's options; sometimes a chain of a column-form space repeats
+    another's initial.  Half of the draws deform 5-8 chains by one step each
+    out of the section space when the staircase allows it: each such chain
+    keeps both of its options, so the walk goes three or more chains deep
+    while the brute-force reference stays small.
     """
     deep = draw(st.booleans())
     ideal = draw(ideals_small.filter(lambda ideal: ideal.colength >= 5) if deep else ideals_small)
-    basis = ideal.section_monomials(ideal.colength + draw(st.integers(0, 1)))
+    level = ideal.colength + draw(st.integers(0, 1))
+    basis = ideal.section_monomials(level)
     r0, r1 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
     weight = T.TorusWeight((r0, r1, -r0 - r1)) if (r0, r1) != (0, 0) else T.TorusWeight((1, -1, 0))
 
@@ -157,6 +170,8 @@ def chain_spaces(draw):
         picks = draw(st.lists(st.sampled_from(movable), min_size=1, max_size=4, unique=True))
         supports = {mon: support(mon) for mon in picks}
     chains = [T.Chain(mon, supports.get(mon, frozenset([0]))) for mon in basis]
+    if draw(section_form):
+        return unchecked_section_space(ideal, level, weight, [c for c in chains if len(c.support) > 1])
     if draw(st.integers(0, 4)) == 4:
         repeat = draw(st.sampled_from(basis))
         chains.append(T.Chain(repeat, support(repeat)))
@@ -423,6 +438,70 @@ class TestSearchesOnOneSpace:
             assert (space._search is None) == isinstance(got, type)
 
 
+def limit_outcome(space, direction):
+    """The limit staircase, or the class and message of the error raised instead."""
+    try:
+        return T.limit_ideal(space, direction)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def assert_agrees_with_its_column_form(space):
+    """A section space and the column-form space of its chains give the same
+    dimension, JSON, extremes, spreads and limits, or raise the same errors."""
+    twin = T.SemiInvariantSpace(space.weight, space.chains)
+    assert (space.staircase is None, twin.staircase is None) == (False, True)
+    assert space.dimension == twin.dimension
+    assert space.to_json_dict() == twin.to_json_dict()
+    assert outcome(lambda: A.minmax_alpha_grade(space)) == outcome(lambda: A.minmax_alpha_grade(twin))
+    for threshold in range(space.degree + 1):
+        split = A.DomainSplit(threshold)
+        got = outcome(lambda: A.right_domain_spread(space, split))
+        assert got == outcome(lambda: A.right_domain_spread(twin, split)), threshold
+    for direction in ("zero", "infinity"):
+        assert limit_outcome(space, direction) == limit_outcome(twin, direction), direction
+
+
+class TestSectionSpaces:
+    """Spaces built by ``deformed_section_space`` keep their staircase's
+    heights; the column form of the same chains is the reference."""
+
+    @pytest.mark.parametrize("label, space", REFERENCE_SPACES, ids=[label for label, _ in REFERENCE_SPACES])
+    def test_catalog_and_marker_spaces(self, label, space):
+        assert_agrees_with_its_column_form(fresh(space))
+
+    @settings(max_examples=150, deadline=None)
+    @given(deformation_inputs())
+    @example(COLLIDING_FINALS)
+    def test_generated_spaces(self, data):
+        try:
+            space = T.deformed_section_space(*data)
+        except DomainError:
+            return  # the builder's own checks: tests/test_torus.py
+        assert_agrees_with_its_column_form(space)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_spaces(section_form=st.just(True)))
+    def test_unreduced_chains(self, space):
+        assert_agrees_with_its_column_form(space)
+
+    def test_searches_and_limits_read_no_column(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a staircase column was built")
+
+        monkeypatch.setattr(S.GradedMonomialIdeal, "column", never)
+        monkeypatch.setattr(S.GradedMonomialIdeal, "columns", property(never))
+        for suite, caps in [("ch7-catalog", {"max_m": 8}), ("bang", {"max_m": 8}), ("sandwich", {"max_m": 8}),
+                            ("a-bound", {"max_r": 2, "max_c": 3})]:
+            assert run_suite(suite, **caps).ok, suite
+        space = build_space(case_by_name("7.3"), 6)
+        A.minmax_alpha_grade(space)
+        A.right_domain_spread(space, A.DomainSplit(3))
+        for direction in ("zero", "infinity"):
+            T.limit_ideal(space, direction)
+        assert (space._columns, space._chains) == (None, None)
+
+
 class TestBang:
     def test_exceptional_configuration(self):
         case = case_by_name("7.3")
@@ -471,8 +550,6 @@ class TestABound:
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("c", [0, 1, 2, 3])
     def test_marker_grid_respects_the_bounds(self, r, c):
-        from staircase_lab.suites import run_suite
-
         report = run_suite("a-bound", max_r=r, max_c=c)
         assert report.ok, report.violations
 

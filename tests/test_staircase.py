@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from staircase_lab import alphagrade as A
 from staircase_lab import hilbert as H
 from staircase_lab import staircase as S
 from staircase_lab.errors import DomainError, MalformedIdealError
@@ -302,6 +303,28 @@ class TestHilbertFunction:
         d = ideal.colength
         for n in range(d, d + 3):
             assert len(ideal.column(n)) == n + 1
+
+
+def column_sum(ideal):
+    """The reference: the alpha-grade summed column by column."""
+    return A.alpha_grade_columns(ideal.column(n) for n in range(ideal.stable_from))
+
+
+class TestAlphaGrade:
+    def test_matches_the_column_sum_on_every_staircase_of_colength_up_to_21(self):
+        ideals = [ideal for d in range(22) for ideal in S.enumerate_ideals(d)]
+        assert len(ideals) == 3506
+        assert [ideal.alpha_grade for ideal in ideals] == list(map(column_sum, ideals))
+
+    @given(partitions(max_total=40))
+    def test_matches_the_column_sum(self, heights):
+        ideal = S.GradedMonomialIdeal(heights)
+        assert ideal.alpha_grade == column_sum(ideal)
+
+    def test_values(self):
+        assert full_ideal().alpha_grade == 0
+        assert S.from_generators([(1, 1), (0, 2), (4, 0)]).alpha_grade == 5
+        assert S.from_generators([(0, 1), (5, 0)]).alpha_grade == 10
 
 
 class TestBorel:

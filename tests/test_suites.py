@@ -194,6 +194,15 @@ class TestViolations:
             "got": "m=5 < c+2=7 on (0, 0, 1, 3, 4, 6)",
         }]
 
+    def test_pyramid_alpha_link_checks_the_closed_form_grade(self, monkeypatch):
+        grade = staircase.GradedMonomialIdeal.alpha_grade.func
+        broken = property(lambda ideal: grade(ideal) + (ideal.heights == (2, 1)))
+        monkeypatch.setattr(staircase.GradedMonomialIdeal, "alpha_grade", broken)
+        code, report = verify_json("--suite", "pyramid-alpha-link", "--max-colength", "4")
+        assert code == 1
+        assert (report["cases_run"], report["ok"]) == (11, False)
+        assert report["violations"] == [{"params": {"ideal": "(x^2, x*y, y^2)"}, "expected": 1, "got": 0}]
+
     def test_sandwich_skips_only_colliding_limits(self, monkeypatch):
         limit = torus.limit_ideal
 
@@ -291,6 +300,15 @@ class TestCoverage:
     def test_deep_caps_bind(self, name):
         assert name in suites.SUITES
         suites.SUITES[name](**deep_verify.DEEP_CAPS[name])  # binds the caps, runs no case
+
+    def test_deep_verify_prints_the_caps_of_each_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "SUITES", {name: suites.SUITES[name] for name in ("catalog-small", "bang")})
+        monkeypatch.setattr(deep_verify, "DEEP_CAPS", {"bang": {"max_m": 6}})
+        assert deep_verify.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["catalog-small", "bang", "all"]
+        assert lines[0].endswith(" ok caps={}")
+        assert re.fullmatch(r"bang +cases= +3 elapsed= +[0-9.]+s ok caps=\{\"max_m\": 6\}", lines[1])
 
     def test_deep_verify_rejects_a_key_that_names_no_suite(self, monkeypatch, capsys):
         monkeypatch.setitem(deep_verify.DEEP_CAPS, "pyramid-orcale", {"max_frame": 5})

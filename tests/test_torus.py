@@ -1,8 +1,7 @@
 """Semi-invariant spaces, chains, and their limit staircases."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from staircase_lab import staircase as S
 from staircase_lab import torus as T
@@ -10,7 +9,7 @@ from staircase_lab.catalog import build_space, case_by_name, double_deformation_
 from staircase_lab.errors import DegenerateLimitError, DomainError
 from staircase_lab.monomials import Monomial
 
-from .strategies import ideals_small
+from .strategies import COLLIDING_FINALS, deformation_inputs
 
 
 def handle_space(m=4, level=None):
@@ -177,51 +176,10 @@ def outcome(compute):
         return type(exc), str(exc)
 
 
-@st.composite
-def deformation_inputs(draw):
-    """A small staircase, a level near its colength, a torus weight and a few
-    deformations.  Half the weights step a section onto a non-section, so
-    that some chains survive the reduction; steps mostly stay inside the
-    simplex, and sometimes a step is <= 0 or leaves it, or an initial lies
-    outside the section space."""
-    ideal = draw(ideals_small)
-    level = ideal.colength + draw(st.integers(-1, 1))
-    n = max(level, 0)
-    basis = ideal.section_monomials(level)
-    sections = set(basis)
-    holes = [Monomial(i - a, a, n - i) for i in range(n + 1) for a in range(i + 1)]
-    holes = [m for m in holes if m not in sections]
-    rho = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
-    rho = (*rho, -sum(rho))
-    chosen, twins = [], []
-    if basis and holes and draw(st.booleans()):
-        source, target = draw(st.sampled_from(basis)), draw(st.sampled_from(holes))
-        rho = (target.ex - source.ex, target.ey - source.ey, target.ez - source.ez)
-        chosen.append(source)
-        # a twin two steps before the target: both chains can end there
-        twin = [2 * e - t for e, t in zip(source.as_list(), target.as_list())]
-        if min(twin) >= 0 and Monomial(*twin) in sections and draw(st.booleans()):
-            twins.append((Monomial(*twin), [2]))
-    weight = T.TorusWeight(rho if any(rho) else (1, -1, 0))
-
-    def reach(mon):
-        return max((j for j in (1, 2, 3) if min(e + j * r for e, r in zip(mon.as_list(), rho)) >= 0), default=0)
-
-    def steps(mon):
-        if draw(st.integers(0, 9)) == 9:
-            return draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
-        return draw(st.lists(st.integers(1, reach(mon)), min_size=1, max_size=3)) if reach(mon) else []
-
-    initials = st.sampled_from(basis or holes or [Monomial(0, 0, 0)])
-    if holes and draw(st.integers(0, 9)) == 9:
-        initials |= st.sampled_from(holes)
-    chosen += draw(st.lists(initials, max_size=4 - len(chosen)))
-    return ideal, level, weight, [(mon, steps(mon)) for mon in chosen] + twins
-
-
 class TestColumnForm:
     @settings(max_examples=200, deadline=None)
     @given(deformation_inputs())
+    @example(COLLIDING_FINALS)
     def test_matches_the_chain_list_reference(self, data):
         ideal, level, weight, deformations = data
         space = outcome(lambda: T.deformed_section_space(ideal, level, weight, deformations))
