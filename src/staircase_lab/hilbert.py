@@ -14,6 +14,10 @@ kernels and glued sequences of ``standard_form`` enter through ``from_diff``
 and pass the same scan.  The enumerator and the staircases build admissible
 sequences directly and skip it; every function derives its colength from
 its diff on first use.
+
+With D(n) the cells missing up to degree n, g* = d^2 + 1 - sum_(n<=d) D(n).
+The enumerator reads g* this way to walk only the functions above a
+threshold: it skips a prefix whose largest completion stays at or below it.
 """
 
 from __future__ import annotations
@@ -185,26 +189,51 @@ def compare(phi: HilbertFunction, psi: HilbertFunction) -> Verdict:
     return _order(a, b, guard)
 
 
-def enumerate_hilbert_functions(d: int) -> list[HilbertFunction]:
-    """All Hilbert functions of colength d, in lexicographic diff order.
+def enumerate_hilbert_functions(d: int, above: int | None = None) -> list[HilbertFunction]:
+    """All Hilbert functions of colength d, in lexicographic diff order; with
+    ``above``, only those whose genus functional exceeds it.
 
     Every sequence is built admissible: after the first nonzero entry v the
     next entry is at least v + 1, and an entry below the diagonal may not
-    miss more than the deficit left.  So no result is validated again.
+    miss more than the deficit left.  So no result is validated again.  The
+    entry that spends the whole deficit is followed only by the diagonal
+    value, so its function is appended in place.
+
+    The prune reads the genus functional a third way.  With D(n) the cells
+    missing up to degree n, phi(n) = C(n + 2, 2) - D(n), so
+    g* = d^2 + 1 - sum_(n<=d) D(n) = 1 - d + sum_n left(n), where
+    left(n) = d - D(n) is the deficit left after entry n.  Every degree
+    before the diagonal misses a cell, so the pointwise largest completion of
+    a prefix misses one cell per degree; its lefts count down to 0 and bound
+    every leaf below by g + C(left + 1, 2) over the prefix's sum g.  A
+    subtree whose bound is at most ``above`` is skipped; at a leaf the bound
+    is its g*.
     """
     if d < 0:
         raise DomainError("colength must be nonnegative")
-    out: list[HilbertFunction] = []
     trusted = HilbertFunction._trusted
+    if above is None:
+        above = -d  # every g* is at least 1 - d: nothing is pruned
+    if d == 0:
+        return [trusted((1,))] if 1 > above else []
+    out: list[HilbertFunction] = []
 
-    def extend(prefix: tuple[int, ...], lo: int, deficit: int):
+    def extend(prefix: tuple[int, ...], lo: int, deficit: int, g: int):
+        # g: 1 - d plus the deficits left after the prefix's entries
         n = len(prefix)
-        for v in range(max(lo, n + 1 - deficit), n + 1):
-            extend(prefix + (v,), v + 1 if v else 0, deficit - (n + 1 - v))
-        if deficit == 0:  # only the diagonal value fits, and it ends the sequence
-            out.append(trusted(prefix + (n + 1,)))
+        first = n + 1 - deficit  # the entry that spends the whole deficit
+        if lo <= first:
+            if g > above:
+                out.append(trusted(prefix + (first, n + 2)))
+            first += 1
+        else:
+            first = lo
+        for v in range(first, n + 1):
+            left = deficit - n - 1 + v
+            if g + left * (left + 1) // 2 > above:
+                extend(prefix + (v,), v + 1 if v else 0, left, g + left)
 
-    extend((), 0, d)
+    extend((), 0, d, 1 - d)
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, repeat, takewhile
+from itertools import accumulate, chain, compress, count, pairwise, repeat, takewhile
 from math import comb
 from operator import add, le
 
@@ -65,9 +65,13 @@ class GradedMonomialIdeal(Record):
 
     @cached
     def columns(self) -> tuple[frozenset[int], ...]:
+        return tuple(self._column_walk())
+
+    def _column_walk(self):
+        """Columns 0..stable_from - 1, built one at a time as they are read."""
         # column n holds y^a iff a >= h_(n-a), with h_i = 0 past the heights
         h = self.heights + (0,) * (self.stable_from - len(self.heights))
-        return tuple(frozenset(compress(range(n + 1), map(le, h[n::-1], count()))) for n in range(self.stable_from))
+        return (frozenset(compress(range(n + 1), map(le, h[n::-1], count()))) for n in range(self.stable_from))
 
     def column(self, n: int) -> frozenset[int]:
         if n < 0:
@@ -110,9 +114,14 @@ class GradedMonomialIdeal(Record):
         return [Monomial(i - a, a, n - i) for i in range(n + 1) for a in sorted(self.column(i))]
 
     def is_borel_fixed(self) -> bool:
-        """Stable under the exchanges y -> x and z -> y on every monomial."""
-        cols = [self.column(n) for n in range(self.stable_from + 2)]
-        for col, nxt in zip(cols, cols[1:]):
+        """Stable under the exchanges y -> x and z -> y on every monomial.
+
+        The walk builds each column as it reads it and stops at the first
+        column that fails, so a staircase that fails early builds few; the
+        two full columns from ``stable_from`` on end it."""
+        top = self.stable_from
+        cols = chain(self._column_walk(), (frozenset(range(top + 1)), frozenset(range(top + 2))))
+        for col, nxt in pairwise(cols):
             for a in col:
                 if (a >= 1 and a - 1 not in col) or a + 1 not in nxt:
                     return False

@@ -43,6 +43,27 @@ def _functions(lo: int, hi: int):
     return ((d, phi) for d in range(lo, hi + 1) for phi in hilbert.enumerate_hilbert_functions(d))
 
 
+def _passed(n: int):
+    """A batch of n passing cases, as ``run_suite`` counts it: nothing for none."""
+    if n:
+        yield n
+
+
+PRUNE_CHECK_CAP = 10  # colengths at which the pruned walk is checked against the full one
+
+
+def _above_bound(d: int):
+    """The functions of colength d >= 5 whose genus exceeds the deformation
+    bound, from the g*-pruned walk, and the violations of that walk: up to
+    colength ``PRUNE_CHECK_CAP`` it must equal the filtered full enumeration."""
+    bound = hilbert.deformation_bound(d)
+    walked = hilbert.enumerate_hilbert_functions(d, above=bound)
+    if d > PRUNE_CHECK_CAP:
+        return walked, ()
+    filtered = [phi for phi in hilbert.enumerate_hilbert_functions(d) if phi.g_star() > bound]
+    return walked, () if walked == filtered else (({"d": d, "check": "g* prune"}, _texts(filtered), _texts(walked)),)
+
+
 def _ideals(lo: int, hi: int):
     """(d, ideal) for every staircase of colength lo <= d <= hi."""
     return ((d, ideal) for d in range(lo, hi + 1) for ideal in staircase.enumerate_ideals(d))
@@ -159,10 +180,13 @@ def suite_endpoint(max_frame: int = 32, max_n: int = 8):
 
 
 def suite_gstar_crosscheck(max_colength: int = 12):
-    """Both genus evaluations agree on every function (raises on mismatch)."""
-    for _, phi in _functions(0, max_colength):
-        phi.g_star()
-        yield ()
+    """Both genus evaluations agree on every function (raises on mismatch);
+    one batch of cases per colength."""
+    for d in range(0, max_colength + 1):
+        functions = hilbert.enumerate_hilbert_functions(d)
+        for phi in functions:
+            phi.g_star()
+        yield len(functions)
 
 
 def suite_gstar_monotonic(max_colength: int = 12):
@@ -170,18 +194,23 @@ def suite_gstar_monotonic(max_colength: int = 12):
     its maximum (d-1)(d-2)/2 at the lexicographically largest function."""
     for d in range(1, max_colength + 1):
         functions = hilbert.enumerate_hilbert_functions(d)
-        for phi, psi in hilbert.pairwise_comparable(functions):
-            ok = phi.g_star() < psi.g_star()
-            yield () if ok else (({"d": d, "phi": phi.as_text(), "psi": psi.as_text()}, "<", ">="),)
+        pairs = hilbert.pairwise_comparable(functions)
+        bad = [(phi, psi) for phi, psi in pairs if not phi.g_star() < psi.g_star()]
+        yield from _passed(len(pairs) - len(bad))
+        for phi, psi in bad:
+            yield (({"d": d, "phi": phi.as_text(), "psi": psi.as_text()}, "<", ">="),)
         top = max(phi.g_star() for phi in functions)
         want = (d - 1) * (d - 2) // 2
         yield () if top == want and hilbert.lex_most(d).g_star() == want else (({"d": d}, want, top),)
 
 
 def suite_regularity_bound(max_colength: int = 12):
-    for d, phi in _functions(0, max_colength):
-        ok = phi.regularity <= d or d == 0
-        yield () if ok else (({"d": d, "phi": phi.as_text()}, f"reg <= {d}", phi.regularity),)
+    for d in range(0, max_colength + 1):
+        functions = hilbert.enumerate_hilbert_functions(d)
+        bad = [phi for phi in functions if phi.regularity > d] if d else []
+        yield from _passed(len(functions) - len(bad))
+        for phi in bad:
+            yield (({"d": d, "phi": phi.as_text()}, f"reg <= {d}", phi.regularity),)
 
 
 def suite_hf_ideal_agreement(max_colength: int = 8):
@@ -221,27 +250,43 @@ def _strictly_decreasing(heights) -> bool:
 
 def suite_lemma_2_4(max_colength: int = 14):
     """Above the deformation bound the split exists and has c + m == d and
-    m >= c + 2; ``decompose`` raises when it does not."""
-    for d, phi in _functions(5, max_colength):
-        try:
-            split = standard_form.decompose(phi)  # None exactly at or below the bound
-        except InternalInconsistencyError as exc:
-            yield (({"d": d, "phi": phi.as_text()}, "c + m == d and m >= c + 2", str(exc)),)
-            continue
-        if split is not None:
-            yield ()
+    m >= c + 2; ``decompose`` raises when it does not.  One case per function
+    above the bound, walked without the others."""
+    for d in range(5, max_colength + 1):
+        walked, found = _above_bound(d)
+        if found:
+            yield found
+        for phi in walked:
+            try:
+                split = standard_form.decompose(phi)  # None exactly at or below the bound
+            except InternalInconsistencyError as exc:
+                yield (({"d": d, "phi": phi.as_text()}, "c + m == d and m >= c + 2", str(exc)),)
+                continue
+            yield () if split is not None else _unsplit(d, phi)
+
+
+def _unsplit(d: int, phi) -> tuple:
+    """A walked function that ``decompose`` leaves whole: the prune and
+    ``g_star`` disagree on the side of the bound it lies."""
+    return (({"d": d, "phi": phi.as_text()}, f"g* > {hilbert.deformation_bound(d)}", phi.g_star()),)
 
 
 def suite_corollary_2_2(max_colength: int = 18):
-    """Kernel below its own bound forces m >= 2c + 1."""
-    for d, phi in _functions(5, max_colength):
-        split = standard_form.decompose(phi)
-        if split is None:
-            continue
-        psi, m = split
-        c = psi.colength
-        if c >= 5 and psi.g_star() <= hilbert.deformation_bound(c):
-            yield () if m >= 2 * c + 1 else (({"d": d, "phi": phi.as_text()}, f"m >= {2 * c + 1}", m),)
+    """Kernel below its own bound forces m >= 2c + 1; only the functions above
+    the bound split, and only they are walked."""
+    for d in range(5, max_colength + 1):
+        walked, found = _above_bound(d)
+        if found:
+            yield found
+        for phi in walked:
+            split = standard_form.decompose(phi)
+            if split is None:
+                yield _unsplit(d, phi)
+                continue
+            psi, m = split
+            c = psi.colength
+            if c >= 5 and psi.g_star() <= hilbert.deformation_bound(c):
+                yield () if m >= 2 * c + 1 else (({"d": d, "phi": phi.as_text()}, f"m >= {2 * c + 1}", m),)
 
 
 def suite_chain_invariants(max_colength: int = 14):
@@ -281,9 +326,7 @@ def suite_ineq(name: str | None = None, max_c: int = 50, max_r: int = 6, m_span:
     caps = inequalities.ScanCaps(max_c=max_c, max_r=max_r, m_span=m_span)
     for n in [name] if name else inequalities.all_inequality_names():
         result = inequalities.inequality_scan(n, caps)
-        passed = result.cases_run - len(result.violations)
-        if passed:
-            yield passed
+        yield from _passed(result.cases_run - len(result.violations))
         for params in result.violations:
             yield (({"name": n, **params}, "holds", "fails"),)
 

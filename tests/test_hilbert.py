@@ -213,6 +213,42 @@ class TestCatalog:
             assert phi.regularity <= phi.colength
 
 
+def thresholds(d):
+    """The prune thresholds checked at colength d."""
+    return [-1, 0, 3, d] + ([H.deformation_bound(d)] if d >= 5 else [])
+
+
+class TestPrunedWalk:
+    """``enumerate_hilbert_functions(d, above)`` walks only the functions with
+    g* > above, which must be the full enumeration filtered by ``g_star``."""
+
+    @pytest.mark.parametrize("d", range(41))
+    def test_pruned_walk_is_the_filtered_enumeration(self, d):
+        functions = H.enumerate_hilbert_functions(d)
+        for above in thresholds(d):
+            want = [phi for phi in functions if phi.g_star() > above]
+            assert H.enumerate_hilbert_functions(d, above=above) == want, above
+
+    @given(st.integers(0, 24).flatmap(lambda d: st.tuples(st.just(d), st.integers(-d - 2, comb(d, 2) + 2))))
+    @settings(max_examples=60)
+    def test_pruned_walk_property(self, case):
+        d, above = case
+        want = [phi for phi in H.enumerate_hilbert_functions(d) if ref_g_star(phi.diff) > above]
+        assert H.enumerate_hilbert_functions(d, above=above) == want
+
+    def test_above_the_largest_genus_nothing_is_walked(self):
+        # the largest g* at colength d is (d - 1)(d - 2)/2, reached by the lex-most function
+        for d in range(1, 20):
+            top = (d - 1) * (d - 2) // 2
+            assert H.enumerate_hilbert_functions(d, above=top) == []
+            assert H.enumerate_hilbert_functions(d, above=top - 1) == [H.lex_most(d)]
+
+    def test_colength_zero(self):
+        # the full ideal has g* = 1
+        assert H.enumerate_hilbert_functions(0, above=0) == [H.HilbertFunction((1,))]
+        assert H.enumerate_hilbert_functions(0, above=1) == []
+
+
 class TestGenusFunctional:
     def test_printed_values(self):
         phi2_d3 = H.HilbertFunction.from_diff([0, 1, 2, 4])

@@ -337,6 +337,22 @@ class TestBorel:
     def test_handle_ideal_not_fixed(self):
         assert not S.from_generators([(1, 1), (0, 2), (4, 0)]).is_borel_fixed()
 
+    def test_the_early_stopping_walk_matches_the_check_over_all_columns(self):
+        # the reference reads every column, up to two past stable_from, before it decides
+        def ref_is_borel_fixed(ideal):
+            cols = [ideal.column(n) for n in range(ideal.stable_from + 2)]
+            return all(
+                (a == 0 or a - 1 in col) and a + 1 in nxt for col, nxt in zip(cols, cols[1:]) for a in col
+            )
+
+        seen = 0
+        for d in range(19):
+            for ideal in S.enumerate_ideals(d):
+                for case in (ideal, ideal.borel_closure()):
+                    assert case.is_borel_fixed() == ref_is_borel_fixed(case), case.heights
+                seen += 1
+        assert seen == 1597
+
     @given(ideals_small)
     def test_closure_is_fixed_and_never_larger_colength(self, ideal):
         closure = ideal.borel_closure()

@@ -194,6 +194,56 @@ class TestViolations:
             "got": "m=5 < c+2=7 on (0, 0, 1, 3, 4, 6)",
         }]
 
+    @pytest.mark.parametrize("suite", ["lemma-2-4", "corollary-2-2"])
+    def test_a_pruned_walk_that_drops_a_function_is_reported_per_colength(self, monkeypatch, suite):
+        enumerate_functions = hilbert.enumerate_hilbert_functions
+
+        def dropping(d, above=None):
+            functions = enumerate_functions(d, above)
+            return functions[:-1] if above is not None else functions
+
+        monkeypatch.setattr(hilbert, "enumerate_hilbert_functions", dropping)
+        report = suites.run_suite(suite, max_colength=12)
+        assert [v["params"] for v in report.violations] == [
+            {"d": d, "check": "g* prune"} for d in range(5, suites.PRUNE_CHECK_CAP + 1)
+        ]
+
+    @pytest.mark.parametrize("suite,cap", [("lemma-2-4", 12), ("corollary-2-2", 20)])
+    def test_a_walked_function_that_does_not_split_is_a_violation(self, monkeypatch, suite, cap):
+        cases = suites.run_suite(suite, max_colength=cap).cases_run
+        decompose = standard_form.decompose
+        whole = "0,0,1,3,4,6"
+        monkeypatch.setattr(standard_form, "decompose", lambda phi: None if phi.as_text() == whole else decompose(phi))
+        report = suites.run_suite(suite, max_colength=cap)
+        assert report.violations == [{"params": {"d": 7, "phi": whole}, "expected": "g* > 6", "got": 7}]
+        # lemma-2-4 counts the function either way; corollary-2-2 counted only splits with a small kernel
+        assert report.cases_run == cases + (suite == "corollary-2-2")
+
+    def test_regularity_bound_reports_from_a_batch_and_keeps_its_count(self, monkeypatch):
+        cases = suites.run_suite("regularity-bound", max_colength=6).cases_run
+        regularity = hilbert.HilbertFunction.regularity
+        broken = property(lambda phi: regularity.fget(phi) + 9 * (phi.as_text() in ("0,0,3", "0,1,2,4")))
+        monkeypatch.setattr(hilbert.HilbertFunction, "regularity", broken)
+        report = suites.run_suite("regularity-bound", max_colength=6)
+        assert report.cases_run == cases
+        assert report.violations == [
+            {"params": {"d": 3, "phi": "0,0,3"}, "expected": "reg <= 3", "got": 11},
+            {"params": {"d": 3, "phi": "0,1,2,4"}, "expected": "reg <= 3", "got": 12},
+        ]
+
+    def test_gstar_monotonic_reports_from_a_batch_and_keeps_its_count(self, monkeypatch):
+        cases = suites.run_suite("gstar-monotonic", max_colength=6).cases_run
+        top = hilbert.lex_most(5)
+        below = [phi.as_text() for phi, psi in hilbert.pairwise_comparable(hilbert.enumerate_hilbert_functions(5))
+                 if psi == top]
+        g_star = hilbert.HilbertFunction.g_star
+        monkeypatch.setattr(hilbert.HilbertFunction, "g_star", lambda phi: -1 if phi == top else g_star(phi))
+        report = suites.run_suite("gstar-monotonic", max_colength=6)
+        assert report.cases_run == cases
+        assert [v["params"] for v in report.violations] == [
+            *({"d": 5, "phi": text, "psi": top.as_text()} for text in below), {"d": 5}
+        ]
+
     def test_pyramid_alpha_link_checks_the_closed_form_grade(self, monkeypatch):
         grade = staircase.GradedMonomialIdeal.alpha_grade.func
         broken = property(lambda ideal: grade(ideal) + (ideal.heights == (2, 1)))
