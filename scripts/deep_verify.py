@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Nightly profile: every verification suite at its deep range caps.
 
-Prints one line per suite, ending with the caps it ran with, and a final
-summary with the total wall time; exit code 1 on any violation, 2 when a key
-of ``DEEP_CAPS`` names no suite (nothing runs then).  The caps follow one rule: each is the largest that
-finishes in about 2 s (best of 3) on a 2-core Python 3.11 host, with the
-suite's other caps fixed (endpoint's frame and seam caps grow together in
-the ratio 64:12, a-bound keeps max_c at 3, stabilization extra_levels at 4,
-ineq max_r at 7 and m_span at 40, genus-negativity m_extent at 40 and
-nu_extent at 15).  The host's speed drifts by up to 2x within minutes, so a
-probe is timed in rounds that alternate it with a fixed reference run.
+Prints one line per suite, in the order of the registry ``suites.SUITES``,
+ending with the caps it ran with, and a final summary with the total wall
+time; exit code 1 on any violation, 2 when a key of ``DEEP_CAPS`` names no
+suite (nothing runs then: reading the names imports no suite group). The
+caps follow one rule: each is the largest that finishes in about 2 s (best
+of 3) on a 2-core Python 3.11 host, with the suite's other caps fixed
+(endpoint's frame and seam caps grow together in the ratio 64:12, a-bound
+keeps max_c at 3, stabilization extra_levels at 4, ineq max_r at 7 and
+m_span at 40, genus-negativity m_extent at 40 and nu_extent at 15). The
+host's speed drifts by up to 2x within minutes, so a probe is timed in
+rounds that alternate it with a fixed reference run.
 """
 
 import json

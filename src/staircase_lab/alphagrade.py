@@ -42,11 +42,14 @@ from .errors import (
     RangeError,
     Record,
 )
-from .hilbert import special_chi
+from .hilbert import q_value, special_chi
 from .monomials import Monomial
 from .pyramids import column_weight
 from .staircase import GradedMonomialIdeal, from_generators
-from .torus import SemiInvariantSpace
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: grading a staircase needs no torus
+    from .torus import SemiInvariantSpace
 
 SELECTION_BUDGET = 10**6
 
@@ -72,11 +75,6 @@ def cycle_degree(ideal: GradedMonomialIdeal, n: int) -> int:
     if n < ideal.colength - 1:
         raise RangeError(f"degree {n} below the stabilization range {ideal.colength - 1}")
     return alpha_grade_columns(ideal.column(i) for i in range(min(n, ideal.stable_from) + 1))
-
-
-def q_value(d: int, n: int) -> int:
-    """Complementary Hilbert polynomial value in the plane: C(n+2, 2) - d."""
-    return comb(n + 2, 2) - d
 
 
 class DomainSplit(Record):
@@ -278,53 +276,6 @@ def check_bang(space: SemiInvariantSpace, phi) -> bool:
     ideal with Hilbert function phi and regularity m."""
     lo, hi = minmax_alpha_grade(space)
     return q_value(phi.colength, phi.regularity - 1) + lo > hi
-
-
-def a_bound_formula(case: str, *, c: int, r: int):
-    """The closed-form bound of :func:`a_bound` for one (case, c, r), as a
-    function of the chain ms.
-
-    The arguments are checked here, once; the function returned assumes ms
-    holds what its case needs: m_0..m_r for "I1"/"I2", at least m_0 for
-    "II1"/"II2".
-    """
-    if r < 0 or c < 0:
-        raise DomainError(f"need r >= 0 and c >= 0, got r={r}, c={c}")
-    if case in ("I1", "I2"):
-        if r == 0:
-            return lambda ms: 0
-        base = r * (r + 3) if case == "I1" else r * (r + c)
-        return lambda ms: base + sum(ms[1:])
-    if case in ("II1", "II2"):
-        if r < 1:
-            raise DomainError(f"case {case} is stated for r >= 1")
-        if case == "II1":
-            slope, base = 4, r * (r + 3) - c - 1
-        else:
-            slope, base = c + 2, r * r - 2 * (c + 2) + comb(c, 2)
-        return lambda ms: slope * ms[0] + base
-    raise DomainError(f"unknown bound case {case!r}")
-
-
-def a_bound(case: str, *, c: int, r: int, ms: tuple[int, ...] = ()) -> int:
-    """Closed-form bound for the right-domain alpha-grade spread, per regime.
-
-    Cases "I1"/"I2" need the full chain m_0..m_r; "II1"/"II2" need r >= 1 and
-    use only m_0.
-    """
-    bound = a_bound_formula(case, c=c, r=r)
-    if case in ("I1", "I2") and r > 0 and len(ms) != r + 1:
-        raise DomainError(f"case {case} needs m_0..m_{r}, got {ms}")
-    if case in ("II1", "II2") and not ms:
-        raise DomainError(f"case {case} needs m_0")
-    return bound(ms)
-
-
-def genus_nu(d: int, nu: int) -> int:
-    """Genus of the cone family: (nu - 1) d - C(nu + 2, 3) + 1, nu >= 1."""
-    if nu < 1:
-        raise DomainError(f"need nu >= 1, got {nu}")
-    return (nu - 1) * d - comb(nu + 2, 3) + 1
 
 
 def chapter14_ideals(e: int) -> list[GradedMonomialIdeal]:

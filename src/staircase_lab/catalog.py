@@ -217,11 +217,12 @@ def chain_staircase(ms, kernel_gens) -> GradedMonomialIdeal:
 
 def marker_deformation_space(
     ms,
-    kernel_gens,
+    ideal: GradedMonomialIdeal,
     target: int,
     into_left_domain: bool = False,
 ) -> SemiInvariantSpace:
-    """Space of an iterated y-split whose top form carries one extra monomial.
+    """Space of an iterated y-split whose top form carries one extra monomial,
+    over ``ideal``, the ``chain_staircase`` of ms and some kernel.
 
     With ``into_left_domain`` the tail is the small corner monomial
     y^(r+1) z^(m_0 - r - 1); otherwise it is the lower vice-marker of chain
@@ -229,7 +230,6 @@ def marker_deformation_space(
     """
     r = len(ms) - 1
     m0 = ms[0]
-    ideal = chain_staircase(ms, kernel_gens)
     n = ideal.colength
     if into_left_domain:
         tail = Monomial(0, r + 1, m0 - r - 1)

@@ -3,8 +3,13 @@
 Exit codes: 0 success, 1 a verification suite found violations, 2 usage or
 domain error, 3 internal inconsistency (two formulas that must agree do not).
 
-Every request starts a fresh interpreter, so each command imports the
-computing modules it runs inside its own function: a request loads only those.
+Every request starts a fresh interpreter, which compiles from source each
+package module it imports when no bytecode cache exists.  So each command
+imports inside its own function only the modules it runs: ``hf enum`` and
+``genus`` compile ``hilbert``, ``hf info`` adds ``standard_form``, ``pyramid max``
+compiles ``pyramids``, ``ch14`` and ``alphagrade`` the alpha-grade modules
+(``torus`` only to read a space), and ``verify`` the suite runner and its
+suite's group module with what that group calls (see ``suites``).
 """
 
 from __future__ import annotations
@@ -111,9 +116,9 @@ def cmd_alphagrade(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    from . import alphagrade
+    from . import hilbert
 
-    value = alphagrade.genus_nu(args.d, args.nu)
+    value = hilbert.genus_nu(args.d, args.nu)
     _emit(args, {"d": args.d, "nu": args.nu, "genus": value}, str(value))
     return 0
 

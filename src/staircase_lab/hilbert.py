@@ -18,6 +18,9 @@ its diff on first use.
 With D(n) the cells missing up to degree n, g* = d^2 + 1 - sum_(n<=d) D(n).
 The enumerator reads g* this way to walk only the functions above a
 threshold: it skips a prefix whose largest completion stays at or below it.
+
+``q_value`` (the complementary Hilbert polynomial) and ``genus_nu`` (the genus
+of the cone family) live here so that their callers load nothing else.
 """
 
 from __future__ import annotations
@@ -246,6 +249,18 @@ def deformation_bound(d: int) -> int:
         return (d - 2) ** 2 // 4
     assert (d - 1) * (d - 3) % 4 == 0
     return (d - 1) * (d - 3) // 4
+
+
+def q_value(d: int, n: int) -> int:
+    """Complementary Hilbert polynomial value in the plane: C(n+2, 2) - d."""
+    return comb(n + 2, 2) - d
+
+
+def genus_nu(d: int, nu: int) -> int:
+    """Genus of the cone family: (nu - 1) d - C(nu + 2, 3) + 1, nu >= 1."""
+    if nu < 1:
+        raise DomainError(f"need nu >= 1, got {nu}")
+    return (nu - 1) * d - comb(nu + 2, 3) + 1
 
 
 def special_chi(d: int) -> HilbertFunction:

@@ -12,16 +12,20 @@ against the side that is constant along the row, and a params dict is built
 only for a failing point.  :func:`inequality_scan` sums the counts and sorts
 the violations; the expected result is always an empty list.
 
-The ``star``/``starbis`` scans walk every chain (m_0 .. m_r); they check the
-bound's arguments once per row with ``a_bound_formula`` and evaluate it and
-``q_value`` once per chain.  Whatever the caps, they stay within r <= 3,
-c <= 6 and at most 4 steps above each chain lower bound.
+The ``star``/``starbis`` scans walk every chain (m_0 .. m_r) against
+:func:`a_bound`, the closed bound of the right-domain alpha-grade spread,
+defined here beside them.  They check the bound's arguments once per row
+with ``a_bound_formula`` and evaluate it and ``q_value`` once per chain.
+Whatever the caps, they stay within r <= 3, c <= 6 and at most 4 steps
+above each chain lower bound.
 """
 
 from __future__ import annotations
 
-from .alphagrade import a_bound_formula, q_value
+from math import comb
+
 from .errors import DomainError
+from .hilbert import q_value
 
 
 class ScanCaps:
@@ -162,6 +166,46 @@ def _chains(caps: ScanCaps, r: int, c: int) -> list[tuple[int, ...]]:
     for _ in range(r):
         level = [((m,) + ms, below + m) for ms, below in level for m in range(below + 2, below + 2 + span + 1)]
     return [ms for ms, _ in level]
+
+
+def a_bound_formula(case: str, *, c: int, r: int):
+    """The closed-form bound of :func:`a_bound` for one (case, c, r), as a
+    function of the chain ms.
+
+    The arguments are checked here, once; the function returned assumes ms
+    holds what its case needs: m_0..m_r for "I1"/"I2", at least m_0 for
+    "II1"/"II2".
+    """
+    if r < 0 or c < 0:
+        raise DomainError(f"need r >= 0 and c >= 0, got r={r}, c={c}")
+    if case in ("I1", "I2"):
+        if r == 0:
+            return lambda ms: 0
+        base = r * (r + 3) if case == "I1" else r * (r + c)
+        return lambda ms: base + sum(ms[1:])
+    if case in ("II1", "II2"):
+        if r < 1:
+            raise DomainError(f"case {case} is stated for r >= 1")
+        if case == "II1":
+            slope, base = 4, r * (r + 3) - c - 1
+        else:
+            slope, base = c + 2, r * r - 2 * (c + 2) + comb(c, 2)
+        return lambda ms: slope * ms[0] + base
+    raise DomainError(f"unknown bound case {case!r}")
+
+
+def a_bound(case: str, *, c: int, r: int, ms: tuple[int, ...] = ()) -> int:
+    """Closed-form bound for the right-domain alpha-grade spread, per regime.
+
+    Cases "I1"/"I2" need the full chain m_0..m_r; "II1"/"II2" need r >= 1 and
+    use only m_0.
+    """
+    bound = a_bound_formula(case, c=c, r=r)
+    if case in ("I1", "I2") and r > 0 and len(ms) != r + 1:
+        raise DomainError(f"case {case} needs m_0..m_{r}, got {ms}")
+    if case in ("II1", "II2") and not ms:
+        raise DomainError(f"case {case} needs m_0")
+    return bound(ms)
 
 
 def _scan_star(case: str, caps: ScanCaps):

@@ -15,7 +15,10 @@ from typing import Optional
 from .errors import DomainError, InternalInconsistencyError, MarkerUndefinedError, Record
 from .hilbert import HilbertFunction, deformation_bound
 from .monomials import Monomial
-from .staircase import GradedMonomialIdeal
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: splitting a function needs no staircase
+    from .staircase import GradedMonomialIdeal
 
 
 def decompose(phi: HilbertFunction) -> Optional[tuple[HilbertFunction, int]]:
@@ -220,7 +223,7 @@ def detect_standard_form(ideal: GradedMonomialIdeal) -> Optional[StandardForm]:
     if not x_divides and not y_divides:
         return None
     # the kernel is (I : y), heights h_i - 1, or (I : x), heights h_1, h_2, ...
-    kernel = GradedMonomialIdeal(tuple(b - 1 for b in h if b > 1) if y_divides else h[1:])
+    kernel = type(ideal)(tuple(b - 1 for b in h if b > 1) if y_divides else h[1:])
     if kernel.colength + m != d:
         raise InternalInconsistencyError(
             f"kernel colength {kernel.colength} + m {m} != {d} on {ideal}"

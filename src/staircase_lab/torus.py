@@ -284,7 +284,9 @@ def deformed_section_space(
     monomial basis); a step hitting another chain's initial is rejected.
     The chains are checked in basis order.  Pass no deformations for the
     all-monomial section space.  The space keeps the staircase truncated at
-    the level, which has the same section monomials of that degree.
+    the level, which has the same section monomials of that degree, and
+    ``ideal`` itself, with what it has cached, where the truncation changes
+    nothing (at any level >= its colength).
     """
     heights = tuple(map(min, ideal.heights, range(level + 1, 0, -1)))
 
@@ -312,4 +314,5 @@ def deformed_section_space(
     dimension = comb(level + 2, 2) - sum(heights) if level >= 0 else 0
     if not dimension:
         raise DomainError("semi-invariant space needs at least one chain")
-    return SemiInvariantSpace._section(weight, level, GradedMonomialIdeal._trusted(heights), chains, dimension)
+    staircase = ideal if heights == ideal.heights else GradedMonomialIdeal._trusted(heights)
+    return SemiInvariantSpace._section(weight, level, staircase, chains, dimension)

@@ -157,7 +157,7 @@ def test_criterion_09_genus_negativity():
             for m in range(c + 2, c + 31):
                 d = c + m
                 for nu in range(m, m + 11):
-                    if A.genus_nu(d, nu) >= 0:
+                    if H.genus_nu(d, nu) >= 0:
                         return f"(c={c}, m={m}, nu={nu})"
         return None
 

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staircase_lab import alphagrade as A
+from staircase_lab import hilbert as H
+from staircase_lab import inequalities as I
 from staircase_lab import staircase as S
 from staircase_lab import torus as T
 from staircase_lab.catalog import (
@@ -16,6 +18,7 @@ from staircase_lab.catalog import (
     build_space,
     case_by_name,
     case_hilbert_function,
+    chain_staircase,
     double_deformation_space,
     marker_deformation_space,
     zero_limit_ideal,
@@ -27,7 +30,8 @@ from staircase_lab.errors import (
     RangeError,
 )
 from staircase_lab.monomials import Monomial
-from staircase_lab.suites import _KERNELS, _minimal_chain, run_suite
+from staircase_lab.suites import run_suite
+from staircase_lab.suites.alpha import _KERNELS, _minimal_chain
 
 from .strategies import COLLIDING_FINALS, deformation_inputs, ideals_small
 
@@ -84,11 +88,12 @@ def reference_spaces():
     for r in (1, 2):
         for c in range(4):
             ms = _minimal_chain(r, c)
+            ideal = chain_staircase(ms, _KERNELS[c])
             for target in range(1, r + 1):
-                space = marker_deformation_space(ms, _KERNELS[c], target)
+                space = marker_deformation_space(ms, ideal, target)
                 spaces.append((f"marker r={r} c={c} t={target}", space))
             if c >= 1:
-                left = marker_deformation_space(ms, _KERNELS[c], 0, into_left_domain=True)
+                left = marker_deformation_space(ms, ideal, 0, into_left_domain=True)
                 spaces.append((f"marker r={r} c={c} left", left))
     return spaces
 
@@ -232,9 +237,9 @@ class TestCycleDegree:
 
 class TestQValue:
     def test_values(self):
-        assert A.q_value(5, 3) == 5
-        assert A.q_value(14, 7) == 22
-        assert A.q_value(0, 3) == 10
+        assert H.q_value(5, 3) == 5
+        assert H.q_value(14, 7) == 22
+        assert H.q_value(0, 3) == 10
 
 
 class TestMinMax:
@@ -485,6 +490,13 @@ class TestSectionSpaces:
     def test_unreduced_chains(self, space):
         assert_agrees_with_its_column_form(space)
 
+    @pytest.mark.parametrize("level", range(2, 10))
+    def test_a_space_keeps_its_staircase_truncated_at_the_level(self, level):
+        ideal = S.from_generators([(2, 0), (1, 2), (0, 6)])  # heights (6, 2), colength 8
+        space = T.deformed_section_space(ideal, level, T.TorusWeight((1, -1, 0)), ())
+        assert (space.staircase is ideal) == (level >= 5)  # from level 5 on, h_i <= level + 1 - i leaves it whole
+        assert_agrees_with_its_column_form(space)
+
     def test_searches_and_limits_read_no_column(self, monkeypatch):
         def never(*args):
             raise AssertionError("a staircase column was built")
@@ -521,21 +533,21 @@ class TestBang:
 
 class TestABound:
     def test_type_zero_first_regime_vanishes(self):
-        assert A.a_bound("I1", c=3, r=0) == 0
-        assert A.a_bound("I2", c=3, r=0) == 0
+        assert I.a_bound("I1", c=3, r=0) == 0
+        assert I.a_bound("I2", c=3, r=0) == 0
 
     def test_values(self):
-        assert A.a_bound("II1", c=0, r=1, ms=(7, 5)) == 31
-        assert A.a_bound("I2", c=2, r=1, ms=(8, 4)) == 7
-        assert A.a_bound("I1", c=1, r=2, ms=(14, 5, 3)) == 18
+        assert I.a_bound("II1", c=0, r=1, ms=(7, 5)) == 31
+        assert I.a_bound("I2", c=2, r=1, ms=(8, 4)) == 7
+        assert I.a_bound("I1", c=1, r=2, ms=(14, 5, 3)) == 18
 
     def test_wrong_regime_rejected(self):
         with pytest.raises(DomainError):
-            A.a_bound("II1", c=0, r=0, ms=(7,))
+            I.a_bound("II1", c=0, r=0, ms=(7,))
         with pytest.raises(DomainError):
-            A.a_bound("I1", c=0, r=2, ms=(14, 5))
+            I.a_bound("I1", c=0, r=2, ms=(14, 5))
         with pytest.raises(DomainError):
-            A.a_bound("nope", c=0, r=1, ms=(7, 5))
+            I.a_bound("nope", c=0, r=1, ms=(7, 5))
 
     def test_marker_deformations_respect_the_bound(self):
         # type 1, empty kernel: chain x^9 -> lower vice-marker of level 1
@@ -545,7 +557,7 @@ class TestABound:
             ideal, 14, weight, [(Monomial(9, 0, 5), [1])]
         )
         spread = A.right_domain_spread(space, A.DomainSplit(1))
-        assert spread <= A.a_bound("II1", c=0, r=1, ms=(9, 5))
+        assert spread <= I.a_bound("II1", c=0, r=1, ms=(9, 5))
 
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("c", [0, 1, 2, 3])
@@ -559,24 +571,24 @@ class TestABound:
         weight = T.TorusWeight((-5, 1, 4))
         space = T.deformed_section_space(ideal, 17, weight, [(Monomial(14, 0, 3), [2])])
         spread = A.right_domain_spread(space, A.DomainSplit(2))
-        assert spread <= A.a_bound("II1", c=0, r=2, ms=(14, 7, 5))
+        assert spread <= I.a_bound("II1", c=0, r=2, ms=(14, 7, 5))
 
 
 class TestGenus:
     def test_values(self):
-        assert A.genus_nu(1, 1) == 0
-        assert A.genus_nu(6, 4) == -1
+        assert H.genus_nu(1, 1) == 0
+        assert H.genus_nu(6, 4) == -1
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            A.genus_nu(4, 0)
+            H.genus_nu(4, 0)
 
     def test_negativity_window(self):
         for c in range(0, 21):
             for m in range(c + 2, c + 31):
                 d = c + m
                 for nu in (m, m + 3, m + 10):
-                    assert A.genus_nu(d, nu) < 0
+                    assert H.genus_nu(d, nu) < 0
 
 
 class TestChapter14:

@@ -391,7 +391,8 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
 
 
-ALPHAGRADE_MODULES = ("alphagrade", "hilbert", "monomials", "pyramids", "staircase", "torus")
+# what grading a staircase loads: a space's type is only an annotation there
+GRADE_MODULES = ("alphagrade", "hilbert", "monomials", "pyramids", "staircase")
 # standard modules whose import no request needs to pay: ``dataclasses``
 # (and through it ``inspect``), and ``fractions`` (with ``decimal``)
 NOT_IMPORTED = {"dataclasses", "inspect", "fractions", "decimal"}
@@ -413,22 +414,33 @@ class TestColdStart:
         "args,code,modules",
         [
             (("hf", "enum", "--colength", "3"), 0, ("hilbert",)),
-            (("hf", "info", "--phi", "0,0,2,3,5"), 0, ("hilbert", "monomials", "staircase", "standard_form")),
+            (("hf", "info", "--phi", "0,0,2,3,5"), 0, ("hilbert", "monomials", "standard_form")),
             (("pyramid", "max", "--frame", "4", "--colength", "4", "--oracle"), 0, ("pyramids",)),
-            (("genus", "--d", "6", "--nu", "4"), 0, ALPHAGRADE_MODULES),
-            (("ch14", "--e", "5"), 0, ALPHAGRADE_MODULES),
-            (("alphagrade", "--space", "{space}"), 0, ALPHAGRADE_MODULES),
+            (("genus", "--d", "6", "--nu", "4"), 0, ("hilbert",)),
+            (("ch14", "--e", "5"), 0, GRADE_MODULES),
+            (("alphagrade", "--space", "{space}"), 0, GRADE_MODULES + ("torus",)),
             (("alphagrade", "--space", "{missing}"), 2, ()),
             (
                 ("verify", "--suite", "special-chi", "--max-colength", "8"),
                 0,
-                ALPHAGRADE_MODULES + ("catalog", "inequalities", "standard_form", "suites"),
+                ("hilbert", "monomials", "staircase", "standard_form", "suites", "suites.hf"),
+            ),
+            (("verify", "--suite", "pyramid-oracle", "--max-frame", "4"), 0, ("pyramids", "suites", "suites.pyramid")),
+            (
+                ("verify", "--suite", "ineq", "--name", "5.2", "--max-c", "4"),
+                0,
+                ("hilbert", "inequalities", "suites", "suites.scans"),
+            ),
+            (
+                ("verify", "--suite", "ch14", "--max-e", "5"),
+                0,
+                GRADE_MODULES + ("catalog", "inequalities", "suites", "suites.alpha", "torus"),
             ),
             (("verify", "--suite", "nope"), 2, ()),
             (("verify", "--help"), 0, ()),
         ],
         ids=["hf-enum", "hf-info", "pyramid", "genus", "ch14", "alphagrade", "alphagrade-missing-file", "verify",
-             "verify-unknown-suite", "verify-help"],
+             "verify-pyramid", "verify-scans", "verify-alpha", "verify-unknown-suite", "verify-help"],
     )
     def test_a_request_imports_only_what_its_command_runs(self, tmp_path, args, code, modules):
         from staircase_lab.catalog import build_space, case_by_name
@@ -444,8 +456,9 @@ class TestColdStart:
 
         import staircase_lab
 
-        names = [f"staircase_lab.{m.name}" for m in pkgutil.iter_modules(staircase_lab.__path__) if m.name != "__main__"]
-        assert len(names) >= 12
+        names = [m.name for m in pkgutil.walk_packages(staircase_lab.__path__, "staircase_lab.")
+                 if m.name != "staircase_lab.__main__"]
+        assert len(names) >= 16 and "staircase_lab.suites.alpha" in names
         code = f"import sys, {', '.join(names)}\nprint(sorted(set(sys.modules) & {NOT_IMPORTED!r}))"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout == "[]\n"

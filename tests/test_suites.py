@@ -2,15 +2,20 @@
 
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from staircase_lab import cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
+from staircase_lab import catalog, cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
 from staircase_lab.errors import DomainError, InternalInconsistencyError, MalformedIdealError
+from staircase_lab.suites import hf as hf_suites
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["cases"]
@@ -205,7 +210,7 @@ class TestViolations:
         monkeypatch.setattr(hilbert, "enumerate_hilbert_functions", dropping)
         report = suites.run_suite(suite, max_colength=12)
         assert [v["params"] for v in report.violations] == [
-            {"d": d, "check": "g* prune"} for d in range(5, suites.PRUNE_CHECK_CAP + 1)
+            {"d": d, "check": "g* prune"} for d in range(5, hf_suites.PRUNE_CHECK_CAP + 1)
         ]
 
     @pytest.mark.parametrize("suite,cap", [("lemma-2-4", 12), ("corollary-2-2", 20)])
@@ -244,6 +249,22 @@ class TestViolations:
             *({"d": 5, "phi": text, "psi": top.as_text()} for text in below), {"d": 5}
         ]
 
+    def test_genus_negativity_reports_from_a_batch_and_keeps_its_count(self, monkeypatch):
+        caps = {"max_c": 3, "m_extent": 4, "nu_extent": 2}
+        cases = suites.run_suite("genus-negativity", **caps).cases_run
+        genus_nu = hilbert.genus_nu
+        monkeypatch.setattr(hilbert, "genus_nu", lambda d, nu: 5 * d + nu if (d, nu) in ((4, 3), (4, 4), (6, 5)) else
+                            genus_nu(d, nu))
+        report = suites.run_suite("genus-negativity", **caps)
+        assert report.cases_run == cases == 4 * 3 * 3
+        assert report.violations == [
+            {"params": {"c": 0, "m": 4, "nu": 4}, "expected": "< 0", "got": 24},
+            {"params": {"c": 1, "m": 3, "nu": 3}, "expected": "< 0", "got": 23},
+            {"params": {"c": 1, "m": 3, "nu": 4}, "expected": "< 0", "got": 24},
+            {"params": {"c": 1, "m": 5, "nu": 5}, "expected": "< 0", "got": 35},
+            {"params": {"c": 2, "m": 4, "nu": 5}, "expected": "< 0", "got": 35},
+        ]
+
     def test_pyramid_alpha_link_checks_the_closed_form_grade(self, monkeypatch):
         grade = staircase.GradedMonomialIdeal.alpha_grade.func
         broken = property(lambda ideal: grade(ideal) + (ideal.heights == (2, 1)))
@@ -264,6 +285,51 @@ class TestViolations:
         monkeypatch.setattr(torus, "limit_ideal", broken)
         code, out, err = run_verify("--suite", "sandwich", "--max-m", "6")
         assert (code, out, err) == (2, "", "error: columns are not a staircase\n")
+
+
+class TestRegistry:
+    def test_the_names_are_in_report_order(self):
+        assert list(suites.SUITES) == [
+            "catalog-small", "special-chi", "pyramid-oracle", "pyramid-oracle-full", "prop-4-1",
+            "pyramid-monotonic", "endpoint", "gstar-crosscheck", "gstar-monotonic", "regularity-bound",
+            "hf-ideal-agreement", "lemma-2-4", "corollary-2-2", "chain-invariants", "form-agreement", "ineq",
+            "genus-negativity", "ch14", "ch7-catalog", "bang", "stabilization", "sandwich", "pyramid-alpha-link",
+            "a-bound", "borel",
+        ]
+
+    @pytest.mark.parametrize("name", list(suites.SUITES))
+    def test_every_name_resolves_to_a_generator_function_of_its_group(self, name):
+        group = importlib.import_module(f"staircase_lab.suites.{suites.SUITES[name]}")
+        function = suites.suite_function(name)
+        assert inspect.isgeneratorfunction(function)
+        assert function.__module__ == group.__name__
+        assert getattr(group, function.__name__) is function
+
+    @pytest.mark.parametrize("name,takes", [
+        ("catalog-small", []),
+        ("borel", ["max_colength"]),
+        ("endpoint", ["max_frame", "max_n"]),
+        ("ineq", ["m_span", "max_c", "max_r", "name"]),
+        ("a-bound", ["max_c", "max_r"]),
+    ])
+    def test_a_cap_the_suite_does_not_take_lists_the_caps_it_takes(self, name, takes):
+        with pytest.raises(DomainError) as info:
+            suites.run_suite(name, max_n=3, no_such_cap=1)
+        caps = {"max_n": 3, "no_such_cap": 1}
+        assert str(info.value) == f"suite {name!r} does not take the caps {caps}; it takes {takes}"
+
+
+class TestBuilds:
+    """The alpha-grade suites build each staircase once."""
+
+    @pytest.mark.parametrize("suite,caps,builds", [("bang", {"max_m": 8}, 5), ("a-bound", {"max_r": 3, "max_c": 3}, 12)])
+    def test_one_staircase_per_ideal_of_the_suite(self, monkeypatch, suite, caps, builds):
+        built = []
+        from_generators = catalog.from_generators
+        monkeypatch.setattr(catalog, "from_generators", lambda gens: built.append(gens) or from_generators(gens))
+        report = suites.run_suite(suite, **caps)
+        assert report.ok
+        assert len(built) == len(set(map(tuple, built))) == builds
 
 
 class TestCaps:
@@ -342,14 +408,15 @@ class TestCoverage:
             yield (({"x": 1}, 0, 1),)
             yield 1
 
-        monkeypatch.setitem(suites.SUITES, "batches", batches)
+        monkeypatch.setitem(suites.SUITES, "batches", "hf")
+        monkeypatch.setattr(hf_suites, "suite_batches", batches, raising=False)
         report = suites.run_suite("batches")
         assert (report.cases_run, report.violations) == (6, [{"params": {"x": 1}, "expected": 0, "got": 1}])
 
     @pytest.mark.parametrize("name", sorted(deep_verify.DEEP_CAPS))
     def test_deep_caps_bind(self, name):
         assert name in suites.SUITES
-        suites.SUITES[name](**deep_verify.DEEP_CAPS[name])  # binds the caps, runs no case
+        suites.suite_function(name)(**deep_verify.DEEP_CAPS[name])  # binds the caps, runs no case
 
     def test_deep_verify_prints_the_caps_of_each_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(suites, "SUITES", {name: suites.SUITES[name] for name in ("catalog-small", "bang")})
@@ -359,6 +426,15 @@ class TestCoverage:
         assert [line.split()[0] for line in lines] == ["catalog-small", "bang", "all"]
         assert lines[0].endswith(" ok caps={}")
         assert re.fullmatch(r"bang +cases= +3 elapsed= +[0-9.]+s ok caps=\{\"max_m\": 6\}", lines[1])
+
+    def test_deep_verify_checks_its_keys_before_importing_a_suite_group(self):
+        code = ("import sys, deep_verify; deep_verify.DEEP_CAPS['nope'] = {}; "
+                "print(deep_verify.main(), sorted(m for m in sys.modules if m.startswith('staircase_lab.suites.')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "scripts"), str(ROOT / "src")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+                                check=True)
+        assert result.stdout == "2 []\n"
+        assert "nope" in result.stderr
 
     def test_deep_verify_rejects_a_key_that_names_no_suite(self, monkeypatch, capsys):
         monkeypatch.setitem(deep_verify.DEEP_CAPS, "pyramid-orcale", {"max_frame": 5})
