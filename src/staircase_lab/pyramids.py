@@ -11,8 +11,11 @@ the divisibility by 6 is asserted.
 Two oracles check it, and neither consults it: a knapsack DP over
 top-segment columns (one table per frame, a witness walk per colength) at
 every frame, and exhaustive searches over every pyramid of a type at small
-frames.  The reduction to top segments is checked per column at every frame,
-and by the search over all column subsets at small frames.
+frames.  A search lists every choice of its last two columns per deficit
+they miss, walks the other columns depth first, and weighs each pyramid in
+one loop step; the frame caps stay where they are because it still weighs
+every pyramid.  The reduction to top segments is checked per column at
+every frame, and by the search over all column subsets at small frames.
 """
 
 from __future__ import annotations
@@ -240,56 +243,73 @@ def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
     weight is attained on one); ``full_subsets=True`` searches arbitrary
     column subsets to guard that reduction, at a smaller frame cap.
 
-    A per-deficit pick table comes first: fits[i][rest] lists, in pool
-    order, the picks of column i whose deficit left over, rest - missed, is
-    neither negative nor more than the later columns can miss, each with
-    that new deficit.  A depth-first walk then picks a column at a time from
-    these lists, carrying the running weight, and tests nothing per node.
-    Since the columns after the last can miss nothing, fits[c - 1][rest]
-    holds exactly the picks that miss all of rest, so the last two columns
-    close as one nested loop with no call per pyramid.  Only branches that
-    cannot reach colength d are left out, so the walk still visits and
-    weighs every pyramid of type (c, d).  Each pool is in increasing pick
-    order, so pyramids are met in increasing order of their pick tuples and
+    The last two columns form the suffix: tails[rest] lists, in pick order,
+    the weight and the two picks of every choice of them that misses exactly
+    rest entries.  For each column before them, fits[i][rest] lists, in pool
+    order, the picks whose deficit left over, rest - missed, is neither
+    negative nor more than the later columns can miss, each with that new
+    deficit.  A depth-first walk picks a column at a time from these lists,
+    carrying the running weight, and closes its last two columns in nested
+    loops over tails, so weighing a pyramid is one loop step: the prefix
+    weight plus the suffix weight against the best.  The lists keep every
+    suffix, not the best one per deficit, and only branches that cannot
+    reach colength d are left out, so every pyramid of type (c, d) is
+    weighed.  Pyramids are met in increasing order of their pick tuples, and
     keeping strictly heavier ones keeps the smallest key (-w, picks):
     (-w, avec) for top segments, (-w, sorted column tuples) for subsets.
     Nothing is kept between calls.
+
+    Since every pyramid is weighed, the frame caps stay put: the types
+    (10, d <= 10) hold 3.8 times as many top-segment pyramids as the types
+    (9, d <= 9), and the types (6, d <= 6) 17 times as many column-subset
+    pyramids as (5, d <= 5).  A frame past its cap stays a domain error,
+    which the CLI reports with exit code 2.
     """
     if not 1 <= d <= c:
         raise RangeError(f"need 1 <= d <= c, got d={d}, c={c}")
     cap = FULL_SUBSET_FRAME_CAP if full_subsets else TOP_SEGMENT_FRAME_CAP
     if c > cap:
         raise RangeError(f"frame {c} beyond the search budget ({cap})")
-    # room[i]: the most entries columns i..c-1 can miss together
-    room = [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
-    pools = [_column_pool(i, full_subsets) for i in range(c)]
+    # below frame 4, leading virtual columns, each with one pick that misses
+    # nothing and weighs 0, give the walk its two levels before the suffix
+    pad = max(0, 4 - c)
+    pools = [[(None, 0, 0)]] * pad + [_column_pool(i, full_subsets) for i in range(c)]
+    # room[i]: the most entries columns i.. can miss together
+    room = [comb(c + 1, 2)] * pad + [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
+    *pools, pen, last = pools
     fits = [
         [[(pick, rest - missed, cw) for pick, missed, cw in pool if 0 <= rest - missed <= room[i + 1]]
          for rest in range(d + 1)]
         for i, pool in enumerate(pools)
     ]
-    picks = [None] * c
+    finals = [[] for _ in range(d + 1)]  # finals[m]: the picks of the last column that miss m entries
+    for final, missed, lw in last:
+        if missed <= d:
+            finals[missed].append((final, lw))
+    tails = [[(cw + lw, pick, final) for pick, missed, cw in pen if missed <= rest for final, lw in finals[rest - missed]]
+             for rest in range(d + 1)]
+    walked = len(fits)
+    picks = [None] * walked
     best_w, best_picks = -1, None  # every weight is >= 0, so the first pyramid reached replaces it
 
     def walk(i: int, w: int, rest: int) -> None:
         nonlocal best_w, best_picks
-        if i < c - 2:
+        if i < walked - 2:
             for pick, left, cw in fits[i][rest]:
                 picks[i] = pick
                 walk(i + 1, w + cw, left)
             return
-        # columns c - 2 and c - 1: room[c] == 0, so last_fits[left] holds just the picks that miss all of left
-        last_fits = fits[i + 1]
+        next_fits = fits[i + 1]
         for pick, left, cw in fits[i][rest]:
-            w2 = w + cw
-            for last, _, lw in last_fits[left]:
-                if w2 + lw > best_w:
-                    best_w, best_picks = w2 + lw, (*picks[:i], pick, last)
+            w1 = w + cw
+            for pick2, left2, cw2 in next_fits[left]:
+                w2 = w1 + cw2
+                need = best_w - w2  # a suffix heavier than this beats the best
+                for tw, pen_pick, last_pick in tails[left2]:
+                    if tw > need:
+                        need, best_w = tw, w2 + tw
+                        best_picks = (*picks[:i], pick, pick2, pen_pick, last_pick)
 
-    if c == 1:  # a single column, which has to miss all of d
-        for pick, _, cw in fits[0][d]:
-            if cw > best_w:
-                best_w, best_picks = cw, (pick,)
-    else:
-        walk(0, 0, d)
+    walk(0, 0, d)
+    best_picks = best_picks[pad:]
     return best_w, Pyramid.from_columns(best_picks) if full_subsets else Pyramid.from_initial_degrees(best_picks)

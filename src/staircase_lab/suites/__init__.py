@@ -9,9 +9,10 @@ range, so a fast profile and a deep profile share code.  :func:`run_suite`
 is the only tally: it names, counts and times the cases, and rejects a run
 that covers nothing or a cap the suite does not take.
 
-The suites live in one group module per domain (``hf``, ``pyramid``, ``scans``,
-``alpha``).  This module holds the runner and the registry, and imports a group,
-with what it calls, only when one of its suites runs.
+The suites live in one group module per set of modules they call (``hf``,
+``forms``, ``pyramid``, ``scans``, ``alpha``, ``families``).  This module holds
+the runner and the registry, and imports a group, with what it calls, only when
+one of its suites runs.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ SUITES = {
     "catalog-small": "hf", "special-chi": "hf",
     "pyramid-oracle": "pyramid", "pyramid-oracle-full": "pyramid", "prop-4-1": "pyramid",
     "pyramid-monotonic": "pyramid", "endpoint": "pyramid",
-    "gstar-crosscheck": "hf", "gstar-monotonic": "hf", "regularity-bound": "hf", "hf-ideal-agreement": "hf",
-    "lemma-2-4": "hf", "corollary-2-2": "hf", "chain-invariants": "hf", "form-agreement": "hf",
+    "gstar-crosscheck": "hf", "gstar-monotonic": "hf", "regularity-bound": "hf", "hf-ideal-agreement": "forms",
+    "lemma-2-4": "forms", "corollary-2-2": "forms", "chain-invariants": "forms", "form-agreement": "forms",
     "ineq": "scans", "genus-negativity": "scans",
-    "ch14": "alpha", "ch7-catalog": "alpha", "bang": "alpha", "stabilization": "alpha", "sandwich": "alpha",
-    "pyramid-alpha-link": "alpha", "a-bound": "alpha",
-    "borel": "hf",
+    "ch14": "alpha", "ch7-catalog": "families", "bang": "families", "stabilization": "alpha",
+    "sandwich": "families", "pyramid-alpha-link": "alpha", "a-bound": "families",
+    "borel": "forms",
 }
 
 

@@ -31,7 +31,7 @@ from staircase_lab.errors import (
 )
 from staircase_lab.monomials import Monomial
 from staircase_lab.suites import run_suite
-from staircase_lab.suites.alpha import _KERNELS, _minimal_chain
+from staircase_lab.suites.families import _KERNELS, _minimal_chain
 
 from .strategies import COLLIDING_FINALS, deformation_inputs, ideals_small
 

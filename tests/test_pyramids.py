@@ -1,6 +1,7 @@
 """Pyramid weights: column formula, closed forms, the DP and the exhaustive searches."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -299,6 +300,25 @@ class TestExhaustiveWalk:
 
     @pytest.mark.parametrize("full,cap", [(False, P.TOP_SEGMENT_FRAME_CAP), (True, P.FULL_SUBSET_FRAME_CAP)])
     def test_matches_the_recursive_reference_walk(self, full, cap):
+        for c in range(1, cap + 1):
+            for d in range(1, c + 1):
+                w, witness = P.brute_force_max_weight(c, d, full)
+                want_w, want = _reference_walk(c, d, full)
+                assert (w, witness.columns) == (want_w, want.columns), (c, d)
+
+    @pytest.mark.parametrize("full,cap", [(False, P.TOP_SEGMENT_FRAME_CAP), (True, P.FULL_SUBSET_FRAME_CAP)])
+    def test_matches_the_reference_walk_under_random_weights(self, monkeypatch, full, cap):
+        """Each option keeps its pick and missed count but weighs a seeded
+        random int in [0, 20], the same in both searches: a suffix the search
+        skips shows as a wrong maximum, and the many ties test the tie-break."""
+        rng, pools, pool = random.Random(2011), {}, P._column_pool
+
+        def random_pool(i, full_subsets):
+            if (i, full_subsets) not in pools:
+                pools[i, full_subsets] = [(pick, missed, rng.randint(0, 20)) for pick, missed, _ in pool(i, full_subsets)]
+            return pools[i, full_subsets]
+
+        monkeypatch.setattr(P, "_column_pool", random_pool)
         for c in range(1, cap + 1):
             for d in range(1, c + 1):
                 w, witness = P.brute_force_max_weight(c, d, full)

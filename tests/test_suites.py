@@ -15,7 +15,7 @@ import pytest
 
 from staircase_lab import catalog, cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
 from staircase_lab.errors import DomainError, InternalInconsistencyError, MalformedIdealError
-from staircase_lab.suites import hf as hf_suites
+from staircase_lab.suites import forms as form_suites
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["cases"]
@@ -210,7 +210,7 @@ class TestViolations:
         monkeypatch.setattr(hilbert, "enumerate_hilbert_functions", dropping)
         report = suites.run_suite(suite, max_colength=12)
         assert [v["params"] for v in report.violations] == [
-            {"d": d, "check": "g* prune"} for d in range(5, hf_suites.PRUNE_CHECK_CAP + 1)
+            {"d": d, "check": "g* prune"} for d in range(5, form_suites.PRUNE_CHECK_CAP + 1)
         ]
 
     @pytest.mark.parametrize("suite,cap", [("lemma-2-4", 12), ("corollary-2-2", 20)])
@@ -408,8 +408,8 @@ class TestCoverage:
             yield (({"x": 1}, 0, 1),)
             yield 1
 
-        monkeypatch.setitem(suites.SUITES, "batches", "hf")
-        monkeypatch.setattr(hf_suites, "suite_batches", batches, raising=False)
+        monkeypatch.setitem(suites.SUITES, "batches", "forms")
+        monkeypatch.setattr(form_suites, "suite_batches", batches, raising=False)
         report = suites.run_suite("batches")
         assert (report.cases_run, report.violations) == (6, [{"params": {"x": 1}, "expected": 0, "got": 1}])
 
