@@ -43,8 +43,7 @@ from .errors import (
     Record,
 )
 from .hilbert import q_value, special_chi
-from .monomials import Monomial
-from .pyramids import column_weight
+from .monomials import Monomial, column_weight
 from .staircase import GradedMonomialIdeal, from_generators
 
 TYPE_CHECKING = False

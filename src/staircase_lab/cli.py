@@ -10,13 +10,26 @@ imports inside its own function only the modules it runs: ``hf enum`` and
 compiles ``pyramids``, ``ch14`` and ``alphagrade`` the alpha-grade modules
 (``torus`` only to read a space), and ``verify`` the suite runner and its
 suite's group module with what that group calls (see ``suites``).
+
+The same holds for the command line itself.  Its grammar is declared once,
+in ``COMMANDS``.  ``read_request`` reads a plain request straight from that
+table: the command words, then full flag names of that command, each with its
+value in the next token.  It returns the attributes argparse would set, or
+None.  Every other request goes to argparse, which ``build_parser`` imports
+and builds from the same table only then, and which prints the help or the
+usage error.  Such requests are ``-h``/``--help``, an abbreviated flag,
+``--flag=value``, ``--``, a value starting with ``-`` (a negative integer for
+an integer flag excepted), text ``int`` rejects, an unknown suite, a missing
+required flag and a stray token.  Importing argparse (and through it
+``gettext``), its ``locale`` lookups and building its sub-parsers would cost
+each request more than compiling ``hilbert``, all that ``genus`` runs.
+``json`` too is imported only for ``--json`` or by a module that needs it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, InternalInconsistencyError, RangeError
 
@@ -26,7 +39,9 @@ VIOLATION_EXIT = 1
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -158,6 +173,8 @@ def cmd_verify(args) -> int:
     caps = {attr: getattr(args, attr) for attr in [*_SUITE_CAP_FLAGS, "name"] if getattr(args, attr) is not None}
     report = suites.run_suite(args.suite, **caps)
     if args.json:
+        import json
+
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
         status = "ok" if report.ok else f"{len(report.violations)} violation(s)"
@@ -167,67 +184,133 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else VIOLATION_EXIT
 
 
-def build_parser() -> argparse.ArgumentParser:
+SWITCH = "switch"  # the kind of a flag that takes no value (argparse's store_true)
+
+
+def _flag(name: str, kind=SWITCH, required: bool = False, help: str | None = None, choices=None) -> tuple:
+    """One flag of a command: its dest is derived from the name as argparse derives it."""
+    return name, name[2:].replace("-", "_"), kind, required, help, choices
+
+
+JSON = _flag("--json")
+
+# The grammar, declared once.  Command path -> (help, handler, flags); a
+# group of sub-commands has no handler and no flags.  argparse lists the
+# commands of a group, and the flags of a command, in this order.
+COMMANDS = {
+    ("hf",): ("Hilbert function catalog and inspection", None, ()),
+    ("hf", "enum"): ("list all functions of a colength", cmd_hf_enum, (_flag("--colength", int, True), JSON)),
+    ("hf", "info"): (
+        "invariants of one function", cmd_hf_info, (_flag("--phi", str, True, "comma-separated difference values"), JSON)
+    ),
+    ("pyramid",): ("pyramid weight computations", None, ()),
+    ("pyramid", "max"): ("maximal weight of type (c, d)", cmd_pyramid_max, (
+        _flag("--frame", int, True),
+        _flag("--colength", int, True),
+        _flag("--oracle", help="cross-check with the knapsack DP"),
+        _flag("--witness", help="print a maximizing pyramid"),
+        JSON,
+    )),
+    ("alphagrade",): (
+        "min/max alpha-grade of a semi-invariant space", cmd_alphagrade,
+        (_flag("--space", str, True, "JSON file with rho and chains"), JSON),
+    ),
+    ("genus",): (
+        "genus of the cone family over a plane ideal", cmd_genus, (_flag("--d", int, True), _flag("--nu", int, True), JSON)
+    ),
+    ("ch14",): ("cycle degrees of the even-colength degeneration family", cmd_ch14, (_flag("--e", int, True), JSON)),
+    ("verify",): ("run a verification suite", cmd_verify, (
+        _flag("--suite", str, True, choices=SUITE_NAMES),
+        _flag("--name", str, help="inequality name for the ineq suite"),
+        *(_flag(flag, int) for flag in _SUITE_CAP_FLAGS.values()),
+        JSON,
+    )),
+}
+
+
+def _command_dest(group: tuple) -> str:
+    """Attribute naming the command chosen in a group: ``command`` at the top."""
+    return "_".join((*group, "command"))
+
+
+def read_request(argv: list) -> dict | None:
+    """The attributes argparse sets for a plain request, in its order, or None
+    when the request is not plain (see the module docstring)."""
+    values, path = {}, ()
+    for word in argv:
+        entry = COMMANDS.get(path + (word,))
+        if entry is None:
+            return None
+        values[_command_dest(path)] = word
+        path += (word,)
+        if entry[1] is not None:
+            break
+    else:
+        return None  # no command, or a group without its sub-command
+    _, handler, flags = entry
+    by_name = {}
+    for flag in flags:
+        by_name[flag[0]] = flag
+        values[flag[1]] = False if flag[2] is SWITCH else None
+    values["func"] = handler
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        if token not in by_name:
+            return None
+        _, dest, kind, _, _, choices = by_name[token]
+        if kind is SWITCH:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        # argparse takes a token starting with "-" as a value only when it
+        # reads as a negative number (its pattern ^-\d+$; \d is isdecimal)
+        if value is None or value.startswith("-") and not (kind is int and value[1:].isdecimal()):
+            return None
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(values[dest] is None for _, dest, _, required, _, _ in flags if required):
+        return None
+    return values
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="staircase-lab",
         description="Staircase combinatorics of plane monomial ideals, with verification suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    hf = sub.add_parser("hf", help="Hilbert function catalog and inspection")
-    hf_sub = hf.add_subparsers(dest="hf_command", required=True)
-    hf_enum = hf_sub.add_parser("enum", help="list all functions of a colength")
-    hf_enum.add_argument("--colength", type=int, required=True)
-    hf_enum.add_argument("--json", action="store_true")
-    hf_enum.set_defaults(func=cmd_hf_enum)
-    hf_info = hf_sub.add_parser("info", help="invariants of one function")
-    hf_info.add_argument("--phi", type=str, required=True, help="comma-separated difference values")
-    hf_info.add_argument("--json", action="store_true")
-    hf_info.set_defaults(func=cmd_hf_info)
-
-    pyr = sub.add_parser("pyramid", help="pyramid weight computations")
-    pyr_sub = pyr.add_subparsers(dest="pyramid_command", required=True)
-    pyr_max = pyr_sub.add_parser("max", help="maximal weight of type (c, d)")
-    pyr_max.add_argument("--frame", type=int, required=True)
-    pyr_max.add_argument("--colength", type=int, required=True)
-    pyr_max.add_argument("--oracle", action="store_true", help="cross-check with the knapsack DP")
-    pyr_max.add_argument("--witness", action="store_true", help="print a maximizing pyramid")
-    pyr_max.add_argument("--json", action="store_true")
-    pyr_max.set_defaults(func=cmd_pyramid_max)
-
-    alpha = sub.add_parser("alphagrade", help="min/max alpha-grade of a semi-invariant space")
-    alpha.add_argument("--space", type=str, required=True, help="JSON file with rho and chains")
-    alpha.add_argument("--json", action="store_true")
-    alpha.set_defaults(func=cmd_alphagrade)
-
-    genus = sub.add_parser("genus", help="genus of the cone family over a plane ideal")
-    genus.add_argument("--d", type=int, required=True)
-    genus.add_argument("--nu", type=int, required=True)
-    genus.add_argument("--json", action="store_true")
-    genus.set_defaults(func=cmd_genus)
-
-    ch14 = sub.add_parser("ch14", help="cycle degrees of the even-colength degeneration family")
-    ch14.add_argument("--e", type=int, required=True)
-    ch14.add_argument("--json", action="store_true")
-    ch14.set_defaults(func=cmd_ch14)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", type=str, required=True, choices=SUITE_NAMES)
-    verify.add_argument("--name", type=str, help="inequality name for the ineq suite")
-    for attr, flag in _SUITE_CAP_FLAGS.items():
-        verify.add_argument(flag, dest=attr, type=int)
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_verify)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (help_text, handler, flags) in COMMANDS.items():
+        sub = groups[path[:-1]].add_parser(path[-1], help=help_text)
+        if handler is None:
+            groups[path] = sub.add_subparsers(dest=_command_dest(path), required=True)
+            continue
+        for name, dest, kind, required, flag_help, choices in flags:
+            if kind is SWITCH:
+                sub.add_argument(name, dest=dest, action="store_true", help=flag_help)
+            else:
+                sub.add_argument(name, dest=dest, type=kind, required=required, help=flag_help, choices=choices)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = read_request(argv)
+    if values is not None:
+        args = SimpleNamespace(**values)
+    else:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except InternalInconsistencyError as exc:

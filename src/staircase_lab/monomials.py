@@ -1,6 +1,9 @@
-"""Monomials of k[x, y, z], compared by their exponents only (no term order)."""
+"""Monomials of k[x, y, z], compared by their exponents only (no term order),
+and the weight of one column of y-degrees, which pyramids and alpha-grades share."""
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import DomainError, Record
 
@@ -56,3 +59,8 @@ def monomial_from_list(exps) -> Monomial:
     if len(exps) != 3:
         raise DomainError(f"monomial needs 3 exponents, got {exps!r}")
     return Monomial(*exps)
+
+
+def column_weight(column) -> int:
+    """Weight of a collection of distinct y-degrees: their sum minus C(m, 2) for m of them."""
+    return sum(column) - comb(len(column), 2)

@@ -26,14 +26,10 @@ from math import comb, isqrt
 from operator import add
 
 from .errors import DomainError, InternalInconsistencyError, RangeError, Record
+from .monomials import column_weight
 
 TOP_SEGMENT_FRAME_CAP = 9
 FULL_SUBSET_FRAME_CAP = 5
-
-
-def column_weight(column) -> int:
-    """Weight of a collection of distinct y-degrees."""
-    return sum(column) - comb(len(column), 2)
 
 
 class Pyramid(Record):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -375,6 +376,76 @@ class TestVerify:
         assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
 
 
+# Help and usage-error requests with their stdout, stderr and exit code at
+# COLUMNS=80, recorded from the hand-written argparse builder that the
+# command table replaced.
+USAGE_PINS = json.loads((Path(__file__).parent / "cli_usage.json").read_text(encoding="utf-8"))
+PATHS = list(cli.COMMANDS)
+FLAGS = sorted({flag[0] for _, _, flags in cli.COMMANDS.values() for flag in flags})
+# values argparse reads in several ways: negative, padded, non-ASCII digits,
+# past the int digit limit, flag-like, empty
+ODD_TOKENS = [
+    "--col", "--max", "--js", "--json=1", "--d=3", "--", "-h", "--help", "-", "-3", "-0", " 4", "+3", "0x3",
+    "\u0663", "-\u0663", "\u00b2", "-\u00b2", "", "-1, 2", OVER_LIMIT, "-" + OVER_LIMIT,
+    "3", "0,0,3", "nope",
+]
+TOKENS = st.sampled_from(sorted({w for path in PATHS for w in path}) + FLAGS + ODD_TOKENS + list(cli.SUITE_NAMES))
+
+
+@st.composite
+def argv_lists(draw):
+    """Free token lists, and command paths followed by tokens or by flags of
+    that command with values; these may repeat a flag and carry one fault: a
+    flag left out, a value missing or odd, or a value after a switch."""
+    kind = draw(st.sampled_from(["free", "path", "flags"]))
+    if kind == "free":
+        return draw(st.lists(TOKENS, max_size=8))
+    path = draw(st.sampled_from(PATHS))
+    flags = cli.COMMANDS[path][2]
+    if kind == "path" or not flags:
+        return list(path) + draw(st.lists(TOKENS, max_size=8))
+    chosen = [flag for flag in draw(st.permutations(flags)) if flag[3] or draw(st.integers(0, 3))]
+    entries = []
+    for name, _, flag_kind, _, _, choices in chosen + draw(st.lists(st.sampled_from(flags), max_size=2)):
+        value = st.sampled_from(choices) if choices else st.integers(-5, 12).map(str)
+        entries.append([name] if flag_kind is cli.SWITCH else [name, draw(value)])
+    if draw(st.booleans()):
+        i, fault = draw(st.integers(0, len(entries) - 1)), draw(st.integers(0, 2))
+        if fault == 0:
+            del entries[i]
+        else:
+            entries[i][1:] = [draw(TOKENS)] if fault == 2 else []
+    return list(path) + [token for entry in entries for token in entry]
+
+
+class TestParsing:
+    PARSER = cli.build_parser()  # parsing leaves the parser as it is
+
+    @settings(max_examples=1500, deadline=None)
+    @given(argv=argv_lists())
+    @example(argv=["genus", "--d", "-\u0663", "--nu", "4", "--d", " 5"])
+    @example(argv=["verify", "--suite", "borel", "--max-c", "-3", "--json", "--json", "--name", ""])
+    @example(argv=["verify", "--suite", "Borel", "--max-c", "3"])
+    def test_the_reader_agrees_with_argparse(self, argv):
+        values = cli.read_request(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = vars(self.PARSER.parse_args(argv))
+            except SystemExit:
+                expected = None
+        if values is not None:
+            assert expected is not None, "the reader accepted a request argparse rejects"
+            assert list(values.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("pin", USAGE_PINS, ids=[" ".join(pin["argv"]) or "no-arguments" for pin in USAGE_PINS])
+    def test_help_and_usage_errors_are_pinned(self, monkeypatch, pin):
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(pin["argv"])
+        assert (out.getvalue(), err.getvalue(), code) == (pin["stdout"], pin["stderr"], pin["code"])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -392,21 +463,25 @@ class TestDeterminism:
 
 
 # what grading a staircase loads: a space's type is only an annotation there
-GRADE_MODULES = ("alphagrade", "hilbert", "monomials", "pyramids", "staircase")
+GRADE_MODULES = ("alphagrade", "hilbert", "monomials", "staircase")
 # standard modules whose import no request needs to pay: ``dataclasses``
 # (and through it ``inspect``), and ``fractions`` (with ``decimal``)
 NOT_IMPORTED = {"dataclasses", "inspect", "fractions", "decimal"}
+# what only help and usage errors pay: argparse, with ``gettext`` and the
+# ``locale`` its message lookups import
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
 def imported_modules(*args):
     """Exit code of one fresh ``python -m staircase_lab`` request, the
-    package modules it imported and the ``NOT_IMPORTED`` ones it imported
-    (read from ``-X importtime``)."""
+    package modules it imported and the ``NOT_IMPORTED`` and
+    ``ARGPARSE_MODULES`` ones it imported (read from ``-X importtime``)."""
     result = subprocess.run(
         [sys.executable, "-X", "importtime", *BASE[1:], *args], capture_output=True, text=True, timeout=120, check=False
     )
     names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
-    return result.returncode, {name for name in names if name.split(".")[0] == "staircase_lab"}, names & NOT_IMPORTED
+    package = {name for name in names if name.split(".")[0] == "staircase_lab"}
+    return result.returncode, package, names & (NOT_IMPORTED | ARGPARSE_MODULES)
 
 
 class TestColdStart:
@@ -415,13 +490,17 @@ class TestColdStart:
         [
             (("hf", "enum", "--colength", "3"), 0, ("hilbert",)),
             (("hf", "info", "--phi", "0,0,2,3,5"), 0, ("hilbert", "monomials", "standard_form")),
-            (("pyramid", "max", "--frame", "4", "--colength", "4", "--oracle"), 0, ("pyramids",)),
+            (("pyramid", "max", "--frame", "4", "--colength", "4", "--oracle"), 0, ("monomials", "pyramids")),
             (("genus", "--d", "6", "--nu", "4"), 0, ("hilbert",)),
             (("ch14", "--e", "5"), 0, GRADE_MODULES),
             (("alphagrade", "--space", "{space}"), 0, GRADE_MODULES + ("torus",)),
             (("alphagrade", "--space", "{missing}"), 2, ()),
             (("verify", "--suite", "special-chi", "--max-colength", "8"), 0, ("hilbert", "suites", "suites.hf")),
-            (("verify", "--suite", "pyramid-oracle", "--max-frame", "4"), 0, ("pyramids", "suites", "suites.pyramid")),
+            (
+                ("verify", "--suite", "pyramid-oracle", "--max-frame", "4"),
+                0,
+                ("monomials", "pyramids", "suites", "suites.pyramid"),
+            ),
             (
                 ("verify", "--suite", "ineq", "--name", "5.2", "--max-c", "4"),
                 0,
@@ -430,7 +509,7 @@ class TestColdStart:
             (
                 ("verify", "--suite", "ch14", "--max-e", "5"),
                 0,
-                GRADE_MODULES + ("suites", "suites.alpha"),
+                GRADE_MODULES + ("pyramids", "suites", "suites.alpha"),  # the group holds pyramid-alpha-link
             ),
             (("verify", "--suite", "nope"), 2, ()),
             (("verify", "--help"), 0, ()),
@@ -445,7 +524,9 @@ class TestColdStart:
         space_file.write_text(build_space(case_by_name("7.3"), 4).to_json())
         args = [a.format(space=space_file, missing=tmp_path / "missing.json") for a in args]
         base = {"staircase_lab", "staircase_lab.cli", "staircase_lab.errors"}
-        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules}, set())
+        # a plain request is read without argparse; help and usage errors build it
+        parser = ARGPARSE_MODULES if args[-1] in ("--help", "nope") else set()
+        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules}, parser)
 
     def test_no_module_of_the_package_imports_the_unneeded_standard_modules(self):
         import pkgutil
