@@ -23,12 +23,20 @@ first search on a space grades the fixed monomials once (the plain ones, by
 their columns or, for a section space, by its staircase's closed form less
 the cells its chains take out, and the pick of any chain left with a single
 option), numbers each distinct option, an (x,y-degree, y-degree) pair, and
-keeps this fold on the space.  Every search then walks the other chains
-depth first, adding b - k per pick, marks the options in use by flags in a
-bytearray, and compares one int per selection, grade * S + right: S = 1
-without a split, and otherwise a power of two above 2 * (degree + 1) *
-(walked chains), which bounds 2 * |right|.  The last two chains close in
-one nested loop, with no call per selection.
+keeps this fold on the space.  A pick's step reads only the count of its own
+column, and two picks collide only on one option, which lies in one column;
+so the other chains fall into classes, the chains linked through the columns
+their options reach, and picks in different classes never interact.  Every
+search walks each class on its own, depth first, adding b - k per pick,
+marks the options in use by flags in a bytearray, and compares one int per
+selection, grade * S + right: S = 1 without a split, and otherwise a power
+of two above 2 * (degree + 1) * (walked chains), which bounds 2 * |right|.
+That int is a sum of one term per pick, so its extremes over a space are
+the fixed part plus the sum of each class's extremes, and a space costs the
+sum of its classes' selections rather than their product; a class with no
+collision-free selection leaves none to the space.  ``SELECTION_BUDGET``
+still bounds the product over all deformed chains.  The last two chains of
+a class close in one nested loop, with no call per selection.
 """
 
 from __future__ import annotations
@@ -133,10 +141,14 @@ def _fold(space: SemiInvariantSpace):
     dropped.  Options are (x,y-degree, y-degree) pairs read off the supports,
     whose exponents every constructor of a space has checked.  Each distinct
     option gets a slot and each column it reaches a number, so that nothing
-    is sized by the degree.  Returns the fixed monomials' alpha-grade, their
-    count per column number, the taken flags with the forced picks set, per
-    walked chain its options as (slot, column number, y-degree), the chain
-    with the most options first, and the x,y-degree of each column number.
+    is sized by the degree.  The walked chains, the chain with the most
+    options first, are grouped into classes: a union over the column numbers
+    each chain's options reach, so that two chains of different classes
+    reach no common column.  Each class keeps its chains in that order.
+    Returns the fixed monomials' alpha-grade, their count per column number,
+    the taken flags with the forced picks set, per class per chain its
+    options as the picks of a search without a split, (slot, column number,
+    y-degree, multiplier 1), and the x,y-degree of each column number.
     """
     grade, plain_count, is_plain, count_of = _plain_part(space)
     r0, r1, _ = space.weight.rho
@@ -151,6 +163,8 @@ def _fold(space: SemiInvariantSpace):
         kept.append([(col, ey) for col, ey in options if not is_plain(col, ey)])
     if plain_count + len(kept) != space.dimension:
         raise InternalInconsistencyError("duplicate initial monomials slipped through")
+    if not all(kept):  # a chain whose every option is a plain monomial
+        raise DegenerateSpaceError("no collision-free selection exists")
     slots = {pair: k for k, pair in enumerate(dict.fromkeys(pair for options in kept for pair in options))}
     taken = bytearray(len(slots))
     forced = [options[0] for options in kept if len(options) == 1]
@@ -166,8 +180,24 @@ def _fold(space: SemiInvariantSpace):
     for col, _ in forced:
         counts[numbers[col]] += 1
     walked = sorted((options for options in kept if len(options) != 1), key=len, reverse=True)
-    choices = tuple(tuple((slots[pair], numbers[pair[0]], pair[1]) for pair in options) for options in walked)
-    return grade, tuple(counts), bytes(taken), choices, tuple(numbers)
+    choices = [[(slots[pair], numbers[pair[0]], pair[1], 1) for pair in options] for options in walked]
+    # the union: each column number points toward the root that names its class
+    root = list(range(len(numbers)))
+    for options in choices:
+        top = options[0][1]
+        while root[top] != top:
+            top = root[top]
+        for _, col, _, _ in options:
+            while root[col] != col:
+                col = root[col]
+            root[col] = top
+    classes = {}
+    for options in choices:
+        col = options[0][1]
+        while root[col] != col:
+            col = root[col]
+        classes.setdefault(col, []).append(options)
+    return grade, tuple(counts), bytes(taken), list(classes.values()), tuple(numbers)
 
 
 def _walk(choices, i: int, counts: list, taken: bytearray, key: int):
@@ -225,31 +255,50 @@ def _walk(choices, i: int, counts: list, taken: bytearray, key: int):
 
 def _extremes(space: SemiInvariantSpace, split: DomainSplit | None):
     """Lexicographic min and max of (alpha-grade, right-domain alpha-grade)
-    over chain selections, in one depth-first walk.  The right part counts
-    the walked picks only (0 without a split): the fixed monomials add the
-    same to every selection, and only differences of it are used.  A search
-    that succeeds keeps the fold on the space; each copies what it walks.
+    over chain selections, one depth-first walk per class of the fold.  The
+    right part counts the walked picks only (0 without a split): the fixed
+    monomials add the same to every selection, and only differences of it
+    are used.  A search that succeeds keeps the fold on the space; each
+    copies what it walks.
 
     A pick adds its step times S + 1 right of the split, times S elsewhere:
-    S = 1 without a split, else the power of two above 2 * (degree + 1) *
-    len(walked).  Every step lies in [-degree, degree], so |right| <= degree
-    * len(walked) < S / 2: the packed order is the lexicographic one, and key / S rounded
-    to the nearest int is the grade.  Every walked chain has at least two
-    options before the fixed ones are dropped, so the budget bounds the
-    depth by log2(SELECTION_BUDGET).
+    S = 1 without a split, so the fold's picks are walked as they are, else
+    the power of two above 2 * (degree + 1) * (walked chains of all
+    classes).  Every step lies in [-degree, degree], so |right| <= degree *
+    (walked chains) < S / 2: the packed order is the lexicographic one, and
+    key / S rounded to the nearest int is the grade.
+    A selection's key is grade * S plus one term per pick, and picks of
+    different classes share no column, so neither a step nor a collision
+    links them: the classes' selections combine freely, and the extremes
+    of the key are grade * S plus the sum of each class's extremes.  Each
+    class is walked from grade * S, as a one-class space always was (from
+    0, the partial keys of a search without a split fall below the small
+    ints CPython keeps, and the walk slows by some 5%), on one copy of the
+    counts and flags, which each walk restores.  A class with no
+    collision-free selection leaves none to the space.  Every walked chain has at least two options before the fixed
+    ones are dropped, so the budget on the full product bounds the depth by
+    log2(SELECTION_BUDGET).
     """
     fold = space._search or _fold(space)
-    grade, counts, taken, choices, xy_degrees = fold
-    scale = 1 if split is None else 1 << (2 * (space.degree + 1) * len(choices)).bit_length()
-    mults = [scale + (split is not None and split.right_of(col)) for col in xy_degrees]
-    walked = [[(slot, col, ey, mults[col]) for slot, col, ey in options] for options in choices]
-    key = grade * scale
-    found = _walk(walked, len(walked) - 1, list(counts), bytearray(taken), key) if walked else (key, key)
-    if found is None:
-        raise DegenerateSpaceError("no collision-free selection exists")
+    grade, counts, taken, classes, xy_degrees = fold
+    if split is None:
+        scale, walks = 1, classes
+    else:
+        scale = 1 << (2 * (space.degree + 1) * sum(map(len, classes))).bit_length()
+        mults = [scale + split.right_of(col) for col in xy_degrees]
+        walks = [[[(slot, col, ey, mults[col]) for slot, col, ey, _ in options] for options in chains]
+                 for chains in classes]
+    counts, taken = list(counts), bytearray(taken)
+    lo = hi = key = grade * scale
+    for walked in walks:
+        found = _walk(walked, len(walked) - 1, counts, taken, key)
+        if found is None:
+            raise DegenerateSpaceError("no collision-free selection exists")
+        lo += found[0] - key
+        hi += found[1] - key
     space._search = fold
-    lo, hi = ((k + scale // 2) // scale for k in found)
-    return (lo, found[0] - lo * scale), (hi, found[1] - hi * scale)
+    glo, ghi = ((k + scale // 2) // scale for k in (lo, hi))
+    return (glo, lo - glo * scale), (ghi, hi - ghi * scale)
 
 
 def minmax_alpha_grade(space: SemiInvariantSpace) -> tuple[int, int]:

@@ -220,16 +220,20 @@ def max_weight_dp(c: int, d: int):
     return WeightTable.build(c).witness(d)
 
 
-def _column_pool(i: int, full_subsets: bool) -> list:
-    """(pick, entries missed, weight) for every admissible column i, by increasing pick.
+def _column_pool(i: int, deficit: int, full_subsets: bool) -> list:
+    """(pick, entries missed, weight) for every admissible column i that
+    misses at most ``deficit`` entries, by increasing pick.
 
     The pick is the initial degree a of the top segment [a, i], or with
-    ``full_subsets`` the sorted tuple of an arbitrary subset of [0, i].
+    ``full_subsets`` the sorted tuple of an arbitrary subset of [0, i].  No
+    pyramid of colength d picks an option that misses more than d entries,
+    so a search for d builds only the options within it.
     """
     if full_subsets:
-        subsets = sorted(sub for k in range(i + 2) for sub in itertools.combinations(range(i + 1), k))
+        sizes = range(max(0, i + 1 - deficit), i + 2)
+        subsets = sorted(sub for k in sizes for sub in itertools.combinations(range(i + 1), k))
         return [(sub, i + 1 - len(sub), column_weight(sub)) for sub in subsets]
-    return [(a, a, column_weight(range(a, i + 1))) for a in range(i + 2)]
+    return [(a, a, column_weight(range(a, i + 1))) for a in range(min(i + 1, deficit) + 1)]
 
 
 def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
@@ -269,7 +273,7 @@ def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
     # below frame 4, leading virtual columns, each with one pick that misses
     # nothing and weighs 0, give the walk its two levels before the suffix
     pad = max(0, 4 - c)
-    pools = [[(None, 0, 0)]] * pad + [_column_pool(i, full_subsets) for i in range(c)]
+    pools = [[(None, 0, 0)]] * pad + [_column_pool(i, d, full_subsets) for i in range(c)]
     # room[i]: the most entries columns i.. can miss together
     room = [comb(c + 1, 2)] * pad + [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
     *pools, pen, last = pools
@@ -280,8 +284,7 @@ def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
     ]
     finals = [[] for _ in range(d + 1)]  # finals[m]: the picks of the last column that miss m entries
     for final, missed, lw in last:
-        if missed <= d:
-            finals[missed].append((final, lw))
+        finals[missed].append((final, lw))
     tails = [[(cw + lw, pick, final) for pick, missed, cw in pen if missed <= rest for final, lw in finals[rest - missed]]
              for rest in range(d + 1)]
     walked = len(fits)

@@ -1,10 +1,11 @@
 """Suites of staircase alpha-grades: the closed chapter-14 degrees, cycle
 degrees that stabilize from colength - 1 on, and the pyramid weight of a
-section space.  They import no deformation family, torus or inequality."""
+section space.  They import no deformation family, torus or inequality, and
+only ``pyramid-alpha-link`` imports ``pyramids``."""
 
 from __future__ import annotations
 
-from .. import alphagrade, pyramids, staircase
+from .. import alphagrade, staircase
 
 
 def suite_ch14(max_e: int = 10):
@@ -25,6 +26,8 @@ def suite_stabilization(max_colength: int = 8, extra_levels: int = 3):
 def suite_pyramid_alpha_link(max_colength: int = 8):
     """Pyramid weight of the section space at degree d-1 equals the
     closed-form alpha-grade of the staircase."""
+    from .. import pyramids
+
     for d in range(1, max_colength + 1):
         for ideal in staircase.enumerate_ideals(d):
             pyr = pyramids.Pyramid.from_columns([ideal.column(i) for i in range(d)])

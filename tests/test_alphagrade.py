@@ -443,6 +443,104 @@ class TestSearchesOnOneSpace:
             assert (space._search is None) == isinstance(got, type)
 
 
+@st.composite
+def multi_class_spaces(draw):
+    """Column-form spaces of the weight SHIFT whose walked chains lie in two
+    or three columns: every option of a SHIFT chain lies in its initial's
+    column, so the search sees one class per column.
+
+    Each column gets a chain from x^col with a step that no plain monomial
+    of the column takes, so it is always walked.  Plain monomials and up to
+    two more one-step chains, sometimes on the same initials, make options
+    drop and collide, so that some classes have no collision-free selection.
+    """
+    n = draw(st.integers(3, 5))
+    chains = [make_chain(Monomial(0, 0, n))] if draw(st.booleans()) else []
+    for col in draw(st.lists(st.integers(1, n), min_size=2, max_size=3, unique=True)):
+        steps = draw(st.sets(st.integers(1, col), min_size=1, max_size=2))
+        plain = draw(st.sets(st.integers(1, col).filter(lambda ey: ey != min(steps))))
+        chains += [make_chain(Monomial(col - ey, ey, n - col)) for ey in plain]
+        chains.append(make_chain(Monomial(col, 0, n - col), *steps))
+        for a in draw(st.lists(st.sampled_from([a for a in range(1, col + 1) if col - a not in plain]), max_size=2)):
+            chains.append(make_chain(Monomial(a, col - a, n - col), draw(st.integers(1, a))))
+    return unchecked_space(SHIFT, draw(st.permutations(chains)))
+
+
+def walk_entries(monkeypatch):
+    """Patch ``_walk`` to record the number of chains of each top-level
+    call, not of the calls it makes on itself."""
+    entries, depth, walk = [], [0], A._walk
+
+    def counted(choices, i, *rest):
+        if not depth[0]:
+            entries.append(len(choices))
+        depth[0] += 1
+        try:
+            return walk(choices, i, *rest)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(A, "_walk", counted)
+    return entries
+
+
+def at(col, ey, degree=3):
+    """The degree-3 monomial of x,y-degree ``col`` and y-degree ``ey``."""
+    return Monomial(col - ey, ey, degree - col)
+
+
+class TestColumnClasses:
+    @settings(max_examples=100, deadline=None)
+    @given(multi_class_spaces())
+    @example(  # column 2 is degenerate (three chains share x^2 z and xyz), column 3 is not
+        unchecked_space(SHIFT, [make_chain(at(2, 0), 1), make_chain(at(2, 0), 1), make_chain(at(2, 0), 1),
+                                make_chain(at(3, 0), 1), make_chain(at(3, 1), 1)])
+    )
+    def test_classes_match_the_reference_at_every_threshold(self, space):
+        fold = outcome(lambda: A._fold(fresh(space)))
+        assert fold is DegenerateSpaceError or len(fold[3]) >= 2
+        assert outcome(lambda: A.minmax_alpha_grade(space)) == outcome(lambda: ref_minmax(space))
+        for threshold in range(space.degree + 1):
+            split = A.DomainSplit(threshold)
+            got = outcome(lambda: A.right_domain_spread(space, split))
+            assert got == outcome(lambda: ref_spread(space, split)), threshold
+
+    def test_one_degenerate_class_makes_the_space_degenerate(self):
+        # column 3 alone has selections; column 2 has three chains for its two options x^2 z and xyz
+        healthy = [make_chain(at(3, 0), 1), make_chain(at(3, 1), 1)]
+        space = unchecked_space(SHIFT, [*healthy, make_chain(at(2, 0), 1), make_chain(at(2, 0), 1),
+                                        make_chain(at(2, 0), 1)])
+        assert len(A._fold(fresh(space))[3]) == 2
+        assert outcome(lambda: A.minmax_alpha_grade(space)) is DegenerateSpaceError
+        assert outcome(lambda: ref_minmax(space)) is DegenerateSpaceError
+        assert A.minmax_alpha_grade(unchecked_space(SHIFT, healthy)) == ref_minmax(unchecked_space(SHIFT, healthy))
+
+    def test_each_search_walks_each_class_once(self, monkeypatch):
+        # column 2: two chains, column 3: three chains in a row of shared options
+        space = T.SemiInvariantSpace(SHIFT, [
+            make_chain(at(0, 0)),
+            make_chain(at(2, 0), 1, 2), make_chain(at(2, 1), 1),
+            make_chain(at(3, 0), 1), make_chain(at(3, 1), 1), make_chain(at(3, 2), 1),
+        ])
+        want = ref_minmax(space), [ref_spread(space, A.DomainSplit(t)) for t in range(space.degree + 1)]
+        entries = walk_entries(monkeypatch)
+        assert A.minmax_alpha_grade(space) == want[0]
+        assert entries == [2, 3]
+        for threshold in range(space.degree + 1):
+            entries.clear()
+            assert A.right_domain_spread(space, A.DomainSplit(threshold)) == want[1][threshold]
+            assert entries == [2, 3], threshold
+
+    def test_one_class_keeps_the_walk_order(self):
+        # every chain steps within column 3: one class, the chain with the most options first, ties in chain order
+        space = T.SemiInvariantSpace(SHIFT, [
+            make_chain(at(3, 1), 1), make_chain(at(3, 0), 1, 2, 3), make_chain(at(0, 0)), make_chain(at(3, 2), 1),
+        ])
+        (walked,) = A._fold(space)[3]
+        assert [[ey for _, _, ey, _ in options] for options in walked] == [[0, 1, 2, 3], [1, 2], [2, 3]]
+        assert A.minmax_alpha_grade(space) == ref_minmax(space)
+
+
 def limit_outcome(space, direction):
     """The limit staircase, or the class and message of the error raised instead."""
     try:

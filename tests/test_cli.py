@@ -509,7 +509,7 @@ class TestColdStart:
             (
                 ("verify", "--suite", "ch14", "--max-e", "5"),
                 0,
-                GRADE_MODULES + ("pyramids", "suites", "suites.alpha"),  # the group holds pyramid-alpha-link
+                GRADE_MODULES + ("suites", "suites.alpha"),
             ),
             (("verify", "--suite", "nope"), 2, ()),
             (("verify", "--help"), 0, ()),

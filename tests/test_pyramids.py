@@ -236,7 +236,7 @@ def _reference_walk(c, d, full_subsets=False):
     """The exhaustive walk as a plain recursion that tests every pick of
     every column at every node; ``brute_force_max_weight`` has to give the
     same weight and the same witness."""
-    pools = [P._column_pool(i, full_subsets) for i in range(c)]
+    pools = [P._column_pool(i, i + 1, full_subsets) for i in range(c)]  # every option of each column
     room = [comb(c + 1, 2) - comb(i + 1, 2) for i in range(c + 1)]
     picks = [None] * c
     best = [-1, None]
@@ -313,10 +313,12 @@ class TestExhaustiveWalk:
         skips shows as a wrong maximum, and the many ties test the tie-break."""
         rng, pools, pool = random.Random(2011), {}, P._column_pool
 
-        def random_pool(i, full_subsets):
+        def random_pool(i, deficit, full_subsets):
             if (i, full_subsets) not in pools:
-                pools[i, full_subsets] = [(pick, missed, rng.randint(0, 20)) for pick, missed, _ in pool(i, full_subsets)]
-            return pools[i, full_subsets]
+                pools[i, full_subsets] = [
+                    (pick, missed, rng.randint(0, 20)) for pick, missed, _ in pool(i, i + 1, full_subsets)
+                ]
+            return [option for option in pools[i, full_subsets] if option[1] <= deficit]
 
         monkeypatch.setattr(P, "_column_pool", random_pool)
         for c in range(1, cap + 1):
@@ -326,7 +328,7 @@ class TestExhaustiveWalk:
                 assert (w, witness.columns) == (want_w, want.columns), (c, d)
 
     def test_the_budget_is_checked_before_any_table_is_built(self, monkeypatch):
-        def pool(i, full_subsets):
+        def pool(i, deficit, full_subsets):
             raise AssertionError(f"pool of column {i} built")
 
         monkeypatch.setattr(P, "_column_pool", pool)
@@ -338,9 +340,22 @@ class TestExhaustiveWalk:
     def test_each_call_builds_its_own_tables(self, monkeypatch):
         built = []
         pool = P._column_pool
-        monkeypatch.setattr(P, "_column_pool", lambda i, full_subsets: built.append(i) or pool(i, full_subsets))
+
+        def counted(i, deficit, full_subsets):
+            built.append((i, deficit))
+            return pool(i, deficit, full_subsets)
+
+        monkeypatch.setattr(P, "_column_pool", counted)
         assert P.brute_force_max_weight(6, 4) == P.brute_force_max_weight(6, 4)
-        assert built == [*range(6)] * 2
+        assert built == [(i, 4) for i in range(6)] * 2
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_a_pool_holds_the_options_within_its_deficit_in_pick_order(self, full):
+        for i in range(6):
+            every = P._column_pool(i, i + 1, full)
+            assert len(every) == (2 ** (i + 1) if full else i + 2)
+            for deficit in range(i + 3):
+                assert P._column_pool(i, deficit, full) == [option for option in every if option[1] <= deficit]
 
     def test_never_consults_the_closed_form_or_the_dp(self, monkeypatch):
         def consulted(*args, **kwargs):

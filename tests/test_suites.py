@@ -390,8 +390,8 @@ class TestCoverage:
         # the full-subset pools double per column; past the budget the per-column check stands in
         built = []
         pool = pyramids._column_pool
-        monkeypatch.setattr(pyramids, "_column_pool", lambda i, full_subsets: built.append((i, full_subsets))
-                            or pool(i, full_subsets))
+        monkeypatch.setattr(pyramids, "_column_pool", lambda i, deficit, full_subsets: built.append((i, full_subsets))
+                            or pool(i, deficit, full_subsets))
         assert suites.run_suite("pyramid-oracle-full", max_frame=30).ok
         assert {i for i, full in built if full} == set(range(pyramids.FULL_SUBSET_FRAME_CAP))
 
