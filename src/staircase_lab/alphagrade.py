@@ -93,9 +93,6 @@ class DomainSplit(Record):
         if self.threshold < 0:
             raise DomainError("split threshold must be nonnegative")
 
-    def is_right(self, mon: Monomial) -> bool:
-        return self.right_of(mon.xy_degree)
-
     def right_of(self, xy_degree: int) -> bool:
         return xy_degree > self.threshold
 

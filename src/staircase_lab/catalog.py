@@ -12,7 +12,6 @@ from math import comb
 from typing import Callable
 
 from .errors import DomainError, Record
-from .hilbert import HilbertFunction
 from .monomials import Monomial
 from .staircase import GradedMonomialIdeal, from_generators
 from .torus import SemiInvariantSpace, TorusWeight, deformed_section_space
@@ -199,10 +198,6 @@ def build_space(case: DeformationCase, m: int, level=None) -> SemiInvariantSpace
     n = ideal.colength if level is None else level
     initial, rho = case.chain(m, n)
     return deformed_section_space(ideal, n, TorusWeight(rho), [(initial, [1])])
-
-
-def case_hilbert_function(case: DeformationCase, m: int) -> HilbertFunction:
-    return zero_limit_ideal(case, m).hilbert_function()
 
 
 def chain_staircase(ms, kernel_gens) -> GradedMonomialIdeal:

@@ -23,7 +23,8 @@ an integer flag excepted), text ``int`` rejects, an unknown suite, a missing
 required flag and a stray token.  Importing argparse (and through it
 ``gettext``), its ``locale`` lookups and building its sub-parsers would cost
 each request more than compiling ``hilbert``, all that ``genus`` runs.
-``json`` too is imported only for ``--json`` or by a module that needs it.
+``json`` is loaded only for ``--json``, for ``alphagrade`` (to read its
+space file) and for the ``families`` suites, through ``torus``.
 """
 
 from __future__ import annotations

@@ -23,10 +23,6 @@ class RangeError(DomainError):
     """Parameters outside the supported search or stabilization range."""
 
 
-class MarkerUndefinedError(DomainError):
-    """A marker monomial with a negative exponent."""
-
-
 class DegenerateLimitError(DomainError):
     """Limit of a semi-invariant space with colliding monomials."""
 
@@ -48,8 +44,8 @@ def int_array(values):
 
 class Record:
     """An immutable value whose fields are its class's own annotations, in order: filled
-    positionally (a class-level value is a default), then checked by ``__post_init__``;
-    equal only within one class, hashed and printed by its fields."""
+    positionally, one argument each, then checked by ``__post_init__``; equal only
+    within one class, hashed and printed by its fields."""
 
     __slots__ = ()
 
@@ -58,7 +54,7 @@ class Record:
 
     def __init__(self, *args):
         names = self._fields
-        if len(args) > len(names) or not all(hasattr(type(self), name) for name in names[len(args):]):
+        if len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names}, got {len(args)} arguments")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)

@@ -184,14 +184,6 @@ def _order(a: int, b: int, guard: int) -> Verdict:
     return "incomparable"
 
 
-def compare(phi: HilbertFunction, psi: HilbertFunction) -> Verdict:
-    """Pointwise partial-order verdict between equal-colength functions."""
-    if phi.colength != psi.colength:
-        raise DomainError("comparing Hilbert functions of different colengths")
-    (a, b), guard = _packed((phi, psi))
-    return _order(a, b, guard)
-
-
 def enumerate_hilbert_functions(d: int, above: int | None = None) -> list[HilbertFunction]:
     """All Hilbert functions of colength d, in lexicographic diff order; with
     ``above``, only those whose genus functional exceeds it.

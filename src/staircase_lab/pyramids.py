@@ -89,10 +89,6 @@ class NRDecomposition(Record):
     n: int
     r: int
 
-    def value(self) -> int:
-        base = self.n * (self.n + 1) if self.case == "square_pronic" else self.n * self.n
-        return base - self.r
-
 
 @functools.cache  # depends on d alone; the representation count is checked once per d
 def nr_decomposition(d: int) -> NRDecomposition:

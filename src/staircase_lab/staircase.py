@@ -11,7 +11,6 @@ degree-n section space is ``sum_i z^(n-i) * V_i``.  Columns with index
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, pairwise, repeat, takewhile
 from math import comb
@@ -136,9 +135,6 @@ class GradedMonomialIdeal(Record):
     def to_json_dict(self) -> dict:
         return {"columns": [sorted(col) for col in self.columns], "stable_from": self.stable_from}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @staticmethod
     def from_json_dict(data: dict) -> "GradedMonomialIdeal":
         try:
@@ -149,14 +145,6 @@ class GradedMonomialIdeal(Record):
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed ideal JSON: {data!r}") from exc
         return GradedMonomialIdeal.from_columns(cols, stable)
-
-    @staticmethod
-    def from_json(text: str | bytes) -> "GradedMonomialIdeal":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad bytes or syntax, an over-long integer, deep nesting
-            raise DomainError(f"malformed ideal JSON: {exc}") from exc
-        return GradedMonomialIdeal.from_json_dict(data)
 
     def generators(self) -> list[tuple[int, int]]:
         """Minimal (x, y)-monomial generators as (x-exponent, y-exponent)

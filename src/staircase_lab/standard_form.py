@@ -5,16 +5,15 @@ splits off a kernel function and a regularity m (the difference sequence is
 the kernel's shifted by one degree below m, diagonal from m on).  Iterating
 the split yields the type chain (m_0 > m_1 > ... > m_r plus the residual
 kernel); on the ideal side the same split identifies an x- or y-standard
-form, and the chain data generate the marker monomials.
+form.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import DomainError, InternalInconsistencyError, MarkerUndefinedError, Record
+from .errors import DomainError, InternalInconsistencyError, Record
 from .hilbert import HilbertFunction, deformation_bound
-from .monomials import Monomial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: splitting a function needs no staircase
@@ -73,25 +72,16 @@ class TypeChain(Record):
 
     ``ms`` lists m_0 > m_1 > ... > m_r (empty for type -1); ``kernel_c`` and
     ``kernel_kappa`` are the colength and regularity of the residual kernel.
-    ``ells`` (one of 'x'/'y' per level) exists only for ideal-level chains;
-    Hilbert functions do not determine it.
+    No function determines the levels' linear-form labels: text and JSON print ``ells=-``/``null``.
     """
 
     ms: tuple[int, ...]
     kernel_c: int
     kernel_kappa: int
-    ells: Optional[tuple[str, ...]] = None
 
     @property
     def r(self) -> int:
         return len(self.ms) - 1
-
-    def __post_init__(self):
-        if self.ells is not None:
-            if len(self.ells) != len(self.ms):
-                raise DomainError("need one linear-form label per chain level")
-            if any(ell not in ("x", "y") for ell in self.ells):
-                raise DomainError(f"labels must be 'x' or 'y', got {self.ells}")
 
     def check_invariants(self) -> None:
         r = self.r
@@ -112,8 +102,7 @@ class TypeChain(Record):
 
     def as_text(self) -> str:
         ms = ",".join(str(m) for m in self.ms)
-        ells = ",".join(self.ells) if self.ells else "-"
-        return f"r={self.r}; ells={ells}; ms={ms}; c={self.kernel_c}; kappa={self.kernel_kappa}"
+        return f"r={self.r}; ells=-; ms={ms}; c={self.kernel_c}; kappa={self.kernel_kappa}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,7 +110,7 @@ class TypeChain(Record):
             "ms": list(self.ms),
             "kernel_c": self.kernel_c,
             "kernel_kappa": self.kernel_kappa,
-            "ells": list(self.ells) if self.ells else None,
+            "ells": None,
         }
 
 
@@ -137,60 +126,6 @@ def type_of(phi: HilbertFunction) -> TypeChain:
             return chain
         cur, m = split[0], split[1]
         ms.append(m)
-
-
-def iota_table(ells) -> tuple[int, ...]:
-    """iota(i) = number of indices j < i with ells[j] = 'y', for i = 0..r+1."""
-    if any(ell not in ("x", "y") for ell in ells):
-        raise DomainError(f"labels must be 'x' or 'y', got {ells}")
-    out = [0]
-    for ell in ells:
-        out.append(out[-1] + (1 if ell == "y" else 0))
-    return tuple(out)
-
-
-class MarkerSet(Record):
-    """The six distinguished monomials attached to one chain level."""
-
-    m_up: Monomial
-    m_down: Monomial
-    n_up: Monomial
-    n_down: Monomial
-    e_up: Monomial
-    e_down: Monomial
-
-
-def marker_monomials(chain: TypeChain) -> list[MarkerSet]:
-    """Marker monomials per chain level, all of total degree m_0.
-
-    Level i with labels iota(i): the initial markers are
-    M_up = x^(i-iota) y^(m_i+iota) z^(m_0-m_i-i) and
-    M_down = x^(m_i+i-iota) y^iota z^(m_0-m_i-i); N and E divide one and two
-    more powers of y (resp. x) into z.  Negative exponents are rejected.
-    """
-    if chain.r < 0:
-        raise DomainError("marker monomials need a chain of type >= 0")
-    if chain.ells is None:
-        raise DomainError("marker monomials need the linear-form labels")
-    iota = iota_table(chain.ells)
-    m0 = chain.ms[0]
-    out = []
-    for i, mi in enumerate(chain.ms):
-        zdeg = m0 - mi - i
-        try:
-            m_up = Monomial(i - iota[i], mi + iota[i], zdeg)
-            m_down = Monomial(mi + i - iota[i], iota[i], zdeg)
-            n_up = m_up.shift(0, -1, 1)
-            n_down = m_down.shift(-1, 0, 1)
-            e_up = m_up.shift(0, -2, 2)
-            e_down = m_down.shift(-2, 0, 2)
-        except DomainError as exc:
-            raise MarkerUndefinedError(f"marker with negative exponent at level {i}") from exc
-        for mon in (m_up, m_down, n_up, n_down, e_up, e_down):
-            if mon.degree != m0:
-                raise InternalInconsistencyError(f"marker {mon} has degree != {m0}")
-        out.append(MarkerSet(m_up, m_down, n_up, n_down, e_up, e_down))
-    return out
 
 
 class StandardForm(Record):

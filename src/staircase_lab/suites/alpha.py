@@ -15,7 +15,10 @@ def suite_ch14(max_e: int = 10):
 
 
 def suite_stabilization(max_colength: int = 8, extra_levels: int = 3):
-    """Cycle degrees are constant from colength - 1 on."""
+    """Cycle degrees are constant from colength d - 1 on, by construction:
+    ``cycle_degree(ideal, n)`` reads the columns up to ``min(n, stable_from)``,
+    ``stable_from`` = max(i + h_i) <= d, so for n >= d - 1 the compared sums differ
+    at most by full columns, which weigh 0.  The suite confirms the clamp, not stabilization."""
     for d in range(1, max_colength + 1):
         for ideal in staircase.enumerate_ideals(d):
             base = alphagrade.cycle_degree(ideal, d - 1)

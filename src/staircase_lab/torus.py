@@ -183,9 +183,6 @@ class SemiInvariantSpace:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @staticmethod
     def from_json_dict(data: dict) -> "SemiInvariantSpace":
         """``rho``, each ``initial`` and each ``support`` pass ``int_array``."""

@@ -14,7 +14,7 @@ from staircase_lab import alphagrade as A
 from staircase_lab import hilbert as H
 from staircase_lab import suites
 from staircase_lab import torus as T
-from staircase_lab.catalog import build_space, case_by_name, case_hilbert_function
+from staircase_lab.catalog import build_space, case_by_name, zero_limit_ideal
 
 
 def _report(number, name, limit, elapsed, ok, detail=""):
@@ -142,7 +142,7 @@ def test_criterion_08_inequality_suites():
                 return f"{name}: {report.violations[:2]}"
         case = case_by_name("7.3")
         for m in range(4, 11):
-            got = A.check_bang(build_space(case, m), case_hilbert_function(case, m))
+            got = A.check_bang(build_space(case, m), zero_limit_ideal(case, m).hilbert_function())
             if got != (m >= 5):
                 return f"bound check wrong at m={m}"
         return None

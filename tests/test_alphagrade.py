@@ -17,7 +17,6 @@ from staircase_lab.catalog import (
     CASES,
     build_space,
     case_by_name,
-    case_hilbert_function,
     chain_staircase,
     double_deformation_space,
     marker_deformation_space,
@@ -67,7 +66,7 @@ def ref_spread(space, split):
     at_max, at_min = [], []
     for sel in naive_selections(space):
         g = A.alpha_grade_monomials(sel)
-        right = A.alpha_grade_monomials([m for m in sel if split.is_right(m)])
+        right = A.alpha_grade_monomials([m for m in sel if m.xy_degree > split.threshold])
         if g == hi:
             at_max.append(right)
         if g == lo:
@@ -616,12 +615,12 @@ class TestBang:
     def test_exceptional_configuration(self):
         case = case_by_name("7.3")
         space = build_space(case, 4)
-        assert A.check_bang(space, case_hilbert_function(case, 4)) is False
+        assert A.check_bang(space, zero_limit_ideal(case, 4).hilbert_function()) is False
 
     @pytest.mark.parametrize("m", range(5, 11))
     def test_larger_regularities_pass(self, m):
         case = case_by_name("7.3")
-        assert A.check_bang(build_space(case, m), case_hilbert_function(case, m)) is True
+        assert A.check_bang(build_space(case, m), zero_limit_ideal(case, m).hilbert_function()) is True
 
     def test_all_monomial_space_passes(self):
         ideal = S.from_generators([(1, 1), (0, 2), (4, 0)])

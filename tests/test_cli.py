@@ -255,7 +255,7 @@ class TestComputations:
         from staircase_lab.catalog import build_space, case_by_name
 
         space_file = tmp_path / "space.json"
-        space_file.write_text(build_space(case_by_name("7.3"), 4).to_json())
+        space_file.write_text(json.dumps(build_space(case_by_name("7.3"), 4).to_json_dict()))
         result = run_cli("alphagrade", "--space", str(space_file))
         assert result.stdout.splitlines() == ["min-alpha-grade=5", "max-alpha-grade=10"]
         as_json = json.loads(run_cli("alphagrade", "--space", str(space_file), "--json").stdout)
@@ -470,18 +470,20 @@ NOT_IMPORTED = {"dataclasses", "inspect", "fractions", "decimal"}
 # what only help and usage errors pay: argparse, with ``gettext`` and the
 # ``locale`` its message lookups import
 ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+# what only a request that reads or writes JSON pays
+JSON_MODULES = {"json"}
 
 
 def imported_modules(*args):
     """Exit code of one fresh ``python -m staircase_lab`` request, the
-    package modules it imported and the ``NOT_IMPORTED`` and
-    ``ARGPARSE_MODULES`` ones it imported (read from ``-X importtime``)."""
+    package modules it imported and the ``NOT_IMPORTED``, ``ARGPARSE_MODULES``
+    and ``JSON_MODULES`` ones it imported (read from ``-X importtime``)."""
     result = subprocess.run(
         [sys.executable, "-X", "importtime", *BASE[1:], *args], capture_output=True, text=True, timeout=120, check=False
     )
     names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
     package = {name for name in names if name.split(".")[0] == "staircase_lab"}
-    return result.returncode, package, names & (NOT_IMPORTED | ARGPARSE_MODULES)
+    return result.returncode, package, names & (NOT_IMPORTED | ARGPARSE_MODULES | JSON_MODULES)
 
 
 class TestColdStart:
@@ -489,7 +491,7 @@ class TestColdStart:
         "args,code,modules",
         [
             (("hf", "enum", "--colength", "3"), 0, ("hilbert",)),
-            (("hf", "info", "--phi", "0,0,2,3,5"), 0, ("hilbert", "monomials", "standard_form")),
+            (("hf", "info", "--phi", "0,0,2,3,5"), 0, ("hilbert", "standard_form")),
             (("pyramid", "max", "--frame", "4", "--colength", "4", "--oracle"), 0, ("monomials", "pyramids")),
             (("genus", "--d", "6", "--nu", "4"), 0, ("hilbert",)),
             (("ch14", "--e", "5"), 0, GRADE_MODULES),
@@ -511,22 +513,30 @@ class TestColdStart:
                 0,
                 GRADE_MODULES + ("suites", "suites.alpha"),
             ),
+            (
+                ("verify", "--suite", "borel", "--max-colength", "6"),
+                0,
+                ("hilbert", "monomials", "staircase", "standard_form", "suites", "suites.forms"),
+            ),
             (("verify", "--suite", "nope"), 2, ()),
             (("verify", "--help"), 0, ()),
         ],
         ids=["hf-enum", "hf-info", "pyramid", "genus", "ch14", "alphagrade", "alphagrade-missing-file", "verify",
-             "verify-pyramid", "verify-scans", "verify-alpha", "verify-unknown-suite", "verify-help"],
+             "verify-pyramid", "verify-scans", "verify-alpha", "verify-forms", "verify-unknown-suite", "verify-help"],
     )
     def test_a_request_imports_only_what_its_command_runs(self, tmp_path, args, code, modules):
         from staircase_lab.catalog import build_space, case_by_name
 
         space_file = tmp_path / "space.json"
-        space_file.write_text(build_space(case_by_name("7.3"), 4).to_json())
+        space_file.write_text(json.dumps(build_space(case_by_name("7.3"), 4).to_json_dict()))
+        # a plain request is read without argparse; help and usage errors build it;
+        # of these requests (none asks for --json) only reading a space file loads json
+        standard = (ARGPARSE_MODULES if args[-1] in ("--help", "nope") else set()) | (
+            JSON_MODULES if "{space}" in args else set()
+        )
         args = [a.format(space=space_file, missing=tmp_path / "missing.json") for a in args]
         base = {"staircase_lab", "staircase_lab.cli", "staircase_lab.errors"}
-        # a plain request is read without argparse; help and usage errors build it
-        parser = ARGPARSE_MODULES if args[-1] in ("--help", "nope") else set()
-        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules}, parser)
+        assert imported_modules(*args) == (code, base | {f"staircase_lab.{m}" for m in modules}, standard)
 
     def test_no_module_of_the_package_imports_the_unneeded_standard_modules(self):
         import pkgutil

@@ -78,6 +78,12 @@ def ref_verdict(a, b):
     return {(True, True): "equal", (True, False): "less", (False, True): "greater"}.get((le, ge), "incomparable")
 
 
+def ref_pair(a, b):
+    """What ``pairwise_comparable([a, b])`` must return: the ordered pair of a
+    strict comparison, nothing for equal or incomparable functions."""
+    return {"less": [(a, b)], "greater": [(b, a)]}.get(ref_verdict(a, b), [])
+
+
 def ref_enumerate(d):
     """The validated enumerator: extend each prefix by every value the
     admissibility rules allow, rescanning the prefix, and check every result."""
@@ -301,35 +307,37 @@ class TestGenusFunctional:
 class TestCompare:
     def test_equal(self):
         phi = H.HilbertFunction.from_diff([0, 0, 3])
-        assert H.compare(phi, phi) == "equal"
+        assert H.pairwise_comparable([phi, phi]) == []
+        assert H.pairwise_comparable([phi, H.HilbertFunction.from_diff([0, 0, 3])]) == []
 
     def test_small_catalog_pair_is_comparable(self):
         phi1, phi2 = H.enumerate_hilbert_functions(3)
-        assert H.compare(phi1, phi2) == "less"
-        assert H.compare(phi2, phi1) == "greater"
+        assert H.pairwise_comparable([phi1, phi2]) == [(phi1, phi2)]
+        assert H.pairwise_comparable([phi2, phi1]) == [(phi1, phi2)]
 
     def test_colength_four_consistency(self):
         phi1, phi2 = H.enumerate_hilbert_functions(4)
-        assert H.compare(phi1, phi2) == "less"
+        assert H.pairwise_comparable([phi1, phi2]) == [(phi1, phi2)]
         assert phi1.g_star() == 1 < phi2.g_star() == 3
 
     def test_incomparable_pair(self):
         # colengths below 9 happen to be totally ordered; 9 is not
         phi = H.HilbertFunction.from_diff([0, 0, 0, 3, 4, 5, 7])
         psi = H.HilbertFunction.from_diff([0, 0, 1, 2, 3, 6])
-        assert H.compare(phi, psi) == "incomparable"
+        assert ref_verdict(phi, psi) == "incomparable"
+        assert H.pairwise_comparable([phi, psi]) == H.pairwise_comparable([psi, phi]) == []
 
     def test_different_colengths_rejected(self):
         phi, psi = H.HilbertFunction.from_diff([0, 2]), H.HilbertFunction.from_diff([0, 1, 3])
         with pytest.raises(DomainError):
-            H.compare(phi, psi)
-        with pytest.raises(DomainError):
             H.pairwise_comparable([phi, psi])
+        with pytest.raises(DomainError):
+            H.pairwise_comparable([psi, phi, phi])
 
     @given(equal_colength_lists(max_size=2))
     def test_compare_matches_the_reference(self, functions):
         phi, psi = functions if len(functions) == 2 else functions * 2
-        assert H.compare(phi, psi) == ref_verdict(phi, psi)
+        assert H.pairwise_comparable([phi, psi]) == ref_pair(phi, psi)
 
     @settings(max_examples=50)
     @given(st.one_of(equal_colength_lists(), lists_with_repeats()))
@@ -341,7 +349,7 @@ class TestCompare:
     def test_every_pair_matches_the_reference(self, d):
         functions = H.enumerate_hilbert_functions(d)
         for phi, psi in itertools.product(functions, repeat=2):
-            assert H.compare(phi, psi) == ref_verdict(phi, psi)
+            assert H.pairwise_comparable([phi, psi]) == ref_pair(phi, psi)
         expected = [(a, b) for a, b in itertools.permutations(functions, 2) if ref_verdict(a, b) == "less"]
         assert H.pairwise_comparable(functions) == expected
 
@@ -358,9 +366,9 @@ class TestCompare:
         assert phi.colength == psi.colength == d
         assert ref_phi(high, 16) == comb(18, 2) - d
         for a, b in itertools.product([phi, psi], repeat=2):
-            assert H.compare(a, b) == ref_verdict(a, b)
-        assert H.compare(phi, psi) == "less"
-        assert H.pairwise_comparable([psi, phi]) == [(phi, psi)]
+            assert H.pairwise_comparable([a, b]) == ref_pair(a, b)
+        assert ref_verdict(phi, psi) == "less"
+        assert H.pairwise_comparable([phi, psi]) == H.pairwise_comparable([psi, phi]) == [(phi, psi)]
 
     def test_pairwise_keeps_the_ordered_pair_order(self):
         # phi < psi, each given twice as distinct equal objects; equal copies make no pair

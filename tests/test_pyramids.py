@@ -62,6 +62,11 @@ class TestWeight:
                 P.Pyramid(tuple(map(frozenset, columns))).initial_degrees()
 
 
+def ref_nr_value(dec):
+    """The d a decomposition stands for: n(n+1) - r or n^2 - r."""
+    return dec.n * (dec.n + 1) - dec.r if dec.case == "square_pronic" else dec.n * dec.n - dec.r
+
+
 class TestNRDecomposition:
     @pytest.mark.parametrize(
         "d,case,n,r",
@@ -77,17 +82,19 @@ class TestNRDecomposition:
     def test_examples(self, d, case, n, r):
         dec = P.nr_decomposition(d)
         assert (dec.case, dec.n, dec.r) == (case, n, r)
-        assert dec.value() == d
+        assert ref_nr_value(dec) == d
 
     def test_every_d_has_exactly_one_representation(self):
         for d in range(1, 600):
-            assert P.nr_decomposition(d).value() == d
+            dec = P.nr_decomposition(d)
+            assert ref_nr_value(dec) == d
+            assert 0 <= dec.r < dec.n
 
     def test_cached_per_d_and_checked_for_each_new_d(self, monkeypatch):
         P.nr_decomposition.cache_clear()
         assert P.nr_decomposition(14) is P.nr_decomposition(14)
         monkeypatch.setattr(P, "isqrt", lambda d: 0)  # finds no representation
-        assert P.nr_decomposition(14).value() == 14  # cached
+        assert ref_nr_value(P.nr_decomposition(14)) == 14  # cached
         with pytest.raises(InternalInconsistencyError, match="0 representations"):
             P.nr_decomposition(15)
 

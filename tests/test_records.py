@@ -12,7 +12,7 @@ from staircase_lab.hilbert import HilbertFunction
 from staircase_lab.monomials import Monomial
 from staircase_lab.pyramids import NRDecomposition, Pyramid, WeightTable
 from staircase_lab.staircase import GradedMonomialIdeal
-from staircase_lab.standard_form import MarkerSet, StandardForm, TypeChain
+from staircase_lab.standard_form import StandardForm, TypeChain
 from staircase_lab.torus import Chain, TorusWeight
 
 M = Monomial(1, 2, 3)
@@ -48,19 +48,7 @@ CASES = {
         "DeformationCase(name='x', kernel_c=1, min_m=4, generators=<built-in function abs>, "
         "chain=<built-in function len>, deg_zero=<built-in function min>, deg_infinity=<built-in function max>)",
     ),
-    "TypeChain": (
-        TypeChain,
-        ((5, 2), 1, 1, ("x", "y")),
-        ((5, 2), 1, 1, ("y", "y")),
-        "TypeChain(ms=(5, 2), kernel_c=1, kernel_kappa=1, ells=('x', 'y'))",
-    ),
-    "MarkerSet": (
-        MarkerSet,
-        (M, M, M, M, M, Monomial(0, 0, 0)),
-        (M, M, M, M, M, M),
-        f"MarkerSet(m_up={M_REPR}, m_down={M_REPR}, n_up={M_REPR}, n_down={M_REPR}, e_up={M_REPR}, "
-        "e_down=Monomial(ex=0, ey=0, ez=0))",
-    ),
+    "TypeChain": (TypeChain, ((5, 2), 1, 1), ((5, 2), 1, 0), "TypeChain(ms=(5, 2), kernel_c=1, kernel_kappa=1)"),
     "StandardForm": (
         StandardForm,
         ("x", GradedMonomialIdeal((1,)), 3),
@@ -72,7 +60,6 @@ CASES = {
         Chain, (M, frozenset({0, 2})), (M, frozenset({0, 1})), f"Chain(initial={M_REPR}, support=frozenset({{0, 2}}))"
     ),
 }
-REQUIRED = {"TypeChain": 3}  # fields without a class-level default, where not all of them
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -114,11 +101,11 @@ def test_fields_cannot_be_set_or_deleted(case):
 
 
 def test_too_many_or_too_few_arguments(case):
-    name, cls, args, _, _ = case
+    _, cls, args, _, _ = case
     with pytest.raises(TypeError):
         cls(*args, args[0])
     with pytest.raises(TypeError):
-        cls(*args[: REQUIRED.get(name, len(args)) - 1])
+        cls(*args[:-1])
     with pytest.raises(TypeError):
         cls()
 
@@ -138,13 +125,6 @@ def test_records_of_different_types_are_never_equal():
         assert cls(*args) != tuple(args), name
 
 
-def test_type_chain_labels_default_to_none():
-    chain = TypeChain((5, 2), 1, 1)
-    assert chain.ells is None
-    assert chain == TypeChain((5, 2), 1, 1, None)
-    assert repr(chain) == "TypeChain(ms=(5, 2), kernel_c=1, kernel_kappa=1, ells=None)"
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -152,11 +132,10 @@ def test_type_chain_labels_default_to_none():
         lambda: HilbertFunction((0, 2, 3)),
         lambda: GradedMonomialIdeal((1, 2)),
         lambda: DomainSplit(-1),
-        lambda: TypeChain((5, 2), 1, 1, ("x",)),
         lambda: TorusWeight((0, 0, 0)),
         lambda: Chain(M, frozenset({1})),
     ],
-    ids=["Monomial", "HilbertFunction", "GradedMonomialIdeal", "DomainSplit", "TypeChain", "TorusWeight", "Chain"],
+    ids=["Monomial", "HilbertFunction", "GradedMonomialIdeal", "DomainSplit", "TorusWeight", "Chain"],
 )
 def test_public_constructors_run_their_checks(build):
     with pytest.raises(DomainError):

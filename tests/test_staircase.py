@@ -183,8 +183,7 @@ class TestPartitionStorage:
         gens = ref_generators(column, stable)
         assert ideal.generators() == gens
         assert str(ideal) == "(" + ", ".join(str(Monomial(gx, gy, 0)) for gx, gy in gens) + ")"
-        text = json.dumps({"columns": [sorted(c) for c in columns], "stable_from": stable}, separators=(",", ":"))
-        assert ideal.to_json() == text
+        assert ideal.to_json_dict() == {"columns": [sorted(c) for c in columns], "stable_from": stable}
 
     @given(partitions(max_total=12))
     def test_from_columns_reads_the_heights_back(self, heights):
@@ -386,13 +385,13 @@ class TestValidation:
 class TestJson:
     @given(ideals_small)
     def test_round_trip_is_bit_exact(self, ideal):
-        text = ideal.to_json()
-        back = S.GradedMonomialIdeal.from_json(text)
+        text = json.dumps(ideal.to_json_dict())
+        back = S.GradedMonomialIdeal.from_json_dict(json.loads(text))
         assert back == ideal
-        assert back.to_json() == text
+        assert json.dumps(back.to_json_dict()) == text
 
     def test_columns_beyond_the_array_are_full(self):
-        ideal = S.GradedMonomialIdeal.from_json(json.dumps({"columns": [[], [0]], "stable_from": 2}))
+        ideal = S.GradedMonomialIdeal.from_json_dict({"columns": [[], [0]], "stable_from": 2})
         assert ideal.column(5) == frozenset(range(6))
 
     def test_malformed_json_rejected(self):
@@ -412,11 +411,6 @@ class TestJson:
     def test_non_integers_are_malformed_not_rounded(self, data):
         with pytest.raises(DomainError, match="^malformed ideal JSON"):
             S.GradedMonomialIdeal.from_json_dict(data)
-
-    @pytest.mark.parametrize("text", ["{", b"\xff\xfe", "1" * 5000, "[" * 100_000, "[]"])
-    def test_bad_json_text_is_a_domain_error(self, text):
-        with pytest.raises(DomainError, match="^malformed ideal JSON"):
-            S.GradedMonomialIdeal.from_json(text)
 
     @given(raw_columns(unique=False))
     def test_json_matches_pad_validate_trim(self, args):

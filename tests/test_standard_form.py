@@ -1,4 +1,4 @@
-"""Decomposition, type chains, markers, and standard-form detection."""
+"""Decomposition, type chains, and standard-form detection."""
 
 import pytest
 from hypothesis import given
@@ -8,8 +8,7 @@ from staircase_lab import staircase as S
 from staircase_lab import standard_form as SF
 from staircase_lab import torus as T
 from staircase_lab.catalog import build_space, case_by_name
-from staircase_lab.errors import DomainError, InternalInconsistencyError, MarkerUndefinedError
-from staircase_lab.monomials import Monomial
+from staircase_lab.errors import DomainError, InternalInconsistencyError
 
 from .strategies import hf_small
 
@@ -146,38 +145,10 @@ class TestTypeChain:
                 SF.type_of(phi).check_invariants()
 
     def test_rendering(self):
-        chain = SF.TypeChain((14, 5), 0, 0, ("y", "x"))
-        assert chain.as_text() == "r=1; ells=y,x; ms=14,5; c=0; kappa=0"
-
-
-class TestMarkers:
-    def test_iota_example(self):
-        assert SF.iota_table(("x", "y", "x", "x", "y", "y")) == (0, 0, 1, 1, 1, 2, 3)
-
-    def test_type_zero_lower_marker_is_a_pure_power(self):
-        markers = SF.marker_monomials(SF.TypeChain((7,), 0, 0, ("y",)))
-        assert markers[0].m_down == Monomial(7, 0, 0)
-
-    def test_vice_markers_divide_one_power(self):
-        chain = SF.TypeChain((14, 5), 0, 0, ("y", "y"))
-        for level in SF.marker_monomials(chain):
-            assert level.n_up == level.m_up.shift(0, -1, 1)
-            assert level.n_down == level.m_down.shift(-1, 0, 1)
-            assert level.e_down == level.m_down.shift(-2, 0, 2)
-
-    def test_all_markers_live_in_the_top_degree(self):
-        chain = SF.TypeChain((20, 8, 4), 1, 0, ("y", "x", "y"))
-        for level in SF.marker_monomials(chain):
-            for mon in (level.m_up, level.m_down, level.n_up, level.n_down, level.e_up, level.e_down):
-                assert mon.degree == 20
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(MarkerUndefinedError):
-            SF.marker_monomials(SF.TypeChain((2, 1), 0, 0, ("y", "y")))
-
-    def test_needs_labels(self):
-        with pytest.raises(DomainError):
-            SF.marker_monomials(SF.TypeChain((7,), 0, 0))
+        # no function determines the linear-form labels, so none is ever printed
+        chain = SF.TypeChain((14, 5), 0, 0)
+        assert chain.as_text() == "r=1; ells=-; ms=14,5; c=0; kappa=0"
+        assert chain.to_json_dict() == {"r": 1, "ms": [14, 5], "kernel_c": 0, "kernel_kappa": 0, "ells": None}
 
 
 class TestDetect:
