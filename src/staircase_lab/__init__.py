@@ -9,35 +9,8 @@ semi-invariant spaces, and a catalog of closed-form inequalities.  Every
 closed formula has an independent brute-force oracle next to it; the
 ``suites`` module and the CLI wire them into runnable verification suites.
 
-The names in ``__all__`` are imported from their modules on first access,
-so importing the package (or running one CLI command) loads only the modules
-it uses.
+Importing the package loads no submodule: each command loads only the
+modules it uses.
 """
 
-import importlib
-
-# exported name -> defining module
-_EXPORTS = {
-    "Monomial": "monomials",
-    "GradedMonomialIdeal": "staircase",
-    "HilbertFunction": "hilbert",
-    "Pyramid": "pyramids",
-    "NRDecomposition": "pyramids",
-    "TypeChain": "standard_form",
-    "StandardForm": "standard_form",
-    "Chain": "torus",
-    "SemiInvariantSpace": "torus",
-    "TorusWeight": "torus",
-}
-
-__all__ = list(_EXPORTS)
-
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value

@@ -29,7 +29,7 @@ from .hilbert import q_value
 
 
 class ScanCaps:
-    def __init__(self, max_c: int = 50, max_r: int = 6, m_span: int = 25):
+    def __init__(self, max_c: int, max_r: int, m_span: int):
         # m_span: how far above its lower bound each regularity runs
         self.max_c, self.max_r, self.m_span = max_c, max_r, m_span
 
@@ -267,10 +267,9 @@ class ScanResult:
         return not self.violations
 
 
-def inequality_scan(name: str, caps: ScanCaps | None = None) -> ScanResult:
+def inequality_scan(name: str, caps: ScanCaps) -> ScanResult:
     if name not in SCANS:
         raise DomainError(f"unknown inequality {name!r}; known: {sorted(SCANS)}")
-    caps = caps or ScanCaps()
     result = ScanResult(name)
     for points, failed in SCANS[name](caps):
         result.cases_run += points

@@ -5,9 +5,11 @@ and what it yields is that case's violations as ``(params, expected, got)``
 triples, empty when the case passes; violation data is built only for a
 case that fails.  A suite that already holds a count of passing cases may
 yield it as one int n >= 1 instead of n empty items.  Keyword caps set the
-range, so a fast profile and a deep profile share code.  :func:`run_suite`
-is the only tally: it names, counts and times the cases, and rejects a run
-that covers nothing or a cap the suite does not take.
+range; :data:`SUITES` declares them once per suite, with a default and a
+deep value each, so a fast profile and a deep profile share code.
+:func:`run_suite` is the only tally: it rejects a cap the suite does not take
+before it imports anything, fills in the defaults, names, counts and times
+the cases, and rejects a run that covers nothing.
 
 The suites live in one group module per set of modules they call (``hf``,
 ``forms``, ``pyramid``, ``scans``, ``alpha``, ``families``).  This module holds
@@ -46,18 +48,36 @@ def passed(n: int):
         yield n
 
 
-# suite name -> its group module, in report order; the group defines the
-# suite as ``suite_`` + the name with "-" as "_"
+# suite name -> (its group module, {cap: (default, deep value)}), in report
+# order.  The group defines the suite as ``suite_`` + the name with "-" as "_",
+# taking these caps in this order; the deep values are the nightly profile of
+# scripts/deep_verify.py, a deep value of None leaving the cap unset.
 SUITES = {
-    "catalog-small": "hf", "special-chi": "hf",
-    "pyramid-oracle": "pyramid", "pyramid-oracle-full": "pyramid", "prop-4-1": "pyramid",
-    "pyramid-monotonic": "pyramid", "endpoint": "pyramid",
-    "gstar-crosscheck": "hf", "gstar-monotonic": "hf", "regularity-bound": "hf", "hf-ideal-agreement": "forms",
-    "lemma-2-4": "forms", "corollary-2-2": "forms", "chain-invariants": "forms", "form-agreement": "forms",
-    "ineq": "scans", "genus-negativity": "scans",
-    "ch14": "alpha", "ch7-catalog": "families", "bang": "families", "stabilization": "alpha",
-    "sandwich": "families", "pyramid-alpha-link": "alpha", "a-bound": "families",
-    "borel": "forms",
+    "catalog-small": ("hf", {}),
+    "special-chi": ("hf", {"max_colength": (50, 4600)}),
+    "pyramid-oracle": ("pyramid", {"max_frame": (9, 90)}),
+    "pyramid-oracle-full": ("pyramid", {"max_frame": (9, 780)}),
+    "prop-4-1": ("pyramid", {"max_frame_closed": (64, 256), "max_frame_oracle": (9, 120)}),
+    "pyramid-monotonic": ("pyramid", {"max_frame": (64, 1300)}),
+    "endpoint": ("pyramid", {"max_frame": (32, 2432), "max_n": (8, 456)}),
+    "gstar-crosscheck": ("hf", {"max_colength": (12, 66)}),
+    "gstar-monotonic": ("hf", {"max_colength": (12, 39)}),
+    "regularity-bound": ("hf", {"max_colength": (12, 71)}),
+    "hf-ideal-agreement": ("forms", {"max_colength": (8, 36)}),
+    "lemma-2-4": ("forms", {"max_colength": (14, 94)}),
+    "corollary-2-2": ("forms", {"max_colength": (18, 94)}),
+    "chain-invariants": ("forms", {"max_colength": (14, 63)}),
+    "form-agreement": ("forms", {"max_colength": (12, 37)}),
+    "ineq": ("scans", {"name": (None, None), "max_c": (50, 8000), "max_r": (6, 7), "m_span": (25, 40)}),
+    "genus-negativity": ("scans", {"max_c": (20, 4800), "m_extent": (30, 40), "nu_extent": (10, 15)}),
+    "ch14": ("alpha", {"max_e": (10, 260)}),
+    "ch7-catalog": ("families", {"max_m": (10, 400)}),
+    "bang": ("families", {"max_m": (10, 1600)}),
+    "stabilization": ("alpha", {"max_colength": (8, 27), "extra_levels": (3, 4)}),
+    "sandwich": ("families", {"max_m": (9, 340)}),
+    "pyramid-alpha-link": ("alpha", {"max_colength": (8, 28)}),
+    "a-bound": ("families", {"max_r": (2, 12), "max_c": (3, 3)}),
+    "borel": ("forms", {"max_colength": (8, 33)}),
 }
 
 
@@ -66,22 +86,19 @@ def suite_function(suite: str):
     which this imports on first use."""
     name = "suite_" + suite.replace("-", "_")
     # by the import statement's own hook, which ``-X importtime`` reports and importlib.import_module bypasses
-    group = __import__(f"{__name__}.{SUITES[suite]}", fromlist=[name])
+    group = __import__(f"{__name__}.{SUITES[suite][0]}", fromlist=[name])
     return getattr(group, name)
 
 
 def run_suite(suite: str, **caps) -> VerificationReport:
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
+    declared = SUITES[suite][1]
+    if not caps.keys() <= declared.keys():
+        raise DomainError(f"suite {suite!r} does not take the caps {caps}; it takes {sorted(declared)}")
     function = suite_function(suite)
     start = time.perf_counter()
-    try:
-        cases = function(**caps)  # binds the caps; no case runs before the loop
-    except TypeError:
-        import inspect
-
-        takes = sorted(inspect.signature(function).parameters)
-        raise DomainError(f"suite {suite!r} does not take the caps {caps}; it takes {takes}") from None
+    cases = function(**{cap: caps.get(cap, default) for cap, (default, _) in declared.items()})
     report = VerificationReport(f"ineq:{caps.get('name') or 'all'}" if suite == "ineq" else suite)
     cases_run = batched = 0
     for cases_run, found in enumerate(cases, 1):

@@ -8,13 +8,13 @@ from __future__ import annotations
 from .. import alphagrade, staircase
 
 
-def suite_ch14(max_e: int = 10):
+def suite_ch14(max_e: int):
     for e in range(4, max_e + 1):
         alphagrade.chapter14_degrees(e)  # raises if the closed forms fail
         yield ()
 
 
-def suite_stabilization(max_colength: int = 8, extra_levels: int = 3):
+def suite_stabilization(max_colength: int, extra_levels: int):
     """Cycle degrees are constant from colength d - 1 on, by construction:
     ``cycle_degree(ideal, n)`` reads the columns up to ``min(n, stable_from)``,
     ``stable_from`` = max(i + h_i) <= d, so for n >= d - 1 the compared sums differ
@@ -26,7 +26,7 @@ def suite_stabilization(max_colength: int = 8, extra_levels: int = 3):
             yield () if all(v == base for v in values) else (({"ideal": str(ideal)}, base, values),)
 
 
-def suite_pyramid_alpha_link(max_colength: int = 8):
+def suite_pyramid_alpha_link(max_colength: int):
     """Pyramid weight of the section space at degree d-1 equals the
     closed-form alpha-grade of the staircase."""
     from .. import pyramids

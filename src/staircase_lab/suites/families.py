@@ -5,10 +5,10 @@ the right-domain spread."""
 from __future__ import annotations
 
 from .. import alphagrade, catalog, inequalities, torus
-from ..errors import DegenerateLimitError
+from ..errors import DegenerateLimitError, DomainError
 
 
-def suite_ch7_catalog(max_m: int = 10):
+def suite_ch7_catalog(max_m: int):
     """Limit-cycle degrees of the small-kernel deformation families."""
     for case in catalog.CASES:
         for m in range(case.min_m, max_m + 1):
@@ -18,7 +18,7 @@ def suite_ch7_catalog(max_m: int = 10):
             yield () if got == want else (({"case": case.name, "m": m}, want, got),)
 
 
-def suite_bang(max_m: int = 10):
+def suite_bang(max_m: int):
     """Q(m-1) + min > max fails exactly at the kernel-1, m=4 configuration."""
     case = catalog.case_by_name("7.3")
     for m in range(4, max_m + 1):
@@ -28,7 +28,7 @@ def suite_bang(max_m: int = 10):
         yield () if got == want else (({"m": m}, want, got),)
 
 
-def suite_sandwich(max_m: int = 9):
+def suite_sandwich(max_m: int):
     """Limit degrees sit between min- and max-alpha-grade on all fixtures."""
 
     def spaces():  # one at a time: each is checked before the next is built
@@ -69,9 +69,11 @@ _KERNELS = {
 }
 
 
-def suite_a_bound(max_r: int = 2, max_c: int = 3):
+def suite_a_bound(max_r: int, max_c: int):
     """Right-domain spread of marker deformations stays below the closed bounds;
     the spaces of one (r, c) share its chain staircase."""
+    if max_c > max(_KERNELS):
+        raise DomainError(f"need max_c <= {max(_KERNELS)}, the largest kernel colength a-bound builds, got {max_c}")
     for r in range(1, max_r + 1):
         for c in range(0, max_c + 1):
             ms = _minimal_chain(r, c)

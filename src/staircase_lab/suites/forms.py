@@ -28,7 +28,7 @@ def _ideals(lo: int, hi: int):
     return (ideal for d in range(lo, hi + 1) for ideal in staircase.enumerate_ideals(d))
 
 
-def suite_hf_ideal_agreement(max_colength: int = 8):
+def suite_hf_ideal_agreement(max_colength: int):
     """Enumerated functions match the distinct functions of all staircases.
 
     Both sides build their sequences unchecked, so each distinct staircase
@@ -63,7 +63,7 @@ def _strictly_decreasing(heights) -> bool:
     return all(a > b for a, b in zip(heights, heights[1:]))
 
 
-def suite_lemma_2_4(max_colength: int = 14):
+def suite_lemma_2_4(max_colength: int):
     """Above the deformation bound the split exists and has c + m == d and
     m >= c + 2; ``decompose`` raises when it does not.  One case per function
     above the bound, walked without the others."""
@@ -86,7 +86,7 @@ def _unsplit(d: int, phi) -> tuple:
     return (({"d": d, "phi": phi.as_text()}, f"g* > {hilbert.deformation_bound(d)}", phi.g_star()),)
 
 
-def suite_corollary_2_2(max_colength: int = 18):
+def suite_corollary_2_2(max_colength: int):
     """Kernel below its own bound forces m >= 2c + 1; only the functions above
     the bound split, and only they are walked."""
     for d in range(5, max_colength + 1):
@@ -104,7 +104,7 @@ def suite_corollary_2_2(max_colength: int = 18):
                 yield () if m >= 2 * c + 1 else (({"d": d, "phi": phi.as_text()}, f"m >= {2 * c + 1}", m),)
 
 
-def suite_chain_invariants(max_colength: int = 14):
+def suite_chain_invariants(max_colength: int):
     """Type-chain inequalities m_0 >= 2^r (c+2) and m_j + j < m_i + i - 1;
     ``type_of`` raises when a chain breaks them."""
     for d in range(5, max_colength + 1):
@@ -117,7 +117,7 @@ def suite_chain_invariants(max_colength: int = 14):
                 yield ()
 
 
-def suite_form_agreement(max_colength: int = 12):
+def suite_form_agreement(max_colength: int):
     """Staircase-level standard form matches the function-level split."""
     for ideal in _ideals(5, max_colength):
         split = standard_form.decompose(ideal.hilbert_function())
@@ -137,7 +137,7 @@ def suite_form_agreement(max_colength: int = 12):
             yield found
 
 
-def suite_borel(max_colength: int = 8):
+def suite_borel(max_colength: int):
     """Borel closure never increases the colength; fixed points stay fixed;
     the fixed staircases are those with strictly decreasing heights."""
     for ideal in _ideals(1, max_colength):

@@ -15,7 +15,7 @@ def suite_catalog_small():
         yield () if got == gs else (({"d": d}, {"count": len(gs), "g_star": gs}, {"count": len(got), "g_star": got}),)
 
 
-def suite_special_chi(max_colength: int = 50):
+def suite_special_chi(max_colength: int):
     """Genus of the extremal three-generator function equals the deformation bound."""
     for d in range(5, max_colength + 1):
         got = hilbert.special_chi(d).g_star()
@@ -23,7 +23,7 @@ def suite_special_chi(max_colength: int = 50):
         yield () if got == want else (({"d": d}, want, got),)
 
 
-def suite_gstar_crosscheck(max_colength: int = 12):
+def suite_gstar_crosscheck(max_colength: int):
     """Both genus evaluations agree on every function (raises on mismatch);
     one batch of cases per colength."""
     for d in range(0, max_colength + 1):
@@ -33,7 +33,7 @@ def suite_gstar_crosscheck(max_colength: int = 12):
         yield len(functions)
 
 
-def suite_gstar_monotonic(max_colength: int = 12):
+def suite_gstar_monotonic(max_colength: int):
     """Strict growth of the genus functional along the pointwise order, and
     its maximum (d-1)(d-2)/2 at the lexicographically largest function."""
     for d in range(1, max_colength + 1):
@@ -48,7 +48,7 @@ def suite_gstar_monotonic(max_colength: int = 12):
         yield () if top == want and hilbert.lex_most(d).g_star() == want else (({"d": d}, want, top),)
 
 
-def suite_regularity_bound(max_colength: int = 12):
+def suite_regularity_bound(max_colength: int):
     for d in range(0, max_colength + 1):
         functions = hilbert.enumerate_hilbert_functions(d)
         bad = [phi for phi in functions if phi.regularity > d] if d else []

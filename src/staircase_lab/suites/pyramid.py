@@ -10,7 +10,7 @@ from .. import pyramids
 from ..errors import DomainError
 
 
-def suite_pyramid_oracle(max_frame: int = 9):
+def suite_pyramid_oracle(max_frame: int):
     """Closed-form maximal pyramid weight against the knapsack DP, one table per
     frame with a witness per d that must have colength d and the DP's weight; the
     DP (weight and witness) against the exhaustive search at small frames."""
@@ -40,7 +40,7 @@ def suite_pyramid_oracle(max_frame: int = 9):
     yield from _hand_table()
 
 
-def suite_pyramid_oracle_full(max_frame: int = 9):
+def suite_pyramid_oracle_full(max_frame: int):
     """The DP's reduction to top segments: the heaviest subset of [0, c-1] missing d
     entries, by a DP over its elements, weighs as [d, c-1]; at small frames the search
     over all column subsets finds the DP's weight, by a witness of colength d."""
@@ -74,7 +74,7 @@ def _weight_and_columns(weight, pyramid) -> tuple:
     return weight, [sorted(col) for col in pyramid.columns]
 
 
-def suite_prop_4_1(max_frame_closed: int = 64, max_frame_oracle: int = 9):
+def suite_prop_4_1(max_frame_closed: int, max_frame_oracle: int):
     """Maximal weight at colength = frame stays below (c-1)^2."""
     for c in range(1, max_frame_closed + 1):
         w = pyramids.max_weight_closed_form(c, c)
@@ -84,7 +84,7 @@ def suite_prop_4_1(max_frame_closed: int = 64, max_frame_oracle: int = 9):
         yield () if w <= (c - 1) ** 2 else (({"c": c, "oracle": True}, f"<= {(c - 1) ** 2}", w),)
 
 
-def suite_pyramid_monotonic(max_frame: int = 64):
+def suite_pyramid_monotonic(max_frame: int):
     """Monotonicity of the closed form in the frame and in the colength."""
     # w[c][d] for 1 <= d <= c <= max_frame, each value computed once
     w = [[None] + [pyramids.max_weight_closed_form(c, d) for d in range(1, c + 1)] for c in range(max_frame + 1)]
@@ -100,6 +100,6 @@ def suite_pyramid_monotonic(max_frame: int = 64):
             yield () if ok else (({"c": c, "d": d, "direction": "colength"}, "increasing", (lo, hi)),)
 
 
-def suite_endpoint(max_frame: int = 32, max_n: int = 8):
+def suite_endpoint(max_frame: int, max_n: int):
     for c, n in product(range(1, max_frame + 1), range(1, max_n + 1)):
         yield () if pyramids.endpoint_consistency(c, n) else (({"c": c, "n": n}, True, False),)

@@ -7,7 +7,7 @@ from .. import hilbert, inequalities
 from . import passed
 
 
-def suite_ineq(name: str | None = None, max_c: int = 50, max_r: int = 6, m_span: int = 25):
+def suite_ineq(name: str | None, max_c: int, max_r: int, m_span: int):
     """One scan per inequality; each scanned point is a case."""
     caps = inequalities.ScanCaps(max_c=max_c, max_r=max_r, m_span=m_span)
     for n in [name] if name else inequalities.all_inequality_names():
@@ -17,7 +17,7 @@ def suite_ineq(name: str | None = None, max_c: int = 50, max_r: int = 6, m_span:
             yield (({"name": n, **params}, "holds", "fails"),)
 
 
-def suite_genus_negativity(max_c: int = 20, m_extent: int = 30, nu_extent: int = 10):
+def suite_genus_negativity(max_c: int, m_extent: int, nu_extent: int):
     """The cone-family genus is negative for nu >= m >= c + 2; one batch of
     cases per (c, m) row."""
     for c in range(0, max_c + 1):

@@ -319,6 +319,7 @@ class TestExitCodes:
             ("--suite", "ineq", "--name", "0.0"),  # an unknown inequality
             ("--suite", "ch14", "--max-e", "3"),  # caps that cover no cases
             ("--suite", "a-bound", "--max-r", "0"),
+            ("--suite", "a-bound", "--max-c", "4"),  # beyond the kernels the suite builds
             ("--suite", "special-chi", "--max-colength", "8", "--max-colength", "3"),
         ],
     )

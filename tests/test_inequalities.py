@@ -21,7 +21,7 @@ def test_scan_has_no_violations(name):
 
 def test_unknown_name_rejected():
     with pytest.raises(DomainError):
-        I.inequality_scan("0.0")
+        I.inequality_scan("0.0", FAST)
 
 
 def test_core_scans_at_reference_ranges():
@@ -41,7 +41,7 @@ def test_small_type_boundary_is_tight():
     # the reduced colength-2 inequality fails at the boundary regularity 8 and
     # is rescued there by the exact count; one step higher it holds as stated
     assert 8 * (8 - 7) == 8  # not > 8: the reduced form alone would fail
-    assert I.inequality_scan("6.3.3", I.ScanCaps(m_span=0)).ok
+    assert I.inequality_scan("6.3.3", I.ScanCaps(max_c=50, max_r=6, m_span=0)).ok
     assert 9 * (9 - 7) > 8
 
 

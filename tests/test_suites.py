@@ -299,11 +299,20 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(suites.SUITES))
     def test_every_name_resolves_to_a_generator_function_of_its_group(self, name):
-        group = importlib.import_module(f"staircase_lab.suites.{suites.SUITES[name]}")
+        group_name, declared = suites.SUITES[name]
+        group = importlib.import_module(f"staircase_lab.suites.{group_name}")
         function = suites.suite_function(name)
         assert inspect.isgeneratorfunction(function)
         assert function.__module__ == group.__name__
         assert getattr(group, function.__name__) is function
+        # the generator takes exactly the declared caps, in order, with no default of its own
+        parameters = inspect.signature(function).parameters
+        assert list(parameters) == list(declared)
+        assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters.values())
+
+    def test_every_cap_flag_is_declared_by_a_suite(self):
+        declared = {cap for _, caps in suites.SUITES.values() for cap in caps}
+        assert set(cli._SUITE_CAP_FLAGS) <= declared
 
     @pytest.mark.parametrize("name,takes", [
         ("catalog-small", []),
@@ -354,6 +363,18 @@ class TestCaps:
         assert err.startswith("error: suite 'borel' does not take")
         assert "Traceback" not in err
 
+    def test_a_cap_the_suite_does_not_take_raises_before_any_group_loads(self):
+        code = ("import sys\nfrom staircase_lab import suites\nfrom staircase_lab.errors import DomainError\n"
+                "try:\n    suites.run_suite('borel', max_frame=9)\nexcept DomainError as exc:\n    print(exc)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('staircase_lab.')))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+                                check=True)
+        assert result.stdout.splitlines() == [
+            "suite 'borel' does not take the caps {'max_frame': 9}; it takes ['max_colength']",
+            "['staircase_lab.errors', 'staircase_lab.suites']",
+        ]
+
     def test_no_case_runs_before_the_caps_are_checked(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a case ran")
@@ -397,7 +418,8 @@ class TestCoverage:
 
     @pytest.mark.parametrize("caps", [{}, {"max_c": 6, "max_r": 2, "m_span": 3}])
     def test_ineq_counts_the_cases_of_every_scan(self, caps):
-        scan_caps = inequalities.ScanCaps(**caps)
+        defaults = {cap: default for cap, (default, _) in suites.SUITES["ineq"][1].items() if cap != "name"}
+        scan_caps = inequalities.ScanCaps(**{**defaults, **caps})
         want = sum(inequalities.inequality_scan(n, scan_caps).cases_run for n in inequalities.all_inequality_names())
         assert suites.run_suite("ineq", **caps).cases_run == want
 
@@ -408,37 +430,27 @@ class TestCoverage:
             yield (({"x": 1}, 0, 1),)
             yield 1
 
-        monkeypatch.setitem(suites.SUITES, "batches", "forms")
+        monkeypatch.setitem(suites.SUITES, "batches", ("forms", {}))
         monkeypatch.setattr(form_suites, "suite_batches", batches, raising=False)
         report = suites.run_suite("batches")
         assert (report.cases_run, report.violations) == (6, [{"params": {"x": 1}, "expected": 0, "got": 1}])
 
-    @pytest.mark.parametrize("name", sorted(deep_verify.DEEP_CAPS))
+    @pytest.mark.parametrize("name", sorted(name for name, (_, caps) in suites.SUITES.items() if caps))
     def test_deep_caps_bind(self, name):
-        assert name in suites.SUITES
-        suites.suite_function(name)(**deep_verify.DEEP_CAPS[name])  # binds the caps, runs no case
+        declared = suites.SUITES[name][1]
+        suites.suite_function(name)(**{cap: deep for cap, (_, deep) in declared.items()})  # runs no case
+        # the deep profile is never shallower than the default one
+        assert all(deep is None if default is None else deep >= default for default, deep in declared.values())
 
     def test_deep_verify_prints_the_caps_of_each_suite(self, monkeypatch, capsys):
-        monkeypatch.setattr(suites, "SUITES", {name: suites.SUITES[name] for name in ("catalog-small", "bang")})
-        monkeypatch.setattr(deep_verify, "DEEP_CAPS", {"bang": {"max_m": 6}})
+        monkeypatch.setattr(suites, "SUITES", {
+            "catalog-small": ("hf", {}),
+            "bang": ("families", {"max_m": (10, 6)}),
+            "ineq": ("scans", {"name": (None, None), "max_c": (50, 2), "max_r": (6, 1), "m_span": (25, 1)}),
+        })
         assert deep_verify.main() == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in lines] == ["catalog-small", "bang", "all"]
+        assert [line.split()[0] for line in lines] == ["catalog-small", "bang", "ineq", "all"]
         assert lines[0].endswith(" ok caps={}")
         assert re.fullmatch(r"bang +cases= +3 elapsed= +[0-9.]+s ok caps=\{\"max_m\": 6\}", lines[1])
-
-    def test_deep_verify_checks_its_keys_before_importing_a_suite_group(self):
-        code = ("import sys, deep_verify; deep_verify.DEEP_CAPS['nope'] = {}; "
-                "print(deep_verify.main(), sorted(m for m in sys.modules if m.startswith('staircase_lab.suites.')))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "scripts"), str(ROOT / "src")]))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-                                check=True)
-        assert result.stdout == "2 []\n"
-        assert "nope" in result.stderr
-
-    def test_deep_verify_rejects_a_key_that_names_no_suite(self, monkeypatch, capsys):
-        monkeypatch.setitem(deep_verify.DEEP_CAPS, "pyramid-orcale", {"max_frame": 5})
-        assert deep_verify.main() == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "pyramid-orcale" in captured.err
+        assert lines[2].endswith(' ok caps={"max_c": 2, "max_r": 1, "m_span": 1}')  # an unset cap is not passed
