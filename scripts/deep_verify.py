@@ -7,7 +7,8 @@ time; exit code 1 on any violation.  The deep values are declared in that
 registry.  Each swept cap is the largest that finishes in about 2 s (best of
 3) on a 2-core Python 3.11 host, with the suite's other caps fixed.  The
 host's speed drifts by up to 2x within minutes, so a probe is timed in
-rounds that alternate it with a fixed reference run.
+rounds that alternate it with a fixed reference run.  ``gstar-monotonic``'s
+cap is fit in ``BENCH_gstar_monotonic.json``, by the minimum of 5 repeats.
 """
 
 import json

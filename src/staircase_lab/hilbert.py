@@ -19,19 +19,21 @@ With D(n) the cells missing up to degree n, g* = d^2 + 1 - sum_(n<=d) D(n).
 The enumerator reads g* this way to walk only the functions above a
 threshold: it skips a prefix whose largest completion stays at or below it.
 
+The pointwise order of n functions of one colength, regularity below L, is
+read from bitmasks in O(n L) big-int operations, not O(n^2) pair steps: one
+mask per degree and value (``at_least``), ANDed over the degrees.
+
 ``q_value`` (the complementary Hilbert polynomial) and ``genus_nu`` (the genus
 of the cone family) live here so that their callers load nothing else.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from math import comb
-from operator import eq, le, lt
+from operator import eq, le, lt, or_
 
 from .errors import DomainError, InternalInconsistencyError, Record, int_array
-
-Verdict = str  # "less" | "equal" | "greater" | "incomparable"
 
 
 class cached:
@@ -108,6 +110,12 @@ class HilbertFunction(Record):
         if self.diff != _canonical_diff(self.diff):
             raise DomainError(f"non-canonical difference sequence {self.diff}")
 
+    def __eq__(self, other):  # ``Record``'s equality and hash, without its generic walk over the fields
+        return self.diff == other.diff if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.diff,))
+
     @cached
     def colength(self) -> int:
         return comb(len(self.diff) + 1, 2) - sum(self.diff)
@@ -153,35 +161,6 @@ class HilbertFunction(Record):
 
     def __str__(self) -> str:
         return self.as_text()
-
-
-def _packed(functions) -> tuple[list[int], int]:
-    """Each function's values phi(0..L-1) packed into one int, a lane of whole
-    bytes per degree, and the mask of the lanes' top (guard) bits.
-
-    L passes every regularity; past both regularities two functions of one
-    colength agree, so one L serves every pair and phi(L-1) is the largest
-    value.  Every value stays below its lane's guard bit, so in
-    (b | guard) - a no lane borrows from the next, and a lane keeps its guard
-    bit iff b >= a there.
-    """
-    length = max((phi.regularity for phi in functions), default=0) + 1
-    rows = [list(accumulate(chain(phi.diff, range(len(phi.diff) + 1, length + 1)))) for phi in functions]
-    width = max((row[-1] for row in rows), default=0).bit_length() // 8 + 1  # bytes, guard bit included
-    guard = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
-    lanes = (b"".join(map(int.to_bytes, row, repeat(width), repeat("little"))) for row in rows)
-    return [int.from_bytes(lane, "little") for lane in lanes], guard
-
-
-def _order(a: int, b: int, guard: int) -> Verdict:
-    """The pointwise verdict between two functions packed by ``_packed``."""
-    if a == b:
-        return "equal"
-    if ((b | guard) - a) & guard == guard:
-        return "less"
-    if ((a | guard) - b) & guard == guard:
-        return "greater"
-    return "incomparable"
 
 
 def enumerate_hilbert_functions(d: int, above: int | None = None) -> list[HilbertFunction]:
@@ -280,19 +259,40 @@ def lex_most(d: int) -> HilbertFunction:
     return HilbertFunction.from_diff([0] + list(range(1, d)) + [d + 1])
 
 
-def pairwise_comparable(functions) -> list[tuple[HilbertFunction, HilbertFunction]]:
-    """All strictly comparable ordered pairs (phi, psi) with phi < psi."""
+def at_least(values):
+    """The positions k of the nonempty list ``values`` above its lowest value,
+    each with the bitmask of the positions holding values[k] or more (bit j
+    for position j): ORed up in descending value, a value keeping its last
+    mask.  The lowest value's mask, every position, would AND to no change."""
+    low = min(values)
+    order = sorted(compress(count(), map(low.__ne__, values)), key=values.__getitem__, reverse=True)
+    held = list(map(values.__getitem__, order))
+    masks = dict(zip(held, accumulate(map((1).__lshift__, order), or_)))
+    return zip(order, map(masks.__getitem__, held))
+
+
+def above_masks(functions) -> list[int]:
+    """Per function of a list of one colength, the bitmask of the functions
+    strictly above it pointwise (bit k for the k-th): the AND of its values'
+    ``at_least`` masks over the degrees below the largest regularity less
+    one, where functions of one colength can differ, less those equal to it."""
     functions = list(functions)
     if len({phi.colength for phi in functions}) > 1:
         raise DomainError("comparing Hilbert functions of different colengths")
-    packed, guard = _packed(functions)
-    # one verdict per unordered pair; sorting the index pairs restores the
-    # order of the ordered pairs (i, j)
-    pairs = []
-    for i, j in combinations(range(len(functions)), 2):
-        verdict = _order(packed[i], packed[j], guard)
-        if verdict == "less":
-            pairs.append((i, j))
-        elif verdict == "greater":
-            pairs.append((j, i))
-    return [(functions[i], functions[j]) for i, j in sorted(pairs)]
+    length = max((phi.regularity for phi in functions), default=1) - 1  # from phi(length) on, all agree
+    equal = {}
+    for k, phi in enumerate(functions):
+        equal[phi.diff] = equal.get(phi.diff, 0) | 1 << k
+    masks = [((1 << len(functions)) - 1) ^ equal[phi.diff] for phi in functions]
+    rows = (accumulate(chain(phi.diff, range(len(phi.diff) + 1, length + 1))) for phi in functions)
+    for column in zip(*rows):
+        for k, above in at_least(column):
+            masks[k] &= above
+    return masks
+
+
+def pairwise_comparable(functions) -> list[tuple[HilbertFunction, HilbertFunction]]:
+    """All strictly comparable ordered pairs (phi, psi) with phi < psi, from ``above_masks``."""
+    functions = list(functions)
+    return [(phi, psi) for phi, mask in zip(functions, above_masks(functions))
+            for psi in compress(functions, map(int, reversed(f"{mask:b}")))]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import comb, isqrt
+from math import comb, inf, isqrt
 from operator import add
 
 from .errors import DomainError, InternalInconsistencyError, RangeError, Record
@@ -285,7 +285,7 @@ def brute_force_max_weight(c: int, d: int, full_subsets: bool = False):
              for rest in range(d + 1)]
     walked = len(fits)
     picks = [None] * walked
-    best_w, best_picks = -1, None  # every weight is >= 0, so the first pyramid reached replaces it
+    best_w, best_picks = -inf, None  # below every weight, so the first pyramid reached replaces it
 
     def walk(i: int, w: int, rest: int) -> None:
         nonlocal best_w, best_picks

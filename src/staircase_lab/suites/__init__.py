@@ -61,7 +61,7 @@ SUITES = {
     "pyramid-monotonic": ("pyramid", {"max_frame": (64, 1300)}),
     "endpoint": ("pyramid", {"max_frame": (32, 2432), "max_n": (8, 456)}),
     "gstar-crosscheck": ("hf", {"max_colength": (12, 66)}),
-    "gstar-monotonic": ("hf", {"max_colength": (12, 39)}),
+    "gstar-monotonic": ("hf", {"max_colength": (12, 56)}),
     "regularity-bound": ("hf", {"max_colength": (12, 71)}),
     "hf-ideal-agreement": ("forms", {"max_colength": (8, 36)}),
     "lemma-2-4": ("forms", {"max_colength": (14, 94)}),

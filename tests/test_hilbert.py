@@ -356,7 +356,7 @@ class TestCompare:
     @pytest.mark.parametrize(
         "d,low,high",
         [
-            # phi(16) = C(18, 2) - d is the largest value: 128 needs lanes of two bytes, 127 fits in one
+            # phi(16) = C(18, 2) - d is the largest value: 128 at d = 25 and 127 at d = 26, either side of a byte
             (25, (0, 0, 0, 0, 0, 0, 3, 8), (0, 0, 0, 0, 1, 5, *range(6, 16), 17)),
             (26, (0, 0, 0, 0, 0, 0, 2, 8), (0, 0, 0, 0, 0, *range(5, 16), 17)),
         ],
@@ -369,6 +369,22 @@ class TestCompare:
             assert H.pairwise_comparable([a, b]) == ref_pair(a, b)
         assert ref_verdict(phi, psi) == "less"
         assert H.pairwise_comparable([phi, psi]) == H.pairwise_comparable([psi, phi]) == [(phi, psi)]
+
+    @settings(max_examples=50)
+    @given(st.one_of(equal_colength_lists(), lists_with_repeats()))
+    def test_above_masks_match_the_reference(self, functions):
+        masks = H.above_masks(functions)
+        assert len(masks) == len(functions)
+        for mask, a in zip(masks, functions):
+            assert [mask >> j & 1 for j in range(len(functions))] == [ref_verdict(a, b) == "less" for b in functions]
+        assert max(masks).bit_length() <= len(functions)
+
+    @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=12))
+    def test_at_least_matches_the_reference(self, values):
+        got = list(H.at_least(values))
+        assert sorted(got) == [(k, sum(1 << j for j, u in enumerate(values) if u >= v))
+                               for k, v in enumerate(values) if v > min(values)]
+        assert [values[k] for k, _ in got] == sorted((v for v in values if v > min(values)), reverse=True)
 
     def test_pairwise_keeps_the_ordered_pair_order(self):
         # phi < psi, each given twice as distinct equal objects; equal copies make no pair

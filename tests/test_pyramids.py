@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from staircase_lab import pyramids as P
 from staircase_lab.errors import DomainError, InternalInconsistencyError, RangeError
+from staircase_lab.suites import run_suite
 
 
 class TestColumnWeight:
@@ -363,6 +364,23 @@ class TestExhaustiveWalk:
             assert len(every) == (2 ** (i + 1) if full else i + 2)
             for deficit in range(i + 3):
                 assert P._column_pool(i, deficit, full) == [option for option in every if option[1] <= deficit]
+
+    def test_negative_weights_are_weighed_and_reported(self, monkeypatch):
+        """Under a column weight that is negative on many columns, so that
+        every pyramid of type (2, 1) weighs below zero, the search still
+        returns the heaviest pyramid, and the oracle suite reports the
+        weights as violations instead of raising."""
+        monkeypatch.setattr(P, "column_weight", lambda column: sum(column) - comb(len(column) + 1, 2))
+        P._column_options.cache_clear()
+        try:
+            for c in range(1, 6):
+                for d in range(1, c + 1):
+                    assert P.brute_force_max_weight(c, d) == _reference_search(c, d), (c, d)
+            report = run_suite("pyramid-oracle", max_frame=5)
+        finally:
+            P._column_options.cache_clear()
+        assert report.cases_run == 24
+        assert {"params": {"c": 2, "d": 1}, "expected": 1, "got": -1} in report.violations
 
     def test_never_consults_the_closed_form_or_the_dp(self, monkeypatch):
         def consulted(*args, **kwargs):

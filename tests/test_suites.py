@@ -249,6 +249,12 @@ class TestViolations:
             *({"d": 5, "phi": text, "psi": top.as_text()} for text in below), {"d": 5}
         ]
 
+    def test_gstar_monotonic_counts_each_shells_pairs_and_its_maximum(self):
+        counts = [0] + [suites.run_suite("gstar-monotonic", max_colength=d).cases_run for d in range(1, 17)]
+        for d in range(1, 17):
+            pairs = hilbert.pairwise_comparable(hilbert.enumerate_hilbert_functions(d))
+            assert counts[d] - counts[d - 1] == len(pairs) + 1, d
+
     def test_genus_negativity_reports_from_a_batch_and_keeps_its_count(self, monkeypatch):
         caps = {"max_c": 3, "m_extent": 4, "nu_extent": 2}
         cases = suites.run_suite("genus-negativity", **caps).cases_run
