@@ -6,10 +6,12 @@ triples, empty when the case passes; violation data is built only for a
 case that fails.  A suite that already holds a count of passing cases may
 yield it as one int n >= 1 instead of n empty items.  Keyword caps set the
 range; :data:`SUITES` declares them once per suite, with a default and a
-deep value each, so a fast profile and a deep profile share code.
-:func:`run_suite` is the only tally: it rejects a cap the suite does not take
-before it imports anything, fills in the defaults, names, counts and times
-the cases, and rejects a run that covers nothing.
+deep value each, so a fast profile and a deep profile share code, and the
+lower end of a suite that checks one shell (colength, frame, m or r) per call.
+:func:`run_suite` walks those shells and is the only tally: it rejects a
+negative cap or one the suite does not take before it imports anything, fills
+in the defaults, names, counts and times the cases, and rejects a run that
+covers nothing.
 
 The suites live in one group module per set of modules they call (``hf``,
 ``forms``, ``pyramid``, ``scans``, ``alpha``, ``families``).  This module holds
@@ -20,6 +22,7 @@ one of its suites runs.
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 from ..errors import DomainError
 
@@ -48,36 +51,38 @@ def passed(n: int):
         yield n
 
 
-# suite name -> (its group module, {cap: (default, deep value)}), in report
-# order.  The group defines the suite as ``suite_`` + the name with "-" as "_",
-# taking these caps in this order; the deep values are the nightly profile of
-# scripts/deep_verify.py, a deep value of None leaving the cap unset.
+# suite name -> (its group module, the lower end of its sweep, {cap: (default, deep value)}), in report order.  The
+# group defines ``suite_`` + the name with "-" as "_", taking these caps in this order, a swept suite one shell of its
+# first cap in that cap's place; the deep values are scripts/deep_verify.py's, None leaving the cap unset.  A lower end
+# of None runs a suite once: catalog-small has no cap; the pyramid oracles end on the hand table, and -full carries its
+# top row between frames; prop-4-1 runs two sweeps; pyramid-monotonic builds one table of all frames; ineq walks scan
+# names; ch7-catalog and sandwich run case by case, so a sweep over m would reorder their violations.
 SUITES = {
-    "catalog-small": ("hf", {}),
-    "special-chi": ("hf", {"max_colength": (50, 4600)}),
-    "pyramid-oracle": ("pyramid", {"max_frame": (9, 90)}),
-    "pyramid-oracle-full": ("pyramid", {"max_frame": (9, 780)}),
-    "prop-4-1": ("pyramid", {"max_frame_closed": (64, 256), "max_frame_oracle": (9, 120)}),
-    "pyramid-monotonic": ("pyramid", {"max_frame": (64, 1300)}),
-    "endpoint": ("pyramid", {"max_frame": (32, 2432), "max_n": (8, 456)}),
-    "gstar-crosscheck": ("hf", {"max_colength": (12, 66)}),
-    "gstar-monotonic": ("hf", {"max_colength": (12, 56)}),
-    "regularity-bound": ("hf", {"max_colength": (12, 71)}),
-    "hf-ideal-agreement": ("forms", {"max_colength": (8, 36)}),
-    "lemma-2-4": ("forms", {"max_colength": (14, 94)}),
-    "corollary-2-2": ("forms", {"max_colength": (18, 94)}),
-    "chain-invariants": ("forms", {"max_colength": (14, 63)}),
-    "form-agreement": ("forms", {"max_colength": (12, 37)}),
-    "ineq": ("scans", {"name": (None, None), "max_c": (50, 8000), "max_r": (6, 7), "m_span": (25, 40)}),
-    "genus-negativity": ("scans", {"max_c": (20, 4800), "m_extent": (30, 40), "nu_extent": (10, 15)}),
-    "ch14": ("alpha", {"max_e": (10, 260)}),
-    "ch7-catalog": ("families", {"max_m": (10, 400)}),
-    "bang": ("families", {"max_m": (10, 1600)}),
-    "stabilization": ("alpha", {"max_colength": (8, 27), "extra_levels": (3, 4)}),
-    "sandwich": ("families", {"max_m": (9, 340)}),
-    "pyramid-alpha-link": ("alpha", {"max_colength": (8, 28)}),
-    "a-bound": ("families", {"max_r": (2, 12), "max_c": (3, 3)}),
-    "borel": ("forms", {"max_colength": (8, 33)}),
+    "catalog-small": ("hf", None, {}),
+    "special-chi": ("hf", 5, {"max_colength": (50, 4600)}),
+    "pyramid-oracle": ("pyramid", None, {"max_frame": (9, 90)}),
+    "pyramid-oracle-full": ("pyramid", None, {"max_frame": (9, 780)}),
+    "prop-4-1": ("pyramid", None, {"max_frame_closed": (64, 256), "max_frame_oracle": (9, 120)}),
+    "pyramid-monotonic": ("pyramid", None, {"max_frame": (64, 1300)}),
+    "endpoint": ("pyramid", 1, {"max_frame": (32, 2432), "max_n": (8, 456)}),
+    "gstar-crosscheck": ("hf", 0, {"max_colength": (12, 66)}),
+    "gstar-monotonic": ("hf", 1, {"max_colength": (12, 56)}),
+    "regularity-bound": ("hf", 0, {"max_colength": (12, 71)}),
+    "hf-ideal-agreement": ("forms", 0, {"max_colength": (8, 36)}),
+    "lemma-2-4": ("forms", 5, {"max_colength": (14, 94)}),
+    "corollary-2-2": ("forms", 5, {"max_colength": (18, 94)}),
+    "chain-invariants": ("forms", 5, {"max_colength": (14, 63)}),
+    "form-agreement": ("forms", 5, {"max_colength": (12, 37)}),
+    "ineq": ("scans", None, {"name": (None, None), "max_c": (50, 8000), "max_r": (6, 7), "m_span": (25, 40)}),
+    "genus-negativity": ("scans", 0, {"max_c": (20, 4800), "m_extent": (30, 40), "nu_extent": (10, 15)}),
+    "ch14": ("alpha", 4, {"max_e": (10, 260)}),
+    "ch7-catalog": ("families", None, {"max_m": (10, 400)}),
+    "bang": ("families", 4, {"max_m": (10, 1600)}),
+    "stabilization": ("alpha", 1, {"max_colength": (8, 27), "extra_levels": (3, 4)}),
+    "sandwich": ("families", None, {"max_m": (9, 340)}),
+    "pyramid-alpha-link": ("alpha", 1, {"max_colength": (8, 28)}),
+    "a-bound": ("families", 1, {"max_r": (2, 12), "max_c": (3, 3)}),
+    "borel": ("forms", 1, {"max_colength": (8, 33)}),
 }
 
 
@@ -93,12 +98,16 @@ def suite_function(suite: str):
 def run_suite(suite: str, **caps) -> VerificationReport:
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
-    declared = SUITES[suite][1]
+    _, low, declared = SUITES[suite]
     if not caps.keys() <= declared.keys():
         raise DomainError(f"suite {suite!r} does not take the caps {caps}; it takes {sorted(declared)}")
+    if any(isinstance(value, int) and value < 0 for value in caps.values()):
+        raise DomainError(f"suite {suite!r} takes no negative cap, got {caps}")
     function = suite_function(suite)
     start = time.perf_counter()
-    cases = function(**{cap: caps.get(cap, default) for cap, (default, _) in declared.items()})
+    values = [caps.get(cap, default) for cap, (default, _) in declared.items()]
+    shells = [values] if low is None else ([n, *values[1:]] for n in range(low, values[0] + 1))
+    cases = chain.from_iterable(function(*shell) for shell in shells)
     report = VerificationReport(f"ineq:{caps.get('name') or 'all'}" if suite == "ineq" else suite)
     cases_run = batched = 0
     for cases_run, found in enumerate(cases, 1):

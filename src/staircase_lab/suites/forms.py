@@ -23,12 +23,7 @@ def _above_bound(d: int):
     return walked, () if walked == filtered else (({"d": d, "check": "g* prune"}, _texts(filtered), _texts(walked)),)
 
 
-def _ideals(lo: int, hi: int):
-    """Every staircase of colength lo <= d <= hi."""
-    return (ideal for d in range(lo, hi + 1) for ideal in staircase.enumerate_ideals(d))
-
-
-def suite_hf_ideal_agreement(max_colength: int):
+def suite_hf_ideal_agreement(d: int):
     """Enumerated functions match the distinct functions of all staircases.
 
     Both sides build their sequences unchecked, so each distinct staircase
@@ -37,22 +32,21 @@ def suite_hf_ideal_agreement(max_colength: int):
     ideals, and by Macaulay's theorem their functions are each admissible
     function exactly once.
     """
-    for d in range(0, max_colength + 1):
-        ideals = staircase.enumerate_ideals(d)
-        images = [ideal.hilbert_function() for ideal in ideals]
-        witness = dict(zip(images, ideals))  # each distinct function, with a staircase
-        found = [
-            ({"d": d, "ideal": str(ideal)}, "admissible", phi.as_text())
-            for phi, ideal in witness.items()
-            if not hilbert.is_valid(phi.diff)
-        ]
-        via_enum = set(hilbert.enumerate_hilbert_functions(d))
-        if witness.keys() != via_enum:
-            found.append(({"d": d}, _texts(via_enum), _texts(witness)))
-        lex = [phi for ideal, phi in zip(ideals, images) if _strictly_decreasing(ideal.heights)]
-        if len(set(lex)) != len(lex) or set(lex) != via_enum:
-            found.append(({"d": d, "borel": True}, _texts(via_enum), _texts(lex)))
-        yield found
+    ideals = staircase.enumerate_ideals(d)
+    images = [ideal.hilbert_function() for ideal in ideals]
+    witness = dict(zip(images, ideals))  # each distinct function, with a staircase
+    found = [
+        ({"d": d, "ideal": str(ideal)}, "admissible", phi.as_text())
+        for phi, ideal in witness.items()
+        if not hilbert.is_valid(phi.diff)
+    ]
+    via_enum = set(hilbert.enumerate_hilbert_functions(d))
+    if witness.keys() != via_enum:
+        found.append(({"d": d}, _texts(via_enum), _texts(witness)))
+    lex = [phi for ideal, phi in zip(ideals, images) if _strictly_decreasing(ideal.heights)]
+    if len(set(lex)) != len(lex) or set(lex) != via_enum:
+        found.append(({"d": d, "borel": True}, _texts(via_enum), _texts(lex)))
+    yield found
 
 
 def _texts(functions) -> list[str]:
@@ -63,21 +57,20 @@ def _strictly_decreasing(heights) -> bool:
     return all(a > b for a, b in zip(heights, heights[1:]))
 
 
-def suite_lemma_2_4(max_colength: int):
+def suite_lemma_2_4(d: int):
     """Above the deformation bound the split exists and has c + m == d and
     m >= c + 2; ``decompose`` raises when it does not.  One case per function
     above the bound, walked without the others."""
-    for d in range(5, max_colength + 1):
-        walked, found = _above_bound(d)
-        if found:
-            yield found
-        for phi in walked:
-            try:
-                split = standard_form.decompose(phi)  # None exactly at or below the bound
-            except InternalInconsistencyError as exc:
-                yield (({"d": d, "phi": phi.as_text()}, "c + m == d and m >= c + 2", str(exc)),)
-                continue
-            yield () if split is not None else _unsplit(d, phi)
+    walked, found = _above_bound(d)
+    if found:
+        yield found
+    for phi in walked:
+        try:
+            split = standard_form.decompose(phi)  # None exactly at or below the bound
+        except InternalInconsistencyError as exc:
+            yield (({"d": d, "phi": phi.as_text()}, "c + m == d and m >= c + 2", str(exc)),)
+            continue
+        yield () if split is not None else _unsplit(d, phi)
 
 
 def _unsplit(d: int, phi) -> tuple:
@@ -86,40 +79,38 @@ def _unsplit(d: int, phi) -> tuple:
     return (({"d": d, "phi": phi.as_text()}, f"g* > {hilbert.deformation_bound(d)}", phi.g_star()),)
 
 
-def suite_corollary_2_2(max_colength: int):
+def suite_corollary_2_2(d: int):
     """Kernel below its own bound forces m >= 2c + 1; only the functions above
     the bound split, and only they are walked."""
-    for d in range(5, max_colength + 1):
-        walked, found = _above_bound(d)
-        if found:
-            yield found
-        for phi in walked:
-            split = standard_form.decompose(phi)
-            if split is None:
-                yield _unsplit(d, phi)
-                continue
-            psi, m = split
-            c = psi.colength
-            if c >= 5 and psi.g_star() <= hilbert.deformation_bound(c):
-                yield () if m >= 2 * c + 1 else (({"d": d, "phi": phi.as_text()}, f"m >= {2 * c + 1}", m),)
+    walked, found = _above_bound(d)
+    if found:
+        yield found
+    for phi in walked:
+        split = standard_form.decompose(phi)
+        if split is None:
+            yield _unsplit(d, phi)
+            continue
+        psi, m = split
+        c = psi.colength
+        if c >= 5 and psi.g_star() <= hilbert.deformation_bound(c):
+            yield () if m >= 2 * c + 1 else (({"d": d, "phi": phi.as_text()}, f"m >= {2 * c + 1}", m),)
 
 
-def suite_chain_invariants(max_colength: int):
+def suite_chain_invariants(d: int):
     """Type-chain inequalities m_0 >= 2^r (c+2) and m_j + j < m_i + i - 1;
     ``type_of`` raises when a chain breaks them."""
-    for d in range(5, max_colength + 1):
-        for phi in hilbert.enumerate_hilbert_functions(d):
-            try:
-                standard_form.type_of(phi)
-            except InternalInconsistencyError as exc:
-                yield (({"d": d, "phi": phi.as_text()}, "chain invariants", str(exc)),)
-            else:
-                yield ()
+    for phi in hilbert.enumerate_hilbert_functions(d):
+        try:
+            standard_form.type_of(phi)
+        except InternalInconsistencyError as exc:
+            yield (({"d": d, "phi": phi.as_text()}, "chain invariants", str(exc)),)
+        else:
+            yield ()
 
 
-def suite_form_agreement(max_colength: int):
+def suite_form_agreement(d: int):
     """Staircase-level standard form matches the function-level split."""
-    for ideal in _ideals(5, max_colength):
+    for ideal in staircase.enumerate_ideals(d):
         split = standard_form.decompose(ideal.hilbert_function())
         form = standard_form.detect_standard_form(ideal)
         if split is None:
@@ -137,10 +128,10 @@ def suite_form_agreement(max_colength: int):
             yield found
 
 
-def suite_borel(max_colength: int):
+def suite_borel(d: int):
     """Borel closure never increases the colength; fixed points stay fixed;
     the fixed staircases are those with strictly decreasing heights."""
-    for ideal in _ideals(1, max_colength):
+    for ideal in staircase.enumerate_ideals(d):
         found = []
         closure = ideal.borel_closure()
         if not closure.is_borel_fixed():

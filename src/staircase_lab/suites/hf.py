@@ -17,48 +17,44 @@ def suite_catalog_small():
         yield () if got == gs else (({"d": d}, {"count": len(gs), "g_star": gs}, {"count": len(got), "g_star": got}),)
 
 
-def suite_special_chi(max_colength: int):
+def suite_special_chi(d: int):
     """Genus of the extremal three-generator function equals the deformation bound."""
-    for d in range(5, max_colength + 1):
-        got = hilbert.special_chi(d).g_star()
-        want = hilbert.deformation_bound(d)
-        yield () if got == want else (({"d": d}, want, got),)
+    got = hilbert.special_chi(d).g_star()
+    want = hilbert.deformation_bound(d)
+    yield () if got == want else (({"d": d}, want, got),)
 
 
-def suite_gstar_crosscheck(max_colength: int):
+def suite_gstar_crosscheck(d: int):
     """Both genus evaluations agree on every function (raises on mismatch);
     one batch of cases per colength."""
-    for d in range(0, max_colength + 1):
-        functions = hilbert.enumerate_hilbert_functions(d)
-        for phi in functions:
-            phi.g_star()
-        yield len(functions)
+    functions = hilbert.enumerate_hilbert_functions(d)
+    for phi in functions:
+        phi.g_star()
+    yield len(functions)
 
 
-def suite_gstar_monotonic(max_colength: int):
+def suite_gstar_monotonic(d: int):
     """Strict growth of the genus functional along the pointwise order, and
     its maximum (d-1)(d-2)/2 at the lexicographically largest function.  A
     shell's pairs are the bits of its ``hilbert.above_masks``; those left by
     an AND with the mask of the functions whose g* is not larger fail."""
-    for d in range(1, max_colength + 1):
-        functions = hilbert.enumerate_hilbert_functions(d)
-        above = hilbert.above_masks(functions)
-        genus = [phi.g_star() for phi in functions]
-        bad = list(above)
-        for k, not_larger in hilbert.at_least([-g for g in genus]):
-            bad[k] &= not_larger
-        yield from passed(sum(map(int.bit_count, above)) - sum(map(int.bit_count, bad)))
-        for phi, mask in compress(zip(functions, bad), bad):
-            for psi in compress(functions, map(int, reversed(f"{mask:b}"))):
-                yield (({"d": d, "phi": phi.as_text(), "psi": psi.as_text()}, "<", ">="),)
-        top, want = max(genus), (d - 1) * (d - 2) // 2
-        yield () if top == want and hilbert.lex_most(d).g_star() == want else (({"d": d}, want, top),)
+    functions = hilbert.enumerate_hilbert_functions(d)
+    above = hilbert.above_masks(functions)
+    genus = [phi.g_star() for phi in functions]
+    bad = list(above)
+    for k, not_larger in hilbert.at_least([-g for g in genus]):
+        bad[k] &= not_larger
+    yield from passed(sum(map(int.bit_count, above)) - sum(map(int.bit_count, bad)))
+    for phi, mask in compress(zip(functions, bad), bad):
+        for psi in compress(functions, map(int, reversed(f"{mask:b}"))):
+            yield (({"d": d, "phi": phi.as_text(), "psi": psi.as_text()}, "<", ">="),)
+    top, want = max(genus), (d - 1) * (d - 2) // 2
+    yield () if top == want and hilbert.lex_most(d).g_star() == want else (({"d": d}, want, top),)
 
 
-def suite_regularity_bound(max_colength: int):
-    for d in range(0, max_colength + 1):
-        functions = hilbert.enumerate_hilbert_functions(d)
-        bad = [phi for phi in functions if phi.regularity > d] if d else []
-        yield from passed(len(functions) - len(bad))
-        for phi in bad:
-            yield (({"d": d, "phi": phi.as_text()}, f"reg <= {d}", phi.regularity),)
+def suite_regularity_bound(d: int):
+    functions = hilbert.enumerate_hilbert_functions(d)
+    bad = [phi for phi in functions if phi.regularity > d] if d else []
+    yield from passed(len(functions) - len(bad))
+    for phi in bad:
+        yield (({"d": d, "phi": phi.as_text()}, f"reg <= {d}", phi.regularity),)

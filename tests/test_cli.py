@@ -358,7 +358,14 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "args",
-        [("--suite", "special-chi", "--max-colength", "3"), ("--suite", "pyramid-oracle", "--max-frame", "-5")],
+        [
+            ("--suite", "special-chi", "--max-colength", "3"),
+            ("--suite", "pyramid-oracle", "--max-frame", "-5"),
+            ("--suite", "sandwich", "--max-m", "3"),  # below every catalog case: the fixed fixture alone
+            ("--suite", "ineq", "--max-c", "-1"),  # a negative cap empties some scans, not all
+            ("--suite", "ineq", "--max-r", "-1"),
+            ("--suite", "ineq", "--m-span", "-5"),
+        ],
     )
     def test_empty_sweep_is_usage_error(self, args):
         result = run_cli("verify", *args)

@@ -305,19 +305,36 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(suites.SUITES))
     def test_every_name_resolves_to_a_generator_function_of_its_group(self, name):
-        group_name, declared = suites.SUITES[name]
+        group_name, low, declared = suites.SUITES[name]
         group = importlib.import_module(f"staircase_lab.suites.{group_name}")
         function = suites.suite_function(name)
         assert inspect.isgeneratorfunction(function)
         assert function.__module__ == group.__name__
         assert getattr(group, function.__name__) is function
-        # the generator takes exactly the declared caps, in order, with no default of its own
+        # the generator takes exactly the declared caps, in order, with no default of its own; a swept
+        # suite takes its shell in place of the first cap
         parameters = inspect.signature(function).parameters
-        assert list(parameters) == list(declared)
+        if low is None:
+            assert list(parameters) == list(declared)
+        else:
+            assert declared and list(parameters)[1:] == list(declared)[1:]
+            assert list(parameters)[0] not in declared
         assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters.values())
 
+    @pytest.mark.parametrize("name", [name for name, (_, low, _) in suites.SUITES.items() if low is not None])
+    def test_the_lower_end_is_the_first_shell_with_a_case(self, name):
+        _, low, declared = suites.SUITES[name]
+        swept = next(iter(declared))
+        # corollary-2-2's shells from 5 on check the pruned walk, which is a case only when it fails;
+        # its first split with a kernel below its own bound is at colength 16
+        first = {"corollary-2-2": 16}.get(name, low)
+        assert suites.run_suite(name, **{swept: first}).cases_run >= 1
+        # one below the first case the sweep covers nothing, or the cap is negative
+        with pytest.raises(DomainError, match="covered no cases" if first else "takes no negative cap"):
+            suites.run_suite(name, **{swept: first - 1})
+
     def test_every_cap_flag_is_declared_by_a_suite(self):
-        declared = {cap for _, caps in suites.SUITES.values() for cap in caps}
+        declared = {cap for _, _, caps in suites.SUITES.values() for cap in caps}
         assert set(cli._SUITE_CAP_FLAGS) <= declared
 
     @pytest.mark.parametrize("name,takes", [
@@ -371,15 +388,22 @@ class TestCaps:
 
     def test_a_cap_the_suite_does_not_take_raises_before_any_group_loads(self):
         code = ("import sys\nfrom staircase_lab import suites\nfrom staircase_lab.errors import DomainError\n"
-                "try:\n    suites.run_suite('borel', max_frame=9)\nexcept DomainError as exc:\n    print(exc)\n"
+                "for caps in [{'max_frame': 9}, {'max_colength': -1}]:\n    try:\n"
+                "        suites.run_suite('borel', **caps)\n    except DomainError as exc:\n        print(exc)\n"
                 "print(sorted(m for m in sys.modules if m.startswith('staircase_lab.')))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
                                 check=True)
         assert result.stdout.splitlines() == [
             "suite 'borel' does not take the caps {'max_frame': 9}; it takes ['max_colength']",
+            "suite 'borel' takes no negative cap, got {'max_colength': -1}",
             "['staircase_lab.errors', 'staircase_lab.suites']",
         ]
+
+    def test_a_negative_cap_the_suite_does_not_sweep_is_a_usage_error(self):
+        # no level past d - 1 would leave every case compared against nothing
+        with pytest.raises(DomainError, match="^suite 'stabilization' takes no negative cap"):
+            suites.run_suite("stabilization", max_colength=5, extra_levels=-1)
 
     def test_no_case_runs_before_the_caps_are_checked(self, monkeypatch):
         def never(*args, **kwargs):
@@ -424,7 +448,7 @@ class TestCoverage:
 
     @pytest.mark.parametrize("caps", [{}, {"max_c": 6, "max_r": 2, "m_span": 3}])
     def test_ineq_counts_the_cases_of_every_scan(self, caps):
-        defaults = {cap: default for cap, (default, _) in suites.SUITES["ineq"][1].items() if cap != "name"}
+        defaults = {cap: default for cap, (default, _) in suites.SUITES["ineq"][2].items() if cap != "name"}
         scan_caps = inequalities.ScanCaps(**{**defaults, **caps})
         want = sum(inequalities.inequality_scan(n, scan_caps).cases_run for n in inequalities.all_inequality_names())
         assert suites.run_suite("ineq", **caps).cases_run == want
@@ -436,23 +460,23 @@ class TestCoverage:
             yield (({"x": 1}, 0, 1),)
             yield 1
 
-        monkeypatch.setitem(suites.SUITES, "batches", ("forms", {}))
+        monkeypatch.setitem(suites.SUITES, "batches", ("forms", None, {}))
         monkeypatch.setattr(form_suites, "suite_batches", batches, raising=False)
         report = suites.run_suite("batches")
         assert (report.cases_run, report.violations) == (6, [{"params": {"x": 1}, "expected": 0, "got": 1}])
 
-    @pytest.mark.parametrize("name", sorted(name for name, (_, caps) in suites.SUITES.items() if caps))
+    @pytest.mark.parametrize("name", sorted(name for name, (_, _, caps) in suites.SUITES.items() if caps))
     def test_deep_caps_bind(self, name):
-        declared = suites.SUITES[name][1]
-        suites.suite_function(name)(**{cap: deep for cap, (_, deep) in declared.items()})  # runs no case
+        declared = suites.SUITES[name][2]
+        suites.suite_function(name)(*(deep for _, deep in declared.values()))  # runs no case
         # the deep profile is never shallower than the default one
         assert all(deep is None if default is None else deep >= default for default, deep in declared.values())
 
     def test_deep_verify_prints_the_caps_of_each_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(suites, "SUITES", {
-            "catalog-small": ("hf", {}),
-            "bang": ("families", {"max_m": (10, 6)}),
-            "ineq": ("scans", {"name": (None, None), "max_c": (50, 2), "max_r": (6, 1), "m_span": (25, 1)}),
+            "catalog-small": ("hf", None, {}),
+            "bang": ("families", 4, {"max_m": (10, 6)}),
+            "ineq": ("scans", None, {"name": (None, None), "max_c": (50, 2), "max_r": (6, 1), "m_span": (25, 1)}),
         })
         assert deep_verify.main() == 0
         lines = capsys.readouterr().out.splitlines()
