@@ -12,7 +12,7 @@ degree-n section space is ``sum_i z^(n-i) * V_i``.  Columns with index
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, pairwise, repeat, takewhile
+from itertools import accumulate, chain, compress, count, repeat, takewhile
 from math import comb
 from operator import add, le
 
@@ -64,13 +64,9 @@ class GradedMonomialIdeal(Record):
 
     @cached
     def columns(self) -> tuple[frozenset[int], ...]:
-        return tuple(self._column_walk())
-
-    def _column_walk(self):
-        """Columns 0..stable_from - 1, built one at a time as they are read."""
         # column n holds y^a iff a >= h_(n-a), with h_i = 0 past the heights
         h = self.heights + (0,) * (self.stable_from - len(self.heights))
-        return (frozenset(compress(range(n + 1), map(le, h[n::-1], count()))) for n in range(self.stable_from))
+        return tuple(frozenset(compress(range(n + 1), map(le, h[n::-1], count()))) for n in range(self.stable_from))
 
     def column(self, n: int) -> frozenset[int]:
         if n < 0:
@@ -115,15 +111,24 @@ class GradedMonomialIdeal(Record):
     def is_borel_fixed(self) -> bool:
         """Stable under the exchanges y -> x and z -> y on every monomial.
 
-        The walk builds each column as it reads it and stops at the first
-        column that fails, so a staircase that fails early builds few; the
-        two full columns from ``stable_from`` on end it."""
-        top = self.stable_from
-        cols = chain(self._column_walk(), (frozenset(range(top + 1)), frozenset(range(top + 2))))
-        for col, nxt in pairwise(cols):
-            for a in col:
-                if (a >= 1 and a - 1 not in col) or a + 1 not in nxt:
-                    return False
+        Degree n holds x^i y^(n-i) iff i + h_i <= n (h_i = 0 past the
+        heights), so its x-exponents are one bitmask, and each degree ORs in
+        the bits whose end i + h_i is n.  The y -> x exchange holds at degree
+        n iff every bit i < n has bit i + 1: ``(mask << 1) & ~mask`` has no
+        bit at or below n.  The walk stops at the first degree that fails;
+        from ``stable_from`` on every degree is full.  The z -> y exchange
+        holds for every staircase, since the masks only grow with n."""
+        h, top = self.heights, self.stable_from
+        ends = [0] * (top + 1)
+        for i, n in enumerate(map(add, h, count())):
+            ends[n] |= 1 << i
+        for i in range(len(h), top + 1):  # empty columns: x^i is in the ideal from degree i
+            ends[i] |= 1 << i
+        mask = 0
+        for n, new in enumerate(ends):
+            mask |= new
+            if (mask << 1) & ~mask & ((2 << n) - 1):
+                return False
         return True
 
     def borel_closure(self) -> "GradedMonomialIdeal":

@@ -136,14 +136,17 @@ class StandardForm(Record):
     m: int
 
 
-def detect_standard_form(ideal: GradedMonomialIdeal) -> Optional[StandardForm]:
+def detect_standard_form(ideal: GradedMonomialIdeal, phi: HilbertFunction) -> Optional[StandardForm]:
     """Detect the x- or y-standard form of a staircase, when defined.
 
-    Returns None when the genus functional does not exceed the deformation
-    bound (including colength <= 4), where the form is not defined.  The two
-    outcomes are mutually exclusive.
+    ``phi`` is the staircase's Hilbert function, which the caller holds: the
+    staircases of one function can then share one object, and so its cached
+    genus functional.  Returns None when that does not exceed the
+    deformation bound (including colength <= 4), where the form is not
+    defined.  The two outcomes are mutually exclusive.
     """
-    phi = ideal.hilbert_function()
+    if phi.diff != ideal.hilbert_function().diff:
+        raise DomainError(f"{phi} is not the Hilbert function of {ideal}")
     d = phi.colength
     if d <= 4 or phi.g_star() <= deformation_bound(d):
         return None

@@ -72,7 +72,7 @@ SUITES = {
     "lemma-2-4": ("forms", 5, {"max_colength": (14, 94)}),
     "corollary-2-2": ("forms", 5, {"max_colength": (18, 94)}),
     "chain-invariants": ("forms", 5, {"max_colength": (14, 63)}),
-    "form-agreement": ("forms", 5, {"max_colength": (12, 37)}),
+    "form-agreement": ("forms", 5, {"max_colength": (12, 40)}),
     "ineq": ("scans", None, {"name": (None, None), "max_c": (50, 8000), "max_r": (6, 7), "m_span": (25, 40)}),
     "genus-negativity": ("scans", 0, {"max_c": (20, 4800), "m_extent": (30, 40), "nu_extent": (10, 15)}),
     "ch14": ("alpha", 4, {"max_e": (10, 260)}),
@@ -82,7 +82,7 @@ SUITES = {
     "sandwich": ("families", None, {"max_m": (9, 340)}),
     "pyramid-alpha-link": ("alpha", 1, {"max_colength": (8, 28)}),
     "a-bound": ("families", 1, {"max_r": (2, 12), "max_c": (3, 3)}),
-    "borel": ("forms", 1, {"max_colength": (8, 33)}),
+    "borel": ("forms", 1, {"max_colength": (8, 37)}),
 }
 
 

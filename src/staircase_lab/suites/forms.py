@@ -109,10 +109,20 @@ def suite_chain_invariants(d: int):
 
 
 def suite_form_agreement(d: int):
-    """Staircase-level standard form matches the function-level split."""
+    """Staircase-level standard form matches the function-level split.
+
+    A shell has far fewer functions than staircases (64 against 627 at
+    d = 20), so each distinct function is split once, by its first staircase,
+    and the later ones read that function object, its cached g* and its split
+    from a table that lives for this shell alone."""
+    splits = {}  # function -> (its first object, its split)
     for ideal in staircase.enumerate_ideals(d):
-        split = standard_form.decompose(ideal.hilbert_function())
-        form = standard_form.detect_standard_form(ideal)
+        phi = ideal.hilbert_function()
+        entry = splits.get(phi)
+        if entry is None:
+            entry = splits[phi] = (phi, standard_form.decompose(phi))
+        phi, split = entry
+        form = standard_form.detect_standard_form(ideal, phi)
         if split is None:
             yield () if form is None else (({"ideal": str(ideal)}, None, form.ell),)
         elif form is None:

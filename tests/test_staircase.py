@@ -3,6 +3,7 @@
 import json
 from itertools import accumulate, chain
 from math import comb
+from operator import gt
 
 import pytest
 from hypothesis import example, given
@@ -351,6 +352,21 @@ class TestBorel:
                     assert case.is_borel_fixed() == ref_is_borel_fixed(case), case.heights
                 seen += 1
         assert seen == 1597
+
+    def test_masks_wider_than_a_machine_word(self):
+        # the walk's masks reach stable_from + 1 bits, up to 82 here.  The reference reads the
+        # columns one by one, for the first that holds some y^a (a >= 1) without y^(a - 1)
+        def first_failing_column(ideal):
+            cols = map(ideal.column, range(ideal.stable_from + 1))
+            return next((n for n, col in enumerate(cols) if any(a - 1 not in col for a in col if a)), None)
+
+        for d in range(1, 81):
+            late = (d, d, *range(d - 2, 0, -2))  # only h_0 = h_1 breaks the exchange, at degree stable_from - 1
+            for heights in [(d,), (1,) * d, tuple(range(d, 0, -1)), late]:
+                ideal = S.GradedMonomialIdeal(heights)
+                first = first_failing_column(ideal)
+                assert ideal.is_borel_fixed() == (first is None) == all(map(gt, heights, heights[1:]))
+            assert first == ideal.stable_from - 1 == d
 
     @given(ideals_small)
     def test_closure_is_fixed_and_never_larger_colength(self, ideal):

@@ -151,28 +151,32 @@ class TestTypeChain:
         assert chain.to_json_dict() == {"r": 1, "ms": [14, 5], "kernel_c": 0, "kernel_kappa": 0, "ells": None}
 
 
+def detect(ideal):
+    return SF.detect_standard_form(ideal, ideal.hilbert_function())
+
+
 class TestDetect:
     def test_handle_ideal_is_y_form(self):
-        form = SF.detect_standard_form(S.from_generators([(1, 1), (0, 2), (4, 0)]))
+        form = detect(S.from_generators([(1, 1), (0, 2), (4, 0)]))
         assert form.ell == "y"
         assert form.m == 4
         assert form.kernel.colength == 1
 
     def test_mirror_ideal_is_x_form(self):
-        form = SF.detect_standard_form(S.from_generators([(1, 1), (2, 0), (0, 4)]))
+        form = detect(S.from_generators([(1, 1), (2, 0), (0, 4)]))
         assert form.ell == "x"
         assert form.m == 4
 
     def test_special_ideal_has_no_form(self):
         ideal = S.from_generators([(2, 0), (1, 2), (0, 4)])
-        assert SF.detect_standard_form(ideal) is None
+        assert detect(ideal) is None
 
     def test_agreement_with_function_level_split(self):
         for d in range(5, 12):
             for ideal in S.enumerate_ideals(d):
                 phi = ideal.hilbert_function()
                 split = SF.decompose(phi)
-                form = SF.detect_standard_form(ideal)
+                form = SF.detect_standard_form(ideal, phi)
                 if split is None:
                     assert form is None
                 else:
@@ -184,12 +188,17 @@ class TestDetect:
     @pytest.mark.parametrize("d", range(5, 15))
     def test_matches_the_column_based_detection(self, d):
         for ideal in S.enumerate_ideals(d):
-            assert SF.detect_standard_form(ideal) == ref_detect_standard_form(ideal)
+            assert detect(ideal) == ref_detect_standard_form(ideal)
+
+    def test_a_function_not_the_staircases_is_a_domain_error(self):
+        ideal = S.from_generators([(1, 1), (0, 2), (4, 0)])
+        with pytest.raises(DomainError, match="0,0,1,4 is not the Hilbert function of"):
+            SF.detect_standard_form(ideal, H.HilbertFunction.parse("0,0,1,4"))
 
     @pytest.mark.parametrize("name,m", [("7.3", 4), ("7.3", 6), ("7.4a", 5), ("7.5e", 6)])
     def test_limits_keep_the_y_form(self, name, m):
         space = build_space(case_by_name(name), m)
         for direction in ("zero", "infinity"):
             limit = T.limit_ideal(space, direction)
-            form = SF.detect_standard_form(limit)
+            form = detect(limit)
             assert form is not None and form.ell == "y"

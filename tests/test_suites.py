@@ -163,6 +163,58 @@ class TestViolations:
             {"params": {"ideal": "(y, x^2)"}, "expected": "closure = ideal", "got": "(x, y)"},
         ]
 
+    def test_form_agreement_reports_a_form_where_the_function_does_not_split(self, monkeypatch):
+        # every staircase of the function is reported, in enumeration order
+        decompose = standard_form.decompose
+        monkeypatch.setattr(standard_form, "decompose", lambda phi: None if phi.as_text() == "0,0,1,3,4,6" else decompose(phi))
+        report = suites.run_suite("form-agreement", max_colength=7)
+        assert report.cases_run == 33
+        assert report.violations == [
+            {"params": {"ideal": ideal}, "expected": None, "got": ell}
+            for ideal, ell in [("(x^2, x*y^2, y^5)", "x"), ("(x*y, x^3, y^5)", "x"),
+                               ("(x*y, y^3, x^5)", "y"), ("(y^2, x^2*y, x^5)", "y")]
+        ]
+
+    def test_form_agreement_reports_a_missing_form_where_the_function_splits(self, monkeypatch):
+        detect = standard_form.detect_standard_form
+        monkeypatch.setattr(standard_form, "detect_standard_form", lambda ideal, *rest: (
+            None if ideal.heights in ((5, 1, 1), (2, 2, 1, 1, 1)) else detect(ideal, *rest)))
+        report = suites.run_suite("form-agreement", max_colength=7)
+        assert report.cases_run == 33
+        assert report.violations == [
+            {"params": {"ideal": "(x*y, x^3, y^5)"}, "expected": "x or y form", "got": None},
+            {"params": {"ideal": "(y^2, x^2*y, x^5)"}, "expected": "x or y form", "got": None},
+        ]
+
+    def test_form_agreement_reports_a_kernel_of_another_function(self, monkeypatch):
+        # the split of 0,0,1,2,4,5,7 is given the other kernel of colength 3, so only the functions differ
+        decompose = standard_form.decompose
+        other = hilbert.HilbertFunction.parse("0,0,3")
+
+        def broken(phi):
+            split = decompose(phi)
+            return (other, split[1]) if phi.as_text() == "0,0,1,2,4,5,7" else split
+
+        monkeypatch.setattr(standard_form, "decompose", broken)
+        report = suites.run_suite("form-agreement", max_colength=9)
+        assert report.cases_run == 85
+        assert report.violations == [
+            {"params": {"ideal": ideal}, "expected": "0,0,3", "got": "0,1,2,4"}
+            for ideal in ["(x^2, x*y^3, y^6)", "(x*y, x^4, y^6)", "(x*y, y^4, x^6)", "(y^2, x^3*y, x^6)"]
+        ]
+
+    def test_form_agreement_reads_g_star_against_the_bound_on_every_staircase(self, monkeypatch):
+        # the gate mutant `<` for `<=` lets (x*y, x^3, y^3), whose g* is the bound, through: both
+        # forms divide it.  A form detected once per function would pass (x^2, x*y^2, y^3) first
+        source = inspect.getsource(standard_form.detect_standard_form)
+        gate = "phi.g_star() <= deformation_bound(d)"
+        assert source.count(gate) == 1
+        namespace = dict(vars(standard_form))
+        exec("from __future__ import annotations\n" + source.replace(gate, gate.replace("<=", "<")), namespace)
+        monkeypatch.setattr(standard_form, "detect_standard_form", namespace["detect_standard_form"])
+        with pytest.raises(InternalInconsistencyError, match=re.escape("both forms detected on (x*y, x^3, y^3)")):
+            suites.run_suite("form-agreement")
+
     def test_chain_invariants_reports_a_broken_chain_and_runs_on(self, monkeypatch):
         cases = suites.run_suite("chain-invariants", max_colength=8).cases_run
         check = standard_form.TypeChain.check_invariants
@@ -352,7 +404,7 @@ class TestRegistry:
 
 
 class TestBuilds:
-    """The alpha-grade suites build each staircase once."""
+    """The alpha-grade suites build each staircase once, and form-agreement splits each function once."""
 
     @pytest.mark.parametrize("suite,caps,builds", [("bang", {"max_m": 8}, 5), ("a-bound", {"max_r": 3, "max_c": 3}, 12)])
     def test_one_staircase_per_ideal_of_the_suite(self, monkeypatch, suite, caps, builds):
@@ -362,6 +414,18 @@ class TestBuilds:
         report = suites.run_suite(suite, **caps)
         assert report.ok
         assert len(built) == len(set(map(tuple, built))) == builds
+
+    def test_form_agreement_splits_each_function_once_in_every_call(self, monkeypatch):
+        # nothing is kept from one call to the next: a second run splits as many functions as the first
+        split = []
+        decompose = standard_form.decompose
+        monkeypatch.setattr(standard_form, "decompose", lambda phi: split.append(phi) or decompose(phi))
+        counts = []
+        for _ in range(2):
+            split.clear()
+            assert suites.run_suite("form-agreement", max_colength=12).ok
+            counts.append(len(split))
+        assert counts[0] == counts[1] == len(set(split))
 
 
 class TestCaps:
