@@ -19,9 +19,9 @@ bounds for the true orbit degree.
 
 The alpha-grade of a selection is order-independent: adding y-degree b to a
 column that already holds k monomials (all distinct) adds b - k.  So the
-first search on a space grades the fixed monomials once (the plain ones, by
-their columns or, for a section space, by its staircase's closed form less
-the cells its chains take out, and the pick of any chain left with a single
+first search on a space grades the fixed monomials once (the plain ones, as
+the space's ``plain_part`` grades and counts them, by their columns or, for a
+section space, in closed form, and the pick of any chain left with a single
 option), numbers each distinct option, an (x,y-degree, y-degree) pair, and
 keeps this fold on the space.  A pick's step reads only the count of its own
 column, and two picks collide only on one option, which lies in one column;
@@ -97,39 +97,6 @@ class DomainSplit(Record):
         return xy_degree > self.threshold
 
 
-def _plain_part(space: SemiInvariantSpace):
-    """The plain monomials of a space: their alpha-grade, their number, and
-    tests of an (x,y-degree, y-degree) pair's membership and of a column's
-    count.  A section space reads them off its staircase (heights h, diff
-    and closed-form grade, each worked out once): column n holds y^b iff
-    b >= h_(n-b), it has diff[n] members, and taking y^b out of a column of
-    k members lowers the grade by b - (k - 1)."""
-    if space.staircase is None:
-        columns = space.columns
-        return (
-            alpha_grade_columns(columns.values()),
-            sum(map(len, columns.values())),
-            lambda col, ey: ey in columns.get(col, ()),
-            lambda col: len(columns.get(col, ())),
-        )
-    ideal, taken = space.staircase, space.taken
-    h, diff = ideal.heights, ideal.hilbert_function().diff
-
-    def members(col):
-        return diff[col] if col < len(diff) else col + 1
-
-    grade = ideal.alpha_grade
-    for col, eys in taken.items():
-        for k, ey in enumerate(eys):
-            grade -= ey - (members(col) - k - 1)
-    return (
-        grade,
-        space.dimension - len(space.deformed),
-        lambda col, ey: ey >= (h[col - ey] if col - ey < len(h) else 0) and ey not in taken.get(col, ()),
-        lambda col: members(col) - len(taken.get(col, ())),
-    )
-
-
 def _fold(space: SemiInvariantSpace):
     """The split-independent part of a search, worked out once per space.
 
@@ -147,7 +114,7 @@ def _fold(space: SemiInvariantSpace):
     options as the picks of a search without a split, (slot, column number,
     y-degree, multiplier 1), and the x,y-degree of each column number.
     """
-    grade, plain_count, is_plain, count_of = _plain_part(space)
+    grade, plain_count, is_plain, count_of = space.plain_part()
     r0, r1, _ = space.weight.rho
     kept = []
     budget = 1

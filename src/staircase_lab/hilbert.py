@@ -228,9 +228,9 @@ def q_value(d: int, n: int) -> int:
 
 
 def genus_nu(d: int, nu: int) -> int:
-    """Genus of the cone family: (nu - 1) d - C(nu + 2, 3) + 1, nu >= 1."""
-    if nu < 1:
-        raise DomainError(f"need nu >= 1, got {nu}")
+    """Genus of the cone family: (nu - 1) d - C(nu + 2, 3) + 1, d >= 0, nu >= 1."""
+    if d < 0 or nu < 1:
+        raise DomainError(f"need d >= 0 and nu >= 1, got d={d}, nu={nu}")
     return (nu - 1) * d - comb(nu + 2, 3) + 1
 
 

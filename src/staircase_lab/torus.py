@@ -13,11 +13,11 @@ of two forms.  A space given by its chains (a ``--space`` file, a test) is in
 column form: one set of y-exponents per x,y-degree, like a staircase column.
 A section space built by :func:`deformed_section_space` keeps its
 staircase's heights, truncated to the degree n (h_i -> min(h_i, n + 1 - i)),
-and the cells its chains take out.  Its plain part is graded in closed form
-(``alpha_grade`` of the staircase, less each taken cell), and its limits
-move cells on the heights.  Building a space, grading it and taking its
-limits then cost O(degree + options) rather than O(dimension); the columns
-and the chain list are built only when asked for.
+and the cells its chains take out.  Its ``plain_part`` is graded in closed
+form (``alpha_grade`` of the staircase, less each taken cell), and its
+limits move cells on the heights.  Building a space, grading it and taking
+its limits then cost O(degree + options) rather than O(dimension); the
+columns and the chain list are built only when asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import comb
 from operator import lt
 
 from .errors import DegenerateLimitError, DomainError, MalformedIdealError, Record, int_array
-from .monomials import Monomial, monomial_from_list
+from .monomials import Monomial, column_weight, monomial_from_list
 from .staircase import GradedMonomialIdeal
 
 
@@ -68,18 +68,6 @@ class Chain(Record):
 _PLAIN = frozenset([0])
 
 
-def _group(chains) -> tuple[dict, list[Chain]]:
-    """Plain chains as y-exponent sets per x,y-degree, and the deformed chains."""
-    columns: dict[int, set[int]] = {}
-    deformed = []
-    for chain in chains:
-        if len(chain.support) == 1:
-            columns.setdefault(chain.initial.xy_degree, set()).add(chain.initial.ey)
-        else:
-            deformed.append(chain)
-    return columns, deformed
-
-
 class SemiInvariantSpace:
     """A space of chains of one degree.  ``deformed`` lists the chains with
     more than one supported step; the plain chains are kept
@@ -108,36 +96,32 @@ class SemiInvariantSpace:
         initials = [c.initial for c in chains]
         if len(set(initials)) != len(initials):
             raise DomainError("chains must have pairwise distinct initial monomials")
+        columns: dict[int, set[int]] = {}
+        deformed = []
         for chain in chains:
-            if len(chain.support) > 1:
+            if len(chain.support) == 1:
+                columns.setdefault(chain.initial.xy_degree, set()).add(chain.initial.ey)
+            else:
                 chain.monomials(weight)  # raises on a negative exponent
-        self._fill(weight, chains[0].initial.degree, *_group(chains), chains)
+                deformed.append(chain)
+        self._fill(weight, chains[0].initial.degree, deformed, len(chains), columns=columns, chains=chains)
 
-    def _fill(self, weight, degree, columns, deformed, chains) -> None:
-        """Column form, from parts already checked by the caller."""
+    def _fill(self, weight, degree, deformed, dimension, staircase=None, columns=None, chains=None) -> None:
+        """Every slot, from parts the caller has checked: a section space's
+        ``staircase``, or a column-form space's ``columns`` and ``chains``."""
         self.weight = weight
         self.degree = degree
-        self._columns = columns
         self.deformed = tuple(deformed)
-        self.dimension = len(chains)
-        self.staircase = self.taken = None
+        self.dimension = dimension
+        self.staircase = staircase
+        self.taken = None
+        if staircase is not None:
+            self.taken = {}
+            for chain in self.deformed:
+                self.taken.setdefault(chain.initial.xy_degree, []).append(chain.initial.ey)
+        self._columns = columns
         self._chains = chains
         self._search = None  # the selection search's fold, kept by alphagrade
-
-    @classmethod
-    def _section(cls, weight, degree, staircase, deformed, dimension) -> "SemiInvariantSpace":
-        """A section space of ``staircase``, from parts already checked by the caller."""
-        space = cls.__new__(cls)
-        space.weight = weight
-        space.degree = degree
-        space.staircase = staircase
-        space.deformed = tuple(deformed)
-        space.taken = {}
-        for chain in space.deformed:
-            space.taken.setdefault(chain.initial.xy_degree, []).append(chain.initial.ey)
-        space.dimension = dimension
-        space._columns = space._chains = space._search = None
-        return space
 
     @property
     def columns(self) -> dict:
@@ -162,6 +146,38 @@ class SemiInvariantSpace:
                 for key in keys
             )
         return self._chains
+
+    def plain_part(self):
+        """The plain monomials: their alpha-grade, their number, and tests of
+        an (x,y-degree, y-degree) pair's membership and of a column's count.
+        A section space reads them off its staircase (heights h, diff and
+        closed-form grade, each worked out once): column n holds y^b iff
+        b >= h_(n-b), it has diff[n] members, and taking y^b out of a column
+        of k members lowers the grade by b - (k - 1)."""
+        if self.staircase is None:
+            columns = self.columns
+            return (
+                sum(map(column_weight, columns.values())),
+                sum(map(len, columns.values())),
+                lambda col, ey: ey in columns.get(col, ()),
+                lambda col: len(columns.get(col, ())),
+            )
+        ideal, taken = self.staircase, self.taken
+        h, diff = ideal.heights, ideal.hilbert_function().diff
+
+        def members(col):
+            return diff[col] if col < len(diff) else col + 1
+
+        grade = ideal.alpha_grade
+        for col, eys in taken.items():
+            for k, ey in enumerate(eys):
+                grade -= ey - (members(col) - k - 1)
+        return (
+            grade,
+            self.dimension - len(self.deformed),
+            lambda col, ey: ey >= (h[col - ey] if col - ey < len(h) else 0) and ey not in taken.get(col, ()),
+            lambda col: members(col) - len(taken.get(col, ())),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SemiInvariantSpace):
@@ -312,4 +328,6 @@ def deformed_section_space(
     if not dimension:
         raise DomainError("semi-invariant space needs at least one chain")
     staircase = ideal if heights == ideal.heights else GradedMonomialIdeal._trusted(heights)
-    return SemiInvariantSpace._section(weight, level, staircase, chains, dimension)
+    space = object.__new__(SemiInvariantSpace)
+    space._fill(weight, level, chains, dimension, staircase)
+    return space

@@ -1,5 +1,6 @@
 """Alpha-grades: cycle degrees, selection extremes, bounds, genus values."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -12,6 +13,7 @@ from staircase_lab import alphagrade as A
 from staircase_lab import hilbert as H
 from staircase_lab import inequalities as I
 from staircase_lab import staircase as S
+from staircase_lab import standard_form as SF
 from staircase_lab import torus as T
 from staircase_lab.catalog import (
     CASES,
@@ -105,8 +107,13 @@ def unchecked_space(weight, chains):
     own duplicate and empty-selection checks can be reached: a repeated
     plain chain leaves its column one monomial short of the dimension."""
     chains = tuple(chains)
+    columns = {}
+    for chain in chains:
+        if len(chain.support) == 1:
+            columns.setdefault(chain.initial.xy_degree, set()).add(chain.initial.ey)
+    deformed = [chain for chain in chains if len(chain.support) > 1]
     space = object.__new__(T.SemiInvariantSpace)
-    space._fill(weight, chains[0].initial.degree, *T._group(chains), chains)
+    space._fill(weight, chains[0].initial.degree, deformed, len(chains), columns=columns, chains=chains)
     return space
 
 
@@ -124,7 +131,9 @@ def unchecked_section_space(ideal, level, weight, deformed):
     a plain section monomial stays an option, so that the search's and the
     limit's own membership tests on the heights are reached."""
     base = T.deformed_section_space(ideal, level, weight, ())
-    return T.SemiInvariantSpace._section(weight, level, base.staircase, deformed, base.dimension)
+    space = object.__new__(T.SemiInvariantSpace)
+    space._fill(weight, level, deformed, base.dimension, base.staircase)
+    return space
 
 
 @st.composite
@@ -550,10 +559,18 @@ def limit_outcome(space, direction):
 
 def assert_agrees_with_its_column_form(space):
     """A section space and the column-form space of its chains give the same
-    dimension, JSON, extremes, spreads and limits, or raise the same errors."""
+    dimension, plain part (grade, count, and each membership and column count
+    up to the degree), JSON, extremes, spreads and limits, or raise the same
+    errors."""
     twin = T.SemiInvariantSpace(space.weight, space.chains)
     assert (space.staircase is None, twin.staircase is None) == (False, True)
     assert space.dimension == twin.dimension
+    grade, count, is_plain, count_of = space.plain_part()
+    twin_grade, twin_count, twin_is_plain, twin_count_of = twin.plain_part()
+    assert (grade, count) == (twin_grade, twin_count)
+    for col in range(space.degree + 1):
+        assert count_of(col) == twin_count_of(col), col
+        assert [is_plain(col, ey) for ey in range(col + 1)] == [twin_is_plain(col, ey) for ey in range(col + 1)], col
     assert space.to_json_dict() == twin.to_json_dict()
     assert outcome(lambda: A.minmax_alpha_grade(space)) == outcome(lambda: A.minmax_alpha_grade(twin))
     for threshold in range(space.degree + 1):
@@ -562,6 +579,13 @@ def assert_agrees_with_its_column_form(space):
         assert got == outcome(lambda: A.right_domain_spread(twin, split)), threshold
     for direction in ("zero", "infinity"):
         assert limit_outcome(space, direction) == limit_outcome(twin, direction), direction
+
+
+SECTION_BUILDS = [
+    (f"{case.name}/m={m}", functools.partial(build_space, case, m))
+    for case in CASES for m in range(case.min_m, case.min_m + 6)
+]
+SECTION_BUILDS.append(("double-deformation", double_deformation_space))
 
 
 class TestSectionSpaces:
@@ -608,6 +632,19 @@ class TestSectionSpaces:
         A.right_domain_spread(space, A.DomainSplit(3))
         for direction in ("zero", "infinity"):
             T.limit_ideal(space, direction)
+        assert (space._columns, space._chains) == (None, None)
+
+    @pytest.mark.parametrize("label, build", SECTION_BUILDS, ids=[label for label, _ in SECTION_BUILDS])
+    def test_a_section_space_searched_and_limited_builds_no_column_or_chain_list(self, label, build):
+        """The section form exists so that searches and limits cost O(degree +
+        options): none of them may fall back on the columns or the chain list."""
+        space = build()
+        outcome(lambda: A.minmax_alpha_grade(space))
+        for threshold in range(space.degree + 1):
+            outcome(lambda: A.right_domain_spread(space, A.DomainSplit(threshold)))
+        for direction in ("zero", "infinity"):
+            limit_outcome(space, direction)
+        assert space.staircase is not None
         assert (space._columns, space._chains) == (None, None)
 
 
@@ -680,6 +717,11 @@ class TestGenus:
         with pytest.raises(DomainError):
             H.genus_nu(4, 0)
 
+    @pytest.mark.parametrize("d, nu", [(-1, 3), (-5, 3), (-1, 0)])
+    def test_a_negative_colength_is_outside_the_domain(self, d, nu):
+        with pytest.raises(DomainError, match=r"need d >= 0 and nu >= 1"):
+            H.genus_nu(d, nu)
+
     def test_negativity_window(self):
         for c in range(0, 21):
             for m in range(c + 2, c + 31):
@@ -723,6 +765,18 @@ class TestCatalogDegrees:
                 A.alpha_grade_columns(infinity.column(i) for i in range(level + 1))
                 == case.deg_infinity(m)
             )
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+    def test_the_zero_limit_splits_off_a_kernel_of_the_declared_colength(self, case):
+        splits = 0
+        for m in range(case.min_m, 41):
+            phi = zero_limit_ideal(case, m).hilbert_function()
+            assert phi.colength == case.kernel_c + m, m
+            split = SF.decompose(phi)
+            if split is not None:
+                splits += 1
+                assert (split[0].colength, split[1]) == (case.kernel_c, m), m
+        assert splits
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
     def test_zero_limit_is_the_declared_staircase(self, case):

@@ -251,6 +251,12 @@ class TestComputations:
         result = run_cli("genus", "--d", "6", "--nu", "4")
         assert result.stdout.strip() == "-1"
 
+    def test_genus_of_a_negative_colength_is_a_usage_error(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["genus", "--d", "-5", "--nu", "3"]) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", "error: need d >= 0 and nu >= 1, got d=-5, nu=3\n")
+
     def test_alphagrade_from_file(self, tmp_path):
         from staircase_lab.catalog import build_space, case_by_name
 
