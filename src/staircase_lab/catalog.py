@@ -192,10 +192,10 @@ def zero_limit_ideal(case: DeformationCase, m: int) -> GradedMonomialIdeal:
     return from_generators(case.generators(m))
 
 
-def build_space(case: DeformationCase, m: int, level=None) -> SemiInvariantSpace:
-    """The deformed section space of the family at the given level (default d)."""
+def build_space(case: DeformationCase, m: int) -> SemiInvariantSpace:
+    """The deformed section space of the family at level d, the colength."""
     ideal = zero_limit_ideal(case, m)
-    n = ideal.colength if level is None else level
+    n = ideal.colength
     initial, rho = case.chain(m, n)
     return deformed_section_space(ideal, n, TorusWeight(rho), [(initial, [1])])
 
@@ -210,29 +210,24 @@ def chain_staircase(ms, kernel_gens) -> GradedMonomialIdeal:
     return from_generators(gens)
 
 
-def marker_deformation_space(
-    ms,
-    ideal: GradedMonomialIdeal,
-    target: int,
-    into_left_domain: bool = False,
-) -> SemiInvariantSpace:
+def marker_deformation_space(ms, ideal: GradedMonomialIdeal, target: int | str) -> SemiInvariantSpace:
     """Space of an iterated y-split whose top form carries one extra monomial,
     over ``ideal``, the ``chain_staircase`` of ms and some kernel.
 
-    With ``into_left_domain`` the tail is the small corner monomial
-    y^(r+1) z^(m_0 - r - 1); otherwise it is the lower vice-marker of chain
-    level ``target`` (1 <= target <= r), x^(m_t - 1) y^t z^(m_0 - m_t - t + 1).
+    The tail lands in ``target``: at a chain level t in 1..r it is the lower
+    vice-marker x^(m_t - 1) y^t z^(m_0 - m_t - t + 1); at ``"left"``, the left
+    domain, it is the small corner monomial y^(r+1) z^(m_0 - r - 1).
     """
     r = len(ms) - 1
     m0 = ms[0]
     n = ideal.colength
-    if into_left_domain:
+    if target == "left":
         tail = Monomial(0, r + 1, m0 - r - 1)
-    else:
-        if not 1 <= target <= r:
-            raise DomainError(f"target level must be in 1..{r}, got {target}")
+    elif target in range(1, r + 1):
         mt = ms[target]
         tail = Monomial(mt - 1, target, m0 - mt - target + 1)
+    else:
+        raise DomainError(f"target must be a level in 1..{r} or 'left', got {target!r}")
     rho = (tail.ex - m0, tail.ey, tail.ez)
     weight = TorusWeight(rho)
     initial = Monomial(m0, 0, n - m0)

@@ -157,21 +157,14 @@ SUITE_NAMES = (
     "special-chi", "stabilization",
 )
 
-_SUITE_CAP_FLAGS = {
-    "max_colength": "--max-colength",
-    "max_frame": "--max-frame",
-    "max_c": "--max-c",
-    "max_r": "--max-r",
-    "m_span": "--m-span",
-    "max_e": "--max-e",
-    "max_m": "--max-m",
-}
+# the suites' int caps, each given as its flag: the cap with "-" for "_"
+_SUITE_CAPS = ("max_colength", "max_frame", "max_c", "max_r", "m_span", "max_e", "max_m")
 
 
 def cmd_verify(args) -> int:
     from . import suites
 
-    caps = {attr: getattr(args, attr) for attr in [*_SUITE_CAP_FLAGS, "name"] if getattr(args, attr) is not None}
+    caps = {attr: getattr(args, attr) for attr in [*_SUITE_CAPS, "name"] if getattr(args, attr) is not None}
     report = suites.run_suite(args.suite, **caps)
     if args.json:
         import json
@@ -223,7 +216,7 @@ COMMANDS = {
     ("verify",): ("run a verification suite", cmd_verify, (
         _flag("--suite", str, True, choices=SUITE_NAMES),
         _flag("--name", str, help="inequality name for the ineq suite"),
-        *(_flag(flag, int) for flag in _SUITE_CAP_FLAGS.values()),
+        *(_flag("--" + cap.replace("_", "-"), int) for cap in _SUITE_CAPS),
         JSON,
     )),
 }

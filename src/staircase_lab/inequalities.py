@@ -12,12 +12,13 @@ against the side that is constant along the row, and a params dict is built
 only for a failing point.  :func:`inequality_scan` sums the counts and sorts
 the violations; the expected result is always an empty list.
 
-The ``star``/``starbis`` scans walk every chain (m_0 .. m_r) against
-:func:`a_bound`, the closed bound of the right-domain alpha-grade spread,
-defined here beside them.  They check the bound's arguments once per row
-with ``a_bound_formula`` and evaluate it and ``q_value`` once per chain.
-Whatever the caps, they stay within r <= 3, c <= 6 and at most 4 steps
-above each chain lower bound.
+The ``star``/``starbis`` scans walk every chain (m_0 .. m_r) of
+:func:`feasible_chains` against :func:`a_bound`, the closed bound of the
+right-domain alpha-grade spread, defined here beside them; the ``a-bound``
+suite builds its spaces over the smallest such chain.  They check the bound's
+arguments once per row with ``a_bound_formula`` and evaluate it and
+``q_value`` once per chain.  Whatever the caps, they stay within r <= 3,
+c <= 6 and at most 4 steps above each chain lower bound.
 """
 
 from __future__ import annotations
@@ -155,12 +156,12 @@ def _scan_7_1_2(caps: ScanCaps):
         yield len(ms), [{"c": c, "m": m} for m in ms if not 36 * m * m - slope * m > rhs]
 
 
-def _chains(caps: ScanCaps, r: int, c: int) -> list[tuple[int, ...]]:
-    """Feasible chain vectors (m_0 .. m_r), in the order of (m_r, .., m_0): each
-    sub-ideal keeps colength >= 5, every level satisfies m_(i-1) >= (colength
-    below) + 2.  Built one level at a time, each partial chain (m_i .. m_r)
-    carried with the colength c + m_i + .. + m_r below its next level."""
-    span = min(caps.m_span, 4)
+def feasible_chains(r: int, c: int, span: int) -> list[tuple[int, ...]]:
+    """Feasible chains (m_0 .. m_r) over a colength-c kernel, each m_i at most
+    span above its lower bound, in the order of (m_r, .., m_0): each sub-ideal
+    keeps colength >= 5, every level satisfies m_(i-1) >= (colength below) + 2.
+    Built one level at a time, each partial chain (m_i .. m_r) carried with the
+    colength c + m_i + .. + m_r below its next level."""
     lb = max(c + 2, 5 - c)
     level = [((m_r,), c + m_r) for m_r in range(lb, lb + span + 1)]
     for _ in range(r):
@@ -214,7 +215,7 @@ def _scan_star(case: str, caps: ScanCaps):
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
         for c in range(0, min(caps.max_c, 6) + 1):
-            chains = _chains(caps, r, c)
+            chains = feasible_chains(r, c, min(caps.m_span, 4))
             slack = (c - 1) ** 2 + c * (r + 1)
             bound = a_bound_formula(case, c=c, r=r)
             yield len(chains), [
@@ -227,7 +228,7 @@ def _scan_starbis(case: str, caps: ScanCaps):
     """The master inequality at kernel colength zero: Q(m0 - 1) > A."""
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
-        chains = _chains(caps, r, 0)
+        chains = feasible_chains(r, 0, min(caps.m_span, 4))
         bound = a_bound_formula(case, c=0, r=r)
         yield len(chains), [
             {"case": case, "r": r, "ms": ms} for ms in chains

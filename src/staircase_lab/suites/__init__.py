@@ -108,7 +108,7 @@ def run_suite(suite: str, **caps) -> VerificationReport:
     values = [caps.get(cap, default) for cap, (default, _) in declared.items()]
     shells = [values] if low is None else ([n, *values[1:]] for n in range(low, values[0] + 1))
     cases = chain.from_iterable(function(*shell) for shell in shells)
-    report = VerificationReport(f"ineq:{caps.get('name') or 'all'}" if suite == "ineq" else suite)
+    report = VerificationReport(f"{suite}:{caps.get('name') or 'all'}" if "name" in declared else suite)
     cases_run = batched = 0
     for cases_run, found in enumerate(cases, 1):
         if found:

@@ -52,16 +52,6 @@ def suite_sandwich(max_m: int):
         yield found
 
 
-def _minimal_chain(r: int, c: int) -> list[int]:
-    """Smallest feasible regularities m_0 > ... > m_r over a colength-c kernel."""
-    ms = [max(c + 2, 5 - c)]
-    below = c + ms[0]
-    for _ in range(r):
-        ms.append(below + 2)
-        below += ms[-1]
-    return list(reversed(ms))
-
-
 _KERNELS = {
     0: [(0, 0)],
     1: [(1, 0), (0, 1)],
@@ -72,20 +62,15 @@ _KERNELS = {
 
 def suite_a_bound(r: int, max_c: int):
     """Right-domain spread of marker deformations stays below the closed bounds;
-    the spaces of one (r, c) share its chain staircase."""
+    the spaces of one (r, c) share the staircase of its smallest feasible chain."""
     if max_c > max(_KERNELS):
         raise DomainError(f"need max_c <= {max(_KERNELS)}, the largest kernel colength a-bound builds, got {max_c}")
     for c in range(0, max_c + 1):
-        ms = _minimal_chain(r, c)
+        ms = inequalities.feasible_chains(r, c, 0)[0]
         ideal = catalog.chain_staircase(ms, _KERNELS[c])
         split = alphagrade.DomainSplit(c + r)
-        for target in range(1, r + 1):
+        for target in [*range(1, r + 1), "left"] if c else range(1, r + 1):
             space = catalog.marker_deformation_space(ms, ideal, target)
             spread = alphagrade.right_domain_spread(space, split)
-            bound = inequalities.a_bound("II1", c=c, r=r, ms=tuple(ms))
+            bound = inequalities.a_bound("II2" if target == "left" else "II1", c=c, r=r, ms=ms)
             yield () if spread <= bound else (({"r": r, "c": c, "target": target}, f"<= {bound}", spread),)
-        if c >= 1:
-            space = catalog.marker_deformation_space(ms, ideal, 0, into_left_domain=True)
-            spread = alphagrade.right_domain_spread(space, split)
-            bound = inequalities.a_bound("II2", c=c, r=r, ms=tuple(ms))
-            yield () if spread <= bound else (({"r": r, "c": c, "target": "left"}, f"<= {bound}", spread),)

@@ -54,7 +54,7 @@ def suite_gstar_monotonic(d: int):
 
 def suite_regularity_bound(d: int):
     functions = hilbert.enumerate_hilbert_functions(d)
-    bad = [phi for phi in functions if phi.regularity > d] if d else []
+    bad = [phi for phi in functions if phi.regularity > d]
     yield from passed(len(functions) - len(bad))
     for phi in bad:
         yield (({"d": d, "phi": phi.as_text()}, f"reg <= {d}", phi.regularity),)

@@ -32,7 +32,7 @@ from staircase_lab.errors import (
 )
 from staircase_lab.monomials import Monomial
 from staircase_lab.suites import run_suite
-from staircase_lab.suites.families import _KERNELS, _minimal_chain
+from staircase_lab.suites.families import _KERNELS
 
 from .strategies import COLLIDING_FINALS, deformation_inputs, ideals_small
 
@@ -88,13 +88,13 @@ def reference_spaces():
     spaces.append(("tied-extremes", T.deformed_section_space(tied, 7, T.TorusWeight((1, -2, 1)), deformations)))
     for r in (1, 2):
         for c in range(4):
-            ms = _minimal_chain(r, c)
+            ms = I.feasible_chains(r, c, 0)[0]
             ideal = chain_staircase(ms, _KERNELS[c])
             for target in range(1, r + 1):
                 space = marker_deformation_space(ms, ideal, target)
                 spaces.append((f"marker r={r} c={c} t={target}", space))
             if c >= 1:
-                left = marker_deformation_space(ms, ideal, 0, into_left_domain=True)
+                left = marker_deformation_space(ms, ideal, "left")
                 spaces.append((f"marker r={r} c={c} left", left))
     return spaces
 
@@ -698,6 +698,12 @@ class TestABound:
     def test_marker_grid_respects_the_bounds(self, r, c):
         report = run_suite("a-bound", max_r=r, max_c=c)
         assert report.ok, report.violations
+
+    @pytest.mark.parametrize("target", [0, 3, "right", None])
+    def test_a_marker_target_is_a_chain_level_or_the_left_domain(self, target):
+        ms = I.feasible_chains(2, 1, 0)[0]
+        with pytest.raises(DomainError, match=r"target must be a level in 1\.\.2 or 'left'"):
+            marker_deformation_space(ms, chain_staircase(ms, _KERNELS[1]), target)
 
     def test_marker_deformation_type_two(self):
         # type 2, empty kernel: chain x^14 -> x^4 y^2 z^8 (two torus steps)

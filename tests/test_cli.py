@@ -137,7 +137,7 @@ CLI_REQUESTS = st.one_of(
     st.tuples(st.just(["ch14", "--e"]), int_texts(12), JSON_FLAG),
     st.tuples(
         st.just(["verify", "--suite"]), st.sampled_from(cli.SUITE_NAMES),
-        st.sampled_from(list(cli._SUITE_CAP_FLAGS.values())), int_texts(3), JSON_FLAG,
+        st.sampled_from(["--" + cap.replace("_", "-") for cap in cli._SUITE_CAPS]), int_texts(3), JSON_FLAG,
     ),
 )
 

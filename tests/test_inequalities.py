@@ -191,6 +191,14 @@ def ref_chains(caps, r, c):
         yield from extend([m_r], c + m_r)
 
 
+@pytest.mark.parametrize("span", range(5))
+def test_feasible_chains_match_the_recursive_reference(span):
+    # span 0 is the one chain a-bound builds on, the smallest
+    for r, c in product(range(5), range(7)):
+        want = [tuple(ms) for ms in ref_chains(I.ScanCaps(max_c=c, max_r=r, m_span=span), r, c)]
+        assert I.feasible_chains(r, c, span) == want
+
+
 def ref_star(case, caps):
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):

@@ -344,6 +344,23 @@ class TestViolations:
         code, out, err = run_verify("--suite", "sandwich", "--max-m", "6")
         assert (code, out, err) == (2, "", "error: columns are not a staircase\n")
 
+    def test_a_bound_checks_each_level_against_II1_and_the_left_corner_against_II2(self, monkeypatch):
+        bound = inequalities.a_bound
+        # at r=2, c=1 the level spreads are 9 and 13, so II1 lowered to 10 fails level 2 alone; at r=1, c=1
+        # the left corner's spread is 7 against II2 lowered to 6.  A loop that took either bound for the
+        # other's targets would miss both: there II1 is 30 and II2 is 40.
+        lowered = {("II1", 2, 1): 10, ("II2", 1, 1): 6}
+        monkeypatch.setattr(
+            inequalities, "a_bound", lambda case, *, c, r, ms=(): lowered.get((case, r, c)) or bound(case, c=c, r=r, ms=ms)
+        )
+        code, report = verify_json("--suite", "a-bound", "--max-r", "2", "--max-c", "1")
+        assert code == 1
+        assert (report["suite"], report["cases_run"], report["ok"]) == ("a-bound", 8, False)
+        assert report["violations"] == [
+            {"params": {"r": 1, "c": 1, "target": "left"}, "expected": "<= 6", "got": 7},
+            {"params": {"r": 2, "c": 1, "target": 2}, "expected": "<= 10", "got": 13},
+        ]
+
 
 class TestRegistry:
     def test_the_names_are_in_report_order(self):
@@ -387,7 +404,7 @@ class TestRegistry:
 
     def test_every_cap_flag_is_declared_by_a_suite(self):
         declared = {cap for _, _, caps in suites.SUITES.values() for cap in caps}
-        assert set(cli._SUITE_CAP_FLAGS) <= declared
+        assert set(cli._SUITE_CAPS) <= declared
 
     @pytest.mark.parametrize("name,takes", [
         ("catalog-small", []),

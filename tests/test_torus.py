@@ -7,15 +7,15 @@ from hypothesis import example, given, settings
 
 from staircase_lab import staircase as S
 from staircase_lab import torus as T
-from staircase_lab.catalog import build_space, case_by_name, double_deformation_space
+from staircase_lab.catalog import build_space, case_by_name, double_deformation_space, zero_limit_ideal
 from staircase_lab.errors import DegenerateLimitError, DomainError
 from staircase_lab.monomials import Monomial
 
 from .strategies import COLLIDING_FINALS, deformation_inputs
 
 
-def handle_space(m=4, level=None):
-    return build_space(case_by_name("7.3"), m, level)
+def handle_space(m=4):
+    return build_space(case_by_name("7.3"), m)
 
 
 class TestSpaces:
@@ -83,8 +83,10 @@ class TestLimits:
             T.limit_ideal(handle_space(), "sideways")
 
     def test_limits_independent_of_the_level(self):
+        case = case_by_name("7.3")
         for level in (5, 6, 8):
-            space = handle_space(m=4, level=level)
+            initial, rho = case.chain(4, level)
+            space = T.deformed_section_space(zero_limit_ideal(case, 4), level, T.TorusWeight(rho), [(initial, [1])])
             assert T.limit_ideal(space, "zero") == S.from_generators([(1, 1), (0, 2), (4, 0)])
             assert T.limit_ideal(space, "infinity") == S.from_generators([(0, 1), (5, 0)])
 
