@@ -15,10 +15,13 @@ the violations; the expected result is always an empty list.
 The ``star``/``starbis`` scans walk every chain (m_0 .. m_r) of
 :func:`feasible_chains` against :func:`a_bound`, the closed bound of the
 right-domain alpha-grade spread, defined here beside them; the ``a-bound``
-suite builds its spaces over the smallest such chain.  They check the bound's
-arguments once per row with ``a_bound_formula`` and evaluate it and
-``q_value`` once per chain.  Whatever the caps, they stay within r <= 3,
-c <= 6 and at most 4 steps above each chain lower bound.
+suite builds its spaces over the smallest such chain.  Whatever the caps, they
+stay within r <= 3, c <= 6 and at most 4 steps above each chain lower bound.
+Q(m_0 - 1) depends on the chain alone, so the chains of a row and their Q
+are built once per run, in the table of :meth:`ScanCaps.star_row`, which the
+eight scans share (``starbis`` reads the c = 0 rows).  Each scan checks the
+bound's arguments once per row with ``a_bound_formula`` and evaluates the
+bound once per chain.
 """
 
 from __future__ import annotations
@@ -30,9 +33,28 @@ from .hilbert import q_value
 
 
 class ScanCaps:
+    """The caps of one scan run, and that run's table of star rows.
+
+    One object serves one run: the rows :meth:`star_row` builds stay on it, so
+    a new run takes a new object and builds its rows afresh.
+    """
+
     def __init__(self, max_c: int, max_r: int, m_span: int):
         # m_span: how far above its lower bound each regularity runs
         self.max_c, self.max_r, self.m_span = max_c, max_r, m_span
+        self._star_rows = {}  # (r, c) -> that row of star_row
+
+    def __repr__(self) -> str:
+        return f"ScanCaps(max_c={self.max_c}, max_r={self.max_r}, m_span={self.m_span})"
+
+    def star_row(self, r: int, c: int) -> list[tuple[tuple[int, ...], int]]:
+        """The chains ms of ``feasible_chains(r, c, min(m_span, 4))``, each
+        paired with Q(m_0 - 1) on colength c + sum(ms); built on first use."""
+        row = self._star_rows.get((r, c))
+        if row is None:
+            chains = feasible_chains(r, c, min(self.m_span, 4))
+            row = self._star_rows[r, c] = [(ms, q_value(c + sum(ms), ms[0] - 1)) for ms in chains]
+        return row
 
 
 def _min_m0(r: int, c: int) -> int:
@@ -215,25 +237,19 @@ def _scan_star(case: str, caps: ScanCaps):
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
         for c in range(0, min(caps.max_c, 6) + 1):
-            chains = feasible_chains(r, c, min(caps.m_span, 4))
+            row = caps.star_row(r, c)
             slack = (c - 1) ** 2 + c * (r + 1)
             bound = a_bound_formula(case, c=c, r=r)
-            yield len(chains), [
-                {"case": case, "r": r, "c": c, "ms": ms} for ms in chains
-                if not q_value(c + sum(ms), ms[0] - 1) > slack + bound(ms)
-            ]
+            yield len(row), [{"case": case, "r": r, "c": c, "ms": ms} for ms, q in row if not q > slack + bound(ms)]
 
 
 def _scan_starbis(case: str, caps: ScanCaps):
     """The master inequality at kernel colength zero: Q(m0 - 1) > A."""
     r_lo = 1 if case in ("I1", "I2") else 2
     for r in range(r_lo, min(caps.max_r, 3) + 1):
-        chains = feasible_chains(r, 0, min(caps.m_span, 4))
+        row = caps.star_row(r, 0)
         bound = a_bound_formula(case, c=0, r=r)
-        yield len(chains), [
-            {"case": case, "r": r, "ms": ms} for ms in chains
-            if not q_value(sum(ms), ms[0] - 1) > bound(ms)
-        ]
+        yield len(row), [{"case": case, "r": r, "ms": ms} for ms, q in row if not q > bound(ms)]
 
 
 SCANS = {

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from staircase_lab import inequalities as I
+from staircase_lab import inequalities as I, suites
 from staircase_lab.errors import DomainError
 
 FAST = I.ScanCaps(max_c=20, max_r=5, m_span=10)
@@ -250,7 +250,7 @@ def reference_scan(name, caps):
 
 # both sides of every boundary the scans branch on: c = 4 (fast-step), 5 (7.1.x),
 # 6 (the star cap), r = 1..3 (the star cap), span 4 (the chain cap)
-GRID = [I.ScanCaps(c, r, s) for c, r, s in product((0, 1, 4, 5, 30), (0, 1, 2, 3, 7), (0, 1, 4, 25))]
+GRID = list(product((0, 1, 4, 5, 30), (0, 1, 2, 3, 7), (0, 1, 4, 25)))
 
 FAULTS = {
     "none": (),
@@ -265,9 +265,37 @@ def test_row_scans_match_the_per_point_reference(fault, monkeypatch):
     for attr, plant in FAULTS[fault]:
         monkeypatch.setattr(I, attr, plant(getattr(I, attr)))
     failed = 0
-    for name, caps in product(I.all_inequality_names(), GRID):
+    # fresh caps per fault: each holds its run's star rows, built with the planted fault
+    for name, caps in product(I.all_inequality_names(), [I.ScanCaps(*caps) for caps in GRID]):
         result = I.inequality_scan(name, caps)
         expected = reference_scan(name, caps)
         assert (result.cases_run, result.violations) == expected, (name, caps)
         failed += len(expected[1])
     assert (failed > 0) == (fault != "none")
+
+
+@pytest.mark.parametrize("caps", [{"max_c": 50, "max_r": 6, "m_span": 25}, {"max_c": 80, "max_r": 7, "m_span": 40}])
+def test_one_ineq_run_builds_each_star_row_once(caps, monkeypatch):
+    # 21 rows (r = 1..3, c = 0..6) hold 5,425 chains; the one other Q is 6.3.3's boundary
+    counts = dict.fromkeys(("feasible_chains", "q_value"), 0)
+    for attr in counts:
+        def counted(*args, _f=getattr(I, attr), _attr=attr):
+            counts[_attr] += 1
+            return _f(*args)
+        monkeypatch.setattr(I, attr, counted)
+    assert suites.run_suite("ineq", **caps).ok
+    assert counts == {"feasible_chains": 21, "q_value": 5426}
+
+
+def test_star_rows_do_not_outlive_their_caps(monkeypatch):
+    caps = (6, 3, 4)
+    assert I.inequality_scan("star-I1", I.ScanCaps(*caps)).ok
+    q_value = I.q_value
+    monkeypatch.setattr(I, "q_value", lambda d, n: q_value(d, n) - 60)
+    fresh = I.ScanCaps(*caps)
+    result = I.inequality_scan("star-I1", fresh)
+    assert result.violations and (result.cases_run, result.violations) == reference_scan("star-I1", fresh)
+
+
+def test_caps_repr_names_the_caps():
+    assert repr(I.ScanCaps(80, 7, 40)) == "ScanCaps(max_c=80, max_r=7, m_span=40)"
