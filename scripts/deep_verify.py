@@ -5,13 +5,15 @@ Prints one line per suite, in the order of the registry ``suites.SUITES``,
 ending with the caps it ran with, and a final summary with the total wall
 time; exit code 1 on any violation.  The deep values are declared in that
 registry.  They were picked to finish in about 2 s per suite on a 2-core
-Python 3.11 host, but only three fits are recorded, each the largest cap
-whose minimum of 5 repeats stayed under 2 s: ``gstar-monotonic``'s in
-``BENCH_gstar_monotonic.json``, and ``borel``'s and ``form-agreement``'s in
-``BENCH_staircase_shells.json``.  In one run on such a host, whose speed
+Python 3.11 host, but only six fits are recorded, each the largest cap whose
+minimum of 5 repeats stayed under 2 s: ``gstar-monotonic``'s in
+``BENCH_gstar_monotonic.json``, and ``hf-ideal-agreement``'s,
+``form-agreement``'s, ``borel``'s, ``stabilization``'s and
+``pyramid-alpha-link``'s in ``BENCH_staircase_walk.json`` (``borel``'s first
+in ``BENCH_staircase_shells.json``).  In one run on such a host, whose speed
 drifts by up to 2x within minutes, the suites other than ``catalog-small``
-took from 0.38 s (``a-bound``) to 2.30 s (``chain-invariants``) each, seven
-of them over 2 s, and the whole run 39.3 s at a peak RSS of 139 MB.
+took from 0.33 s (``a-bound``) to 2.33 s (``gstar-crosscheck``) each, four
+of them over 2 s, and the whole run 35.9 s at a peak RSS of 96 MB.
 """
 
 import json

@@ -7,12 +7,16 @@ y-exponents a such that x^(n-a) * y^a lies in the ideal, i.e. a >= h_(n-a);
 sections of the twisted sheaf are the z-saturation of these columns, so the
 degree-n section space is ``sum_i z^(n-i) * V_i``.  Columns with index
 >= ``stable_from`` = max(i + h_i) are full.
+
+A shell, the staircases of one colength d, is one in-place walk over the
+partitions of d in reverse-lexicographic order (``enumerate_ideals``).  It
+hands each staircase its ``stable_from`` and its Hilbert function, both
+read off counts the walk keeps, and keeps nothing once the shell is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate, chain, compress, count, repeat, takewhile
+from itertools import accumulate, compress, count, repeat, takewhile
 from math import comb
 from operator import add, le
 
@@ -84,17 +88,11 @@ class GradedMonomialIdeal(Record):
 
     @cached
     def _hilbert_function(self) -> HilbertFunction:
-        # column n misses one cell for each i with i <= n < i + h_i: the
-        # min(n + 1, len(h)) cells begun by degree n less those ended, so
-        # diff[n] = max(0, n + 1 - len(h)) + #{i : i + h_i <= n}.  The cells'
-        # degrees fill 0..stable_from - 1, so the diff is admissible, and
-        # canonical with its first diagonal entry at stable_from
         h, top = self.heights, self.stable_from
-        ended = [0] * (top + 1)
+        ended = [0] * len(h) + [1] * (top + 1 - len(h))  # an empty column i ends at i
         for n in map(add, h, count()):
             ended[n] += 1
-        diff = list(map(add, chain(repeat(0, len(h)), range(1, top + 2 - len(h))), accumulate(ended)))
-        return HilbertFunction._trusted(tuple(diff))  # from a list: sized once, never shrunk
+        return _function_of_ends(ended, top)
 
     @cached
     def alpha_grade(self) -> int:
@@ -186,15 +184,17 @@ def from_generators(gens) -> GradedMonomialIdeal:
     return GradedMonomialIdeal._trusted(tuple(accumulate(lowest, min)))
 
 
-@lru_cache(maxsize=None)
-def _partitions(d: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    if d == 0:
-        return ((),)
-    out = []
-    for first in range(min(d, cap), 0, -1):
-        for rest in _partitions(d - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _function_of_ends(ended, top: int) -> HilbertFunction:
+    """The function of a staircase with ``stable_from`` ``top``, from the
+    counts ``ended[n]`` of its columns i whose end i + h_i is n (h_i = 0
+    past the heights, so an empty column ends at its index).
+
+    Degree n holds x^i y^(n - i) iff i + h_i <= n, so diff[n], the number of
+    these monomials, is #{i : i + h_i <= n}: one ``accumulate`` of the
+    counts.  The cells' degrees fill 0..top - 1, so the diff is admissible,
+    and canonical with its first diagonal entry at top.  The counts past
+    top are never read."""
+    return HilbertFunction._trusted(tuple(accumulate(ended[: top + 1])))
 
 
 def enumerate_ideals(d: int) -> list[GradedMonomialIdeal]:
@@ -202,8 +202,67 @@ def enumerate_ideals(d: int) -> list[GradedMonomialIdeal]:
 
     The standard monomials of such an ideal form a staircase region
     h_0 >= h_1 >= ... with sum d (h_a = number of missing y-powers over x^a),
-    so the ideals correspond to the partitions of d.
+    so the ideals correspond to the partitions of d.  They come in
+    reverse-lexicographic order of their heights, (d) first and (1, ..., 1)
+    last, each with its ``stable_from`` and its Hilbert function.
+
+    One list of parts is walked in place by the ZS1 step (Zoghbi and
+    Stojmenovic 1998; Knuth, TAOCP 4A, 7.2.1.4): the rightmost part above 1
+    drops by one, and the tail from it is refilled with parts of that new
+    size and a remainder.  Past the length every slot holds 1.  Beside the
+    parts the walk keeps ``ended[n]``, the count of columns whose end
+    i + h_i is n, and ``reach[i]``, the largest end of a part before part i,
+    so ``stable_from`` is ``reach[length]``.  A step updates both only from
+    the part it lowers, and a run of 1s in one move, since the ends of
+    columns a..b that hold 1 and of the empty ones differ only at a and
+    b + 1.  Nothing outlives the call but the returned shell.
     """
     if d < 0:
         raise RangeError("colength must be nonnegative")
-    return [GradedMonomialIdeal._trusted(heights) for heights in _partitions(d, d if d else 1)]
+    size = min(d, 1)  # the number of parts
+    last = 0 if d > 1 else -1  # the index of the rightmost part above 1, -1 for none
+    parts, ended, reach = [1] * d, [0] * size + [1] * (d + 2 - size), [0] * (d + 2)
+    if d:
+        parts[0] = reach[1] = d
+        ended[d] += 1
+    new, shell = object.__new__, []
+    while True:
+        ideal, top = new(GradedMonomialIdeal), reach[size]
+        function = _function_of_ends(ended, top)
+        ideal.__dict__.update(heights=tuple(parts[:size]), stable_from=top, _hilbert_function=function)
+        shell.append(ideal)
+        if last < 0:
+            return shell
+        r = parts[last] - 1
+        if r == 1:
+            # (.., 2, 1, .., 1) -> (.., 1, 1, .., 1, 1): the 2 ends one lower, and the empty column at size takes a 1
+            parts[last] = 1
+            ended[last + 2] -= 1
+            ended[last + 1] += 1
+            ended[size] -= 1
+            ended[size + 1] += 1
+            reach[last + 1] = max(reach[last], last + 1)
+            reach[size + 1] = max(reach[size], size + 1)
+            size += 1
+            last -= 1
+            continue
+        # empty the columns from last on, its 1s in one move, then refill them with parts r and a remainder
+        ended[last + r + 1] -= 1
+        ended[last] += 1
+        ended[last + 1] += 1
+        ended[size] -= 1
+        start, left = last, size - last  # left: what the tail holds beyond one part r
+        parts[last] = r
+        while left >= r:
+            last += 1
+            parts[last] = r
+            left -= r
+        size = last + 1 + (left > 0)
+        if left > 1:
+            last += 1
+            parts[last] = left
+        for i in range(start, size):
+            n = i + parts[i]
+            ended[i] -= 1
+            ended[n] += 1
+            reach[i + 1] = max(reach[i], n)

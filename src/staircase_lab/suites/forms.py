@@ -1,11 +1,15 @@
 """Suites of staircases and standard forms: the staircases' functions,
 standard-form splits above the deformation bound, type chains, the split of
-a staircase against that of its function, and Borel closures."""
+a staircase against that of its function, and Borel closures.  Each whole
+shell walked is sized against the ``census``."""
 
 from __future__ import annotations
 
-from .. import hilbert, staircase, standard_form
+from operator import gt
+
+from .. import census, hilbert, staircase, standard_form
 from ..errors import InternalInconsistencyError
+from . import shell_census
 
 
 PRUNE_CHECK_CAP = 10  # colengths at which the pruned walk is checked against the full one
@@ -33,6 +37,9 @@ def suite_hf_ideal_agreement(d: int):
     function exactly once.
     """
     ideals = staircase.enumerate_ideals(d)
+    functions = hilbert.enumerate_hilbert_functions(d)
+    yield from shell_census(d, ideals, census.partitions)
+    yield from shell_census(d, functions, census.distinct_partitions)
     images = [ideal.hilbert_function() for ideal in ideals]
     witness = dict(zip(images, ideals))  # each distinct function, with a staircase
     found = [
@@ -40,7 +47,7 @@ def suite_hf_ideal_agreement(d: int):
         for phi, ideal in witness.items()
         if not hilbert.is_valid(phi.diff)
     ]
-    via_enum = set(hilbert.enumerate_hilbert_functions(d))
+    via_enum = set(functions)
     if witness.keys() != via_enum:
         found.append(({"d": d}, _texts(via_enum), _texts(witness)))
     lex = [phi for ideal, phi in zip(ideals, images) if _strictly_decreasing(ideal.heights)]
@@ -54,7 +61,7 @@ def _texts(functions) -> list[str]:
 
 
 def _strictly_decreasing(heights) -> bool:
-    return all(a > b for a, b in zip(heights, heights[1:]))
+    return all(map(gt, heights, heights[1:]))
 
 
 def suite_lemma_2_4(d: int):
@@ -99,7 +106,9 @@ def suite_corollary_2_2(d: int):
 def suite_chain_invariants(d: int):
     """Type-chain inequalities m_0 >= 2^r (c+2) and m_j + j < m_i + i - 1;
     ``type_of`` raises when a chain breaks them."""
-    for phi in hilbert.enumerate_hilbert_functions(d):
+    functions = hilbert.enumerate_hilbert_functions(d)
+    yield from shell_census(d, functions, census.distinct_partitions)
+    for phi in functions:
         try:
             standard_form.type_of(phi)
         except InternalInconsistencyError as exc:
@@ -116,7 +125,9 @@ def suite_form_agreement(d: int):
     and the later ones read that function object, its cached g* and its split
     from a table that lives for this shell alone."""
     splits = {}  # function -> (its first object, its split)
-    for ideal in staircase.enumerate_ideals(d):
+    ideals = staircase.enumerate_ideals(d)
+    yield from shell_census(d, ideals, census.partitions)
+    for ideal in ideals:
         phi = ideal.hilbert_function()
         entry = splits.get(phi)
         if entry is None:
@@ -141,7 +152,9 @@ def suite_form_agreement(d: int):
 def suite_borel(d: int):
     """Borel closure never increases the colength; fixed points stay fixed;
     the fixed staircases are those with strictly decreasing heights."""
-    for ideal in staircase.enumerate_ideals(d):
+    ideals = staircase.enumerate_ideals(d)
+    yield from shell_census(d, ideals, census.partitions)
+    for ideal in ideals:
         found = []
         closure = ideal.borel_closure()
         if not closure.is_borel_fixed():

@@ -1,13 +1,14 @@
 """Suites of Hilbert functions alone: the colength <= 4 catalog, the genus
 functional and its order, the deformation bound's extremal function, and the
-regularity bound.  They call ``hilbert`` and nothing else."""
+regularity bound.  They call ``hilbert`` and nothing else, but for the
+``census`` that sizes each whole shell they walk."""
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .. import hilbert
-from . import passed
+from .. import census, hilbert
+from . import passed, shell_census
 
 
 def suite_catalog_small():
@@ -28,6 +29,7 @@ def suite_gstar_crosscheck(d: int):
     """Both genus evaluations agree on every function (raises on mismatch);
     one batch of cases per colength."""
     functions = hilbert.enumerate_hilbert_functions(d)
+    yield from shell_census(d, functions, census.distinct_partitions)
     for phi in functions:
         phi.g_star()
     yield len(functions)
@@ -39,6 +41,7 @@ def suite_gstar_monotonic(d: int):
     shell's pairs are the bits of its ``hilbert.above_masks``; those left by
     an AND with the mask of the functions whose g* is not larger fail."""
     functions = hilbert.enumerate_hilbert_functions(d)
+    yield from shell_census(d, functions, census.distinct_partitions)
     above = hilbert.above_masks(functions)
     genus = [phi.g_star() for phi in functions]
     bad = list(above)
@@ -54,6 +57,7 @@ def suite_gstar_monotonic(d: int):
 
 def suite_regularity_bound(d: int):
     functions = hilbert.enumerate_hilbert_functions(d)
+    yield from shell_census(d, functions, census.distinct_partitions)
     bad = [phi for phi in functions if phi.regularity > d]
     yield from passed(len(functions) - len(bad))
     for phi in bad:

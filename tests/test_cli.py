@@ -511,7 +511,7 @@ class TestColdStart:
             (("ch14", "--e", "5"), 0, GRADE_MODULES),
             (("alphagrade", "--space", "{space}"), 0, GRADE_MODULES + ("torus",)),
             (("alphagrade", "--space", "{missing}"), 2, ()),
-            (("verify", "--suite", "special-chi", "--max-colength", "8"), 0, ("hilbert", "suites", "suites.hf")),
+            (("verify", "--suite", "special-chi", "--max-colength", "8"), 0, ("census", "hilbert", "suites", "suites.hf")),
             (
                 ("verify", "--suite", "pyramid-oracle", "--max-frame", "4"),
                 0,
@@ -525,12 +525,12 @@ class TestColdStart:
             (
                 ("verify", "--suite", "ch14", "--max-e", "5"),
                 0,
-                GRADE_MODULES + ("suites", "suites.alpha"),
+                GRADE_MODULES + ("census", "suites", "suites.alpha"),
             ),
             (
                 ("verify", "--suite", "borel", "--max-colength", "6"),
                 0,
-                ("hilbert", "monomials", "staircase", "standard_form", "suites", "suites.forms"),
+                ("census", "hilbert", "monomials", "staircase", "standard_form", "suites", "suites.forms"),
             ),
             (("verify", "--suite", "nope"), 2, ()),
             (("verify", "--help"), 0, ()),

@@ -3,13 +3,16 @@
 A Hilbert function of colength d is the function of exactly one lex-segment
 staircase, whose heights strictly decrease, so there are q(d) functions, q
 counting the partitions into distinct parts.  The staircases of colength d
-are the partitions of d, p(d) of them.  Neither count calls an enumerator.
+are the partitions of d, p(d) of them.  Neither count calls an enumerator,
+and neither does the package's own ``census``, which the suites read.
 """
 
 import pytest
 
+from staircase_lab import census
 from staircase_lab import hilbert as H
 from staircase_lab import staircase as S
+from staircase_lab.errors import DomainError
 
 
 def partition_counts(top, distinct):
@@ -48,3 +51,20 @@ def test_staircases_are_counted_by_partitions(d):
 def test_spot_values():
     assert len(set(phi.diff for phi in H.enumerate_hilbert_functions(62))) == Q[62]
     assert len(set(ideal.heights for ideal in S.enumerate_ideals(36))) == P[36]
+
+
+@pytest.mark.parametrize("order", ["ascending", "largest first"])
+def test_the_census_is_the_recurrence(monkeypatch, order):
+    # from fresh tables, grown one colength at a time or in one step
+    monkeypatch.setattr(census, "_P", [1])
+    monkeypatch.setattr(census, "_Q", [1])
+    ds = range(63) if order == "ascending" else [62, *range(62)]
+    assert {d: census.partitions(d) for d in ds} == dict(enumerate(partition_counts(62, distinct=False)))
+    assert {d: census.distinct_partitions(d) for d in ds} == dict(enumerate(Q))
+    assert len(census._P) == len(census._Q) == 63  # d + 1 ints each, for the largest d asked
+
+
+@pytest.mark.parametrize("count", [census.partitions, census.distinct_partitions])
+def test_the_census_refuses_a_negative_colength(count):
+    with pytest.raises(DomainError):
+        count(-1)

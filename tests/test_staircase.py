@@ -1,9 +1,13 @@
 """Staircase model: colength, Hilbert functions, Borel moves, JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import accumulate, chain
 from math import comb
 from operator import gt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -12,10 +16,12 @@ from hypothesis import strategies as st
 from staircase_lab import alphagrade as A
 from staircase_lab import hilbert as H
 from staircase_lab import staircase as S
-from staircase_lab.errors import DomainError, MalformedIdealError
+from staircase_lab.errors import DomainError, MalformedIdealError, RangeError
 from staircase_lab.monomials import Monomial
 
 from .strategies import ideals_small, partitions
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def full_ideal():
@@ -452,8 +458,9 @@ class TestEnumeration:
     def test_matches_per_cell_reference(self, d):
         assert S.enumerate_ideals(d) == ref_enumerate_ideals(d)
 
-    @pytest.mark.parametrize("d", range(21))
+    @pytest.mark.parametrize("d", range(31))
     def test_unchecked_ideals_equal_the_validated_ones(self, d):
+        # the walk's heights and order against the recursive reference
         assert S.enumerate_ideals(d) == [S.GradedMonomialIdeal(h) for h in ref_partitions(d, max(d, 1))]
 
     def test_all_distinct_and_right_colength(self):
@@ -461,6 +468,38 @@ class TestEnumeration:
             ideals = S.enumerate_ideals(d)
             assert len(set(ideals)) == len(ideals)
             assert all(ideal.colength == d for ideal in ideals)
+
+    def test_each_staircase_carries_the_stable_from_and_function_of_a_fresh_one(self):
+        seen = 0
+        for d in range(31):
+            for walked in S.enumerate_ideals(d):
+                assert {"stable_from", "_hilbert_function"} <= vars(walked).keys()  # handed over, not computed on use
+                fresh = S.GradedMonomialIdeal(walked.heights)
+                assert walked.stable_from == fresh.stable_from
+                assert walked.hilbert_function().diff == fresh.hilbert_function().diff
+                # and against the columns, a view the end counts do not build
+                columns = map(fresh.column, range(fresh.stable_from + 1))
+                assert walked.hilbert_function().diff == tuple(map(len, columns))
+                seen += 1
+        assert seen == 28629  # p(0) + ... + p(30)
+
+    def test_the_ends_of_the_shell(self):
+        (empty,) = S.enumerate_ideals(0)
+        assert (empty.heights, empty.stable_from, empty.hilbert_function().diff) == ((), 0, (1,))
+        assert empty == full_ideal()
+        with pytest.raises(RangeError):
+            S.enumerate_ideals(-1)
+
+    def test_no_shell_outlives_its_call(self):
+        # in a fresh process, so that no earlier test has filled a cache that this walk would then only read;
+        # a full collection also empties the interpreter's free lists, which keep the dropped tuples' blocks
+        code = ("import gc, tracemalloc\nfrom staircase_lab import staircase\ntracemalloc.start()\n"
+                "for d in range(31):\n    staircase.enumerate_ideals(d)\ngc.collect()\n"
+                "print(tracemalloc.get_traced_memory()[0])")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+                                check=True)
+        assert int(result.stdout) < 32_000  # bytes; a cache of the shapes walked would hold about 6.5 MB
 
 
 class TestGenerators:

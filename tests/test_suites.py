@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from staircase_lab import catalog, cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
+from staircase_lab import catalog, census, cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
 from staircase_lab.errors import DomainError, InternalInconsistencyError, MalformedIdealError
 from staircase_lab.suites import forms as form_suites
 
@@ -43,6 +43,10 @@ def verify_json(*args):
     """Exit code and parsed ``verify --json`` report of an in-process run."""
     code, out, _ = run_verify(*args, "--json")
     return code, json.loads(out)
+
+
+STAIRCASE_SHELL_SUITES = ["hf-ideal-agreement", "form-agreement", "borel", "stabilization", "pyramid-alpha-link"]
+FUNCTION_SHELL_SUITES = ["gstar-crosscheck", "gstar-monotonic", "regularity-bound", "chain-invariants"]
 
 
 class TestViolations:
@@ -264,6 +268,32 @@ class TestViolations:
         assert [v["params"] for v in report.violations] == [
             {"d": d, "check": "g* prune"} for d in range(5, form_suites.PRUNE_CHECK_CAP + 1)
         ]
+
+    # a staircase shell loses (1, ..., 1), whose function (d) also has; a function shell its lex-first function
+    @pytest.mark.parametrize("module,enumerator,kept,count,suite", [
+        *((staircase, "enumerate_ideals", slice(-1), census.partitions, suite) for suite in STAIRCASE_SHELL_SUITES),
+        *((hilbert, "enumerate_hilbert_functions", slice(1, None), census.distinct_partitions, suite)
+          for suite in FUNCTION_SHELL_SUITES),
+    ])
+    def test_a_shell_short_of_its_census_is_one_violation_per_colength(self, monkeypatch, module, enumerator, kept,
+                                                                       count, suite):
+        whole = getattr(module, enumerator)
+        monkeypatch.setattr(module, enumerator, lambda d, *rest: whole(d, *rest)[kept] if d > 6 else whole(d, *rest))
+        code, report = verify_json("--suite", suite)
+        cap = suites.SUITES[suite][2]["max_colength"][0]
+        assert code == 1
+        assert report["violations"] == [
+            {"params": {"d": d, "census": count.__name__}, "expected": count(d), "got": count(d) - 1}
+            for d in range(7, cap + 1)
+        ]
+
+    @pytest.mark.parametrize("suite", [*STAIRCASE_SHELL_SUITES, *FUNCTION_SHELL_SUITES])
+    def test_the_census_adds_a_case_only_where_it_fails(self, monkeypatch, suite):
+        cases = suites.run_suite(suite).cases_run
+        monkeypatch.setattr(census, "partitions", lambda d: -1)
+        monkeypatch.setattr(census, "distinct_partitions", lambda d: -1)
+        report = suites.run_suite(suite)
+        assert report.cases_run - cases == len(report.violations) > 0
 
     @pytest.mark.parametrize("suite,cap", [("lemma-2-4", 12), ("corollary-2-2", 20)])
     def test_a_walked_function_that_does_not_split_is_a_violation(self, monkeypatch, suite, cap):
