@@ -5,15 +5,17 @@ Prints one line per suite, in the order of the registry ``suites.SUITES``,
 ending with the caps it ran with, and a final summary with the total wall
 time; exit code 1 on any violation.  The deep values are declared in that
 registry.  They were picked to finish in about 2 s per suite on a 2-core
-Python 3.11 host, but only six fits are recorded, each the largest cap whose
-minimum of 5 repeats stayed under 2 s: ``gstar-monotonic``'s in
-``BENCH_gstar_monotonic.json``, and ``hf-ideal-agreement``'s,
+Python 3.11 host, but only eleven fits are recorded, each the largest cap
+whose minimum of 5 repeats stayed under 2 s: ``gstar-monotonic``'s in
+``BENCH_gstar_monotonic.json``; ``hf-ideal-agreement``'s,
 ``form-agreement``'s, ``borel``'s, ``stabilization``'s and
 ``pyramid-alpha-link``'s in ``BENCH_staircase_walk.json`` (``borel``'s first
-in ``BENCH_staircase_shells.json``).  In one run on such a host, whose speed
-drifts by up to 2x within minutes, the suites other than ``catalog-small``
-took from 0.33 s (``a-bound``) to 2.33 s (``gstar-crosscheck``) each, four
-of them over 2 s, and the whole run 35.9 s at a peak RSS of 96 MB.
+in ``BENCH_staircase_shells.json``); and ``gstar-crosscheck``'s,
+``regularity-bound``'s, ``chain-invariants``', ``lemma-2-4``'s and
+``corollary-2-2``'s in ``BENCH_hf_walk.json``.  In one run on such a host,
+whose speed drifts by up to 2x within minutes, the suites other than
+``catalog-small`` took from 0.31 s (``a-bound``) to 2.12 s (``special-chi``)
+each, two of them over 2 s, and the whole run 33.7 s at a peak RSS of 95 MB.
 """
 
 import json

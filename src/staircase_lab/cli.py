@@ -1,7 +1,8 @@
 """Command-line surface: inspectable computations and verification suites.
 
 Exit codes: 0 success, 1 a verification suite found violations, 2 usage or
-domain error, 3 internal inconsistency (two formulas that must agree do not).
+domain error, 3 internal inconsistency (two formulas that must agree do not)
+or any other unexpected exception, reported in one line without a traceback.
 
 Every request starts a fresh interpreter, which compiles from source each
 package module it imports when no bytecode cache exists.  So each command
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except Exception as exc:  # a fault of the program itself, not a violation found
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

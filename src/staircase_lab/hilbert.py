@@ -15,9 +15,13 @@ and pass the same scan.  The enumerator and the staircases build admissible
 sequences directly and skip it; every function derives its colength from
 its diff on first use.
 
-With D(n) the cells missing up to degree n, g* = d^2 + 1 - sum_(n<=d) D(n).
-The enumerator reads g* this way to walk only the functions above a
-threshold: it skips a prefix whose largest completion stays at or below it.
+The enumerator walks the sequences of one colength in place: one list holds
+the prefix, and each step down or back up changes its last entry, the
+deficit left and a running part of g*, so its memory grows with the depth,
+never with d.  With D(n) the cells missing up to degree n,
+g* = d^2 + 1 - sum_(n<=d) D(n); read this way, g* lets the walk skip the
+functions at or below a threshold: it bounds every completion of a prefix,
+and the bound becomes a floor on the prefix's next entry.
 
 The pointwise order of n functions of one colength, regularity below L, is
 read from bitmasks in O(n L) big-int operations, not O(n^2) pair steps: one
@@ -30,7 +34,7 @@ of the cone family) live here so that their callers load nothing else.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, count
-from math import comb
+from math import comb, isqrt
 from operator import eq, le, lt, or_
 
 from .errors import DomainError, InternalInconsistencyError, Record, int_array
@@ -173,15 +177,26 @@ def enumerate_hilbert_functions(d: int, above: int | None = None) -> list[Hilber
     entry that spends the whole deficit is followed only by the diagonal
     value, so its function is appended in place.
 
+    The walk is depth first over one list of entries, the prefix.  Going
+    down appends an entry and spends its missing cells from the deficit;
+    going back up pops it and undoes that step exactly, so the deficit and g
+    of each level need no copy, and the next sibling is the popped entry
+    plus one.  Memory grows with the depth, which is at most the regularity,
+    and nothing is sized by d.
+
     The prune reads the genus functional a third way.  With D(n) the cells
     missing up to degree n, phi(n) = C(n + 2, 2) - D(n), so
     g* = d^2 + 1 - sum_(n<=d) D(n) = 1 - d + sum_n left(n), where
     left(n) = d - D(n) is the deficit left after entry n.  Every degree
     before the diagonal misses a cell, so the pointwise largest completion of
     a prefix misses one cell per degree; its lefts count down to 0 and bound
-    every leaf below by g + C(left + 1, 2) over the prefix's sum g.  A
-    subtree whose bound is at most ``above`` is skipped; at a leaf the bound
-    is its g*.
+    every leaf below by g + C(left + 1, 2) over the prefix's sum g.  The
+    bound grows with the next entry, which sets left, so a node computes
+    once the least entry whose bound exceeds ``above``: with
+    s = above - g >= 0 and k = (isqrt(8 s + 1) - 1) // 2 the largest k with
+    C(k + 1, 2) <= s, left must exceed k.  Every child from that floor on is
+    walked without a further test.  At a leaf left is 0 and the bound is its
+    g*, so a node with s >= 0 appends no leaf.
     """
     if d < 0:
         raise DomainError("colength must be nonnegative")
@@ -191,24 +206,34 @@ def enumerate_hilbert_functions(d: int, above: int | None = None) -> list[Hilber
     if d == 0:
         return [trusted((1,))] if 1 > above else []
     out: list[HilbertFunction] = []
-
-    def extend(prefix: tuple[int, ...], lo: int, deficit: int, g: int):
-        # g: 1 - d plus the deficits left after the prefix's entries
-        n = len(prefix)
+    append = out.append
+    entries: list[int] = []  # the prefix; entry n is the child walked at level n
+    n, lo, deficit, g = 0, 0, d, 1 - d  # g: 1 - d plus the deficits left after the prefix's entries
+    while True:
         first = n + 1 - deficit  # the entry that spends the whole deficit
-        if lo <= first:
-            if g > above:
-                out.append(trusted(prefix + (first, n + 2)))
-            first += 1
+        slack = above - g
+        if slack >= 0:  # no leaf here, and a child needs C(left + 1, 2) > slack
+            v = first + 1 + (isqrt(8 * slack + 1) - 1) // 2
+            if v < lo:
+                v = lo
+        elif lo <= first:
+            append(trusted((*entries, first, n + 2)))
+            v = first + 1
         else:
-            first = lo
-        for v in range(first, n + 1):
-            left = deficit - n - 1 + v
-            if g + left * (left + 1) // 2 > above:
-                extend(prefix + (v,), v + 1 if v else 0, left, g + left)
-
-    extend((), 0, d, 1 - d)
-    return out
+            v = lo
+        while v > n:  # no child left here: undo the last step, on to its next entry
+            if not n:
+                return out
+            n -= 1
+            v = entries.pop()
+            g -= deficit
+            deficit += n + 1 - v
+            v += 1
+        entries.append(v)
+        lo = v + 1 if v else 0
+        deficit += v - n - 1
+        g += deficit
+        n += 1
 
 
 def deformation_bound(d: int) -> int:

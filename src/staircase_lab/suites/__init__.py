@@ -73,12 +73,12 @@ SUITES = {
     "prop-4-1": ("pyramid", None, {"max_frame_closed": (64, 256), "max_frame_oracle": (9, 120)}),
     "pyramid-monotonic": ("pyramid", None, {"max_frame": (64, 1300)}),
     "endpoint": ("pyramid", 1, {"max_frame": (32, 2432), "max_n": (8, 456)}),
-    "gstar-crosscheck": ("hf", 0, {"max_colength": (12, 66)}),
+    "gstar-crosscheck": ("hf", 0, {"max_colength": (12, 68)}),
     "gstar-monotonic": ("hf", 1, {"max_colength": (12, 56)}),
-    "regularity-bound": ("hf", 0, {"max_colength": (12, 71)}),
+    "regularity-bound": ("hf", 0, {"max_colength": (12, 73)}),
     "hf-ideal-agreement": ("forms", 0, {"max_colength": (8, 42)}),
-    "lemma-2-4": ("forms", 5, {"max_colength": (14, 94)}),
-    "corollary-2-2": ("forms", 5, {"max_colength": (18, 94)}),
+    "lemma-2-4": ("forms", 5, {"max_colength": (14, 96)}),
+    "corollary-2-2": ("forms", 5, {"max_colength": (18, 98)}),
     "chain-invariants": ("forms", 5, {"max_colength": (14, 63)}),
     "form-agreement": ("forms", 5, {"max_colength": (12, 42)}),
     "ineq": ("scans", None, {"name": (None, None), "max_c": (50, 8000), "max_r": (6, 7), "m_span": (25, 40)}),

@@ -17,14 +17,16 @@ PRUNE_CHECK_CAP = 10  # colengths at which the pruned walk is checked against th
 
 def _above_bound(d: int):
     """The functions of colength d >= 5 whose genus exceeds the deformation
-    bound, from the g*-pruned walk, and the violations of that walk: up to
-    colength ``PRUNE_CHECK_CAP`` it must equal the filtered full enumeration."""
+    bound, from the g*-pruned walk, and the cases that check that walk: up to
+    colength ``PRUNE_CHECK_CAP`` it must equal the filtered full enumeration,
+    one case per shell, pass or fail."""
     bound = hilbert.deformation_bound(d)
     walked = hilbert.enumerate_hilbert_functions(d, above=bound)
     if d > PRUNE_CHECK_CAP:
         return walked, ()
     filtered = [phi for phi in hilbert.enumerate_hilbert_functions(d) if phi.g_star() > bound]
-    return walked, () if walked == filtered else (({"d": d, "check": "g* prune"}, _texts(filtered), _texts(walked)),)
+    found = () if walked == filtered else (({"d": d, "check": "g* prune"}, _texts(filtered), _texts(walked)),)
+    return walked, (found,)
 
 
 def suite_hf_ideal_agreement(d: int):
@@ -68,9 +70,8 @@ def suite_lemma_2_4(d: int):
     """Above the deformation bound the split exists and has c + m == d and
     m >= c + 2; ``decompose`` raises when it does not.  One case per function
     above the bound, walked without the others."""
-    walked, found = _above_bound(d)
-    if found:
-        yield found
+    walked, checks = _above_bound(d)
+    yield from checks
     for phi in walked:
         try:
             split = standard_form.decompose(phi)  # None exactly at or below the bound
@@ -89,9 +90,8 @@ def _unsplit(d: int, phi) -> tuple:
 def suite_corollary_2_2(d: int):
     """Kernel below its own bound forces m >= 2c + 1; only the functions above
     the bound split, and only they are walked."""
-    walked, found = _above_bound(d)
-    if found:
-        yield found
+    walked, checks = _above_bound(d)
+    yield from checks
     for phi in walked:
         split = standard_form.decompose(phi)
         if split is None:

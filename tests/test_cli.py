@@ -1,6 +1,8 @@
 """CLI behavior: output formats, exit codes, and determinism."""
 
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -35,6 +37,59 @@ ENUM_12_JSON = (
     '{"diff": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13], "g_star": 55, "regularity": 12}]}\n'
 )
 
+# sha256 of the ``hf enum --colength d`` stdout for d = 0..22, text and --json, recorded at commit a68f06a,
+# whose enumerator was the recursive walk that the in-place one replaced
+ENUM_TEXT_SHA256 = (
+    "92f8972fa57a04dd851b31b4930f64b8ccd8305526be5905879861a5481647cd",
+    "d42420298a81f7252454b5b1b2e0beb34b8091e6ce08ff7a20192563094adb4d",
+    "68ab654132b1bc4d64eab7af2276cfffed8f8b780bb14eec8c232978bb2ca18d",
+    "7d0417a581d9500717b371ca972be230e2f1e0aa7d94c6268dcd762f72128988",
+    "53629a1bb003607702e67c7090ce9d96780337d51e02cf78188196e50abca169",
+    "35e4cf91fb4a3714ecab8671fe3d936dae5bf3b385f59475aa11f43a9dc4f8d7",
+    "4daa598197be813ac674fa6c0a97342a9c49435a4bd2dd66adca11d24b44313e",
+    "1622f7484892c611c1d41c60f10436b0e227ffd8720f2c71656caf2b1883d9be",
+    "9e6e766c0945376b4508d0c5792d4dd0d688ed58d71ee49e4a44fe737e7a913e",
+    "88ff9329f02858ebba2c760c97d3168166fa8979b623d7e056de882c1550f94b",
+    "ae339154767651e5796551ddcfeaba9da008e87d3eab7b30ebfb5a75becdab0e",
+    "38e465f9c00215d8cf995d98b77fea327544e23e856b13e99ff0087ab16f4611",
+    "eb77368268075ef9a963f9a91feb23bcd1da25b22599c3c6cbfa2d11aa6351e8",
+    "6e6ccb2beb24f2f67c7bd7eab3b5d3e71704966370f19f62424f4b9c913ebd74",
+    "f1c94f5f0f81d797025e86f8233611f1c48bc2528649e320eec0627a30ffc592",
+    "dcd00567714f0b61ec8ea0ad2795cc4c685a37615a4c8de6c1f0271cba97b756",
+    "12ce4158284054436c3a39b5ae81803b28ea8c3ed46a3d7eb19aaed78fe112e3",
+    "a521f4b31b9f3a4740c7c02b49e363f0e9b45b6c2e906a6916d9be50a0862ce9",
+    "814a17eecb9e91ee4630e7cd4e9bce4383bb09bb0b10c7bc285f86899090b75a",
+    "c642bbc50ed9763d615115b319267a11c2af2344e6c135b1339c6075e713cba1",
+    "3532b976087b1f75287307096594f388f1c4be9f992bbb0f14b7d9c275bb08b5",
+    "318fb30ad767984720c491307d2ea36a7e587ad1d609d5a7d804b3b90a9c8c4f",
+    "33bd53c1ce15d7fddc930a39b586108c9e3d5f8306edbf43e3501fee860aa92a",
+)
+ENUM_JSON_SHA256 = (
+    "b6c1fd36b72fd8acb4b9065bf58e5758ee12f314ad8d82345a563911ad325218",
+    "319e60d05b41e0f776130bbd6ab1fa2718fecacbe2e916c9e993f5c9e3ebb636",
+    "53aeca913deacea7611051981e181b86c0d983d35796eca5c8c5c52bcb7fdd56",
+    "7e76259d472a591b184bdaf5d59f7edcdd471cf3682f88423d37e0d320b857c6",
+    "ae2f38b2faf44ece3ecf0c06f0680d2922a335c12840527853354483a857a2f6",
+    "20e7346cd142b80242256682cb17677f2d22dae4f188ae7727c442cd2116fedc",
+    "bc0327dcb754aa4d4aae4c9e55b140d91a1b0a26f60591de5ddd9ee93c63b1f8",
+    "a394be07a5754c8b38df595767f7e84aaab1d17aad4a152efdb9e5c8e403e114",
+    "a3a6acc17cda23ce2a15dc32c446219f309c06186780b7ed583dd33394c94f74",
+    "ee04679c5a6c121b26da45c866b10e5e9f90660d2d0f3b4a52959d0e2992db11",
+    "c80e62d6970d5d771a7fee62ce32df256971580972080706393191dc8d0cd2a9",
+    "92d19387164b84a72e8ef060fafe152cd6382b394c857bbef066297568835eb5",
+    "53b8987611918252e9a29fcb849c555287e9c0717773f63316899b30040575c3",
+    "974360f365b78a088dfd25b0abd9139cf3f58c99c765d1f85ec5b5511e1dcd4f",
+    "579985cf9a0bbfe79ddbf3d6c72183e1c4c7e2db1f63816db6daad1c33f3b89a",
+    "3252d641d6f764c6bd0e5f1582cf18633be2cf35bf387b31fef0a07c5a988d67",
+    "7d5ec1e47bef8f25ac9aba7b989fb71f73884706c5cdadc05d5cde2db1b80038",
+    "26c5fa209bc6270577d186faebe21a00a6fa23f4c952dfb179345ff7651d87f2",
+    "e6a1fef3fbf2b6101af2942bdfec24fb44a85d2c87adcc287e20a2328231ae66",
+    "ddc5ff8ff43ee33e4a86d242747169325f53d1bab2524c541c8ade35732e6222",
+    "ab503371dfe055120862e18bb85a05c689837ab4a63d996826a50c23d4769620",
+    "a098e0c5c42f70607a8fd44504c2fb85123eecf841da1e80b9cbbad3721a2e15",
+    "af1fd6b145b586c8a6cb402f2be683c7ad79199e0d5f7cfb529ae60587621b5d",
+)
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -43,7 +98,7 @@ def run_cli(*args, env=None):
 
 
 def run_in_process(*args):
-    """Exit code of ``cli.main``; an exception it lets through fails the test."""
+    """Exit code of ``cli.main``, which maps any exception to 2 or 3."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(list(args))
 
@@ -201,6 +256,14 @@ class TestHf:
         assert result.returncode == 0
         assert result.stdout == stdout
 
+    @pytest.mark.parametrize("d", range(23))
+    def test_enum_output_hashes_are_pinned(self, d):
+        for extra, want in (([], ENUM_TEXT_SHA256[d]), (["--json"], ENUM_JSON_SHA256[d])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["hf", "enum", "--colength", str(d), *extra]) == 0
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, extra
+
     def test_enum_json_output_is_pinned(self):
         result = run_cli("hf", "enum", "--colength", "12", "--json")
         assert result.returncode == 0
@@ -334,6 +397,21 @@ class TestExitCodes:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert cli.main(["verify", *args]) == 2
         assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("args,module,name,exc", [
+        (["verify", "--suite", "lemma-2-4"], "staircase_lab.suites.forms", "suite_lemma_2_4", ZeroDivisionError),
+        (["hf", "enum", "--colength", "6"], "staircase_lab.hilbert", "enumerate_hilbert_functions", ValueError),
+    ])
+    def test_an_unexpected_exception_is_an_internal_error(self, monkeypatch, args, module, name, exc):
+        def broken(*_):
+            raise exc("broken on purpose")
+
+        monkeypatch.setattr(importlib.import_module(module), name, broken)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(args) == cli.INTERNAL_EXIT == 3
+        assert err.getvalue() == f"internal error: {exc.__name__}: broken on purpose\n"
         assert out.getvalue() == ""
 
     def test_a_repeated_cap_takes_the_last_value(self):

@@ -1,7 +1,11 @@
 """Hilbert function validity, catalog values, and the genus functional."""
 
 import itertools
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from staircase_lab import hilbert as H
 from staircase_lab.errors import DomainError, InternalInconsistencyError
 
 from .strategies import hf_small, valid_diffs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # References written from the raw difference sequence, independent of the package.
@@ -248,6 +254,23 @@ class TestPrunedWalk:
             top = (d - 1) * (d - 2) // 2
             assert H.enumerate_hilbert_functions(d, above=top) == []
             assert H.enumerate_hilbert_functions(d, above=top - 1) == [H.lex_most(d)]
+
+    @pytest.mark.parametrize("d", range(21))
+    def test_the_floor_keeps_a_function_just_below_its_genus_and_drops_it_at_its_genus(self, d):
+        for phi in H.enumerate_hilbert_functions(d):
+            g = ref_g_star(phi.diff)
+            assert phi in H.enumerate_hilbert_functions(d, above=g - 1), phi
+            assert phi not in H.enumerate_hilbert_functions(d, above=g), phi
+
+    def test_nothing_is_sized_by_the_colength(self):
+        # above the largest genus at d = 10**12 the root's floor is past its last entry: a walk, or any
+        # scratch space, sized by d would not return.  A fresh process with 256 MB of address space and a
+        # time limit makes such a walk fail the test instead of filling the host's memory
+        code = ("import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))\n"
+                "from staircase_lab import hilbert\nd = 10**12\n"
+                "assert hilbert.enumerate_hilbert_functions(d, above=(d - 1) * (d - 2) // 2) == []")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=30, check=True)
 
     def test_colength_zero(self):
         # the full ideal has g* = 1
