@@ -201,10 +201,10 @@ class TestKnapsackDP:
                 P.max_weight_dp(c, d)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            P.max_weight_dp(3, 4)
-        with pytest.raises(DomainError):
-            P.max_weight_dp(3, 0)
+        for c in range(1, 12):
+            for d in (0, c + 1):
+                with pytest.raises(DomainError):
+                    P.max_weight_dp(c, d)
         for d in (0, 4):
             with pytest.raises(DomainError):
                 P.WeightTable.build(3).witness(d)
@@ -335,6 +335,31 @@ class TestExhaustiveWalk:
                 want_w, want = _reference_walk(c, d, full)
                 assert (w, witness.columns) == (want_w, want.columns), (c, d)
 
+    @pytest.mark.parametrize("full,planted_cap,count", [(False, 6, 836), (True, 4, 433)])
+    def test_a_planted_pyramid_is_found(self, monkeypatch, full, planted_cap, count):
+        """For every pyramid of every type up to the frame, its own picks
+        weigh 1 and every other option 0: only that pyramid weighs c, so a
+        search that skips any pair of halves misses it."""
+        every = [P._column_pool(i, i + 1, full) for i in range(planted_cap)]
+        planted = None
+
+        def planted_pool(i, deficit, full_subsets):
+            return [(pick, missed, int(pick == planted[i])) for pick, missed, _ in every[i] if missed <= deficit]
+
+        monkeypatch.setattr(P, "_column_pool", planted_pool)
+        found = 0
+        for c in range(1, planted_cap + 1):
+            for options in itertools.product(*every[:c]):
+                d = sum(missed for _, missed, _ in options)
+                if not 1 <= d <= c:
+                    continue
+                planted = [pick for pick, _, _ in options]
+                w, witness = P.brute_force_max_weight(c, d, full)
+                want = P.Pyramid.from_columns(planted) if full else P.Pyramid.from_initial_degrees(planted)
+                assert (w, witness.columns) == (c, want.columns), (c, d, planted)
+                found += 1
+        assert found == count
+
     def test_the_budget_is_checked_before_any_table_is_built(self, monkeypatch):
         def pool(i, deficit, full_subsets):
             raise AssertionError(f"pool of column {i} built")
@@ -344,6 +369,11 @@ class TestExhaustiveWalk:
             P.brute_force_max_weight(P.TOP_SEGMENT_FRAME_CAP + 1, 3)
         with pytest.raises(RangeError):
             P.brute_force_max_weight(P.FULL_SUBSET_FRAME_CAP + 1, 3, full_subsets=True)
+        for full, cap in [(False, P.TOP_SEGMENT_FRAME_CAP), (True, P.FULL_SUBSET_FRAME_CAP)]:
+            for c in range(1, cap + 1):
+                for d in (0, c + 1):
+                    with pytest.raises(RangeError):
+                        P.brute_force_max_weight(c, d, full)
 
     def test_each_call_builds_its_own_tables(self, monkeypatch):
         built = []
