@@ -28,7 +28,7 @@ from staircase_lab import suites
 def main() -> int:
     failures = 0
     start = time.perf_counter()
-    for name, (_, _, declared) in suites.SUITES.items():
+    for name, (*_, declared) in suites.SUITES.items():
         caps = {cap: deep for cap, (_, deep) in declared.items() if deep is not None}
         report = suites.run_suite(name, **caps)
         status = "ok" if report.ok else f"{len(report.violations)} VIOLATION(S)"

@@ -1,15 +1,13 @@
 """Suites of staircases and standard forms: the staircases' functions,
 standard-form splits above the deformation bound, type chains, the split of
-a staircase against that of its function, and Borel closures.  Each whole
-shell walked is sized against the ``census``."""
+a staircase against that of its function, and Borel closures."""
 
 from __future__ import annotations
 
 from operator import gt
 
-from .. import census, hilbert, staircase, standard_form
+from .. import hilbert, standard_form
 from ..errors import InternalInconsistencyError
-from . import shell_census
 
 
 PRUNE_CHECK_CAP = 10  # colengths at which the pruned walk is checked against the full one
@@ -29,7 +27,7 @@ def _above_bound(d: int):
     return walked, (found,)
 
 
-def suite_hf_ideal_agreement(d: int):
+def suite_hf_ideal_agreement(d: int, ideals, functions):
     """Enumerated functions match the distinct functions of all staircases.
 
     Both sides build their sequences unchecked, so each distinct staircase
@@ -38,10 +36,6 @@ def suite_hf_ideal_agreement(d: int):
     ideals, and by Macaulay's theorem their functions are each admissible
     function exactly once.
     """
-    ideals = staircase.enumerate_ideals(d)
-    functions = hilbert.enumerate_hilbert_functions(d)
-    yield from shell_census(d, ideals, census.partitions)
-    yield from shell_census(d, functions, census.distinct_partitions)
     images = [ideal.hilbert_function() for ideal in ideals]
     witness = dict(zip(images, ideals))  # each distinct function, with a staircase
     found = [
@@ -103,11 +97,9 @@ def suite_corollary_2_2(d: int):
             yield () if m >= 2 * c + 1 else (({"d": d, "phi": phi.as_text()}, f"m >= {2 * c + 1}", m),)
 
 
-def suite_chain_invariants(d: int):
+def suite_chain_invariants(d: int, functions):
     """Type-chain inequalities m_0 >= 2^r (c+2) and m_j + j < m_i + i - 1;
     ``type_of`` raises when a chain breaks them."""
-    functions = hilbert.enumerate_hilbert_functions(d)
-    yield from shell_census(d, functions, census.distinct_partitions)
     for phi in functions:
         try:
             standard_form.type_of(phi)
@@ -117,7 +109,7 @@ def suite_chain_invariants(d: int):
             yield ()
 
 
-def suite_form_agreement(d: int):
+def suite_form_agreement(d: int, ideals):
     """Staircase-level standard form matches the function-level split.
 
     A shell has far fewer functions than staircases (64 against 627 at
@@ -125,8 +117,6 @@ def suite_form_agreement(d: int):
     and the later ones read that function object, its cached g* and its split
     from a table that lives for this shell alone."""
     splits = {}  # function -> (its first object, its split)
-    ideals = staircase.enumerate_ideals(d)
-    yield from shell_census(d, ideals, census.partitions)
     for ideal in ideals:
         phi = ideal.hilbert_function()
         entry = splits.get(phi)
@@ -149,11 +139,9 @@ def suite_form_agreement(d: int):
             yield found
 
 
-def suite_borel(d: int):
+def suite_borel(d: int, ideals):
     """Borel closure never increases the colength; fixed points stay fixed;
     the fixed staircases are those with strictly decreasing heights."""
-    ideals = staircase.enumerate_ideals(d)
-    yield from shell_census(d, ideals, census.partitions)
     for ideal in ideals:
         found = []
         closure = ideal.borel_closure()

@@ -1,14 +1,13 @@
 """Suites of Hilbert functions alone: the colength <= 4 catalog, the genus
 functional and its order, the deformation bound's extremal function, and the
-regularity bound.  They call ``hilbert`` and nothing else, but for the
-``census`` that sizes each whole shell they walk."""
+regularity bound.  They call ``hilbert`` and nothing else."""
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .. import census, hilbert
-from . import passed, shell_census
+from .. import hilbert
+from . import passed
 
 
 def suite_catalog_small():
@@ -25,23 +24,19 @@ def suite_special_chi(d: int):
     yield () if got == want else (({"d": d}, want, got),)
 
 
-def suite_gstar_crosscheck(d: int):
+def suite_gstar_crosscheck(d: int, functions):
     """Both genus evaluations agree on every function (raises on mismatch);
     one batch of cases per colength."""
-    functions = hilbert.enumerate_hilbert_functions(d)
-    yield from shell_census(d, functions, census.distinct_partitions)
     for phi in functions:
         phi.g_star()
     yield len(functions)
 
 
-def suite_gstar_monotonic(d: int):
+def suite_gstar_monotonic(d: int, functions):
     """Strict growth of the genus functional along the pointwise order, and
     its maximum (d-1)(d-2)/2 at the lexicographically largest function.  A
     shell's pairs are the bits of its ``hilbert.above_masks``; those left by
     an AND with the mask of the functions whose g* is not larger fail."""
-    functions = hilbert.enumerate_hilbert_functions(d)
-    yield from shell_census(d, functions, census.distinct_partitions)
     above = hilbert.above_masks(functions)
     genus = [phi.g_star() for phi in functions]
     bad = list(above)
@@ -55,9 +50,7 @@ def suite_gstar_monotonic(d: int):
     yield () if top == want and hilbert.lex_most(d).g_star() == want else (({"d": d}, want, top),)
 
 
-def suite_regularity_bound(d: int):
-    functions = hilbert.enumerate_hilbert_functions(d)
-    yield from shell_census(d, functions, census.distinct_partitions)
+def suite_regularity_bound(d: int, functions):
     bad = [phi for phi in functions if phi.regularity > d]
     yield from passed(len(functions) - len(bad))
     for phi in bad:

@@ -96,10 +96,18 @@ def reference_spaces():
             if c >= 1:
                 left = marker_deformation_space(ms, ideal, "left")
                 spaces.append((f"marker r={r} c={c} left", left))
+    # column form, weight (-1, 0, 1): each step goes one column left, so the chain of column 5 joins columns 5, 4
+    # and 3, and the chain of column 4 starts in a column of that class; the fold walks to the class's root
+    leftward = T.TorusWeight((-1, 0, 1))
+    for label, second in [("joined", Monomial(3, 1, 1)), ("joined colliding", Monomial(2, 2, 1))]:
+        chains = [T.Chain(Monomial(3, 2, 0), frozenset({0, 1, 2})), T.Chain(second, frozenset({0, 1})),
+                  T.Chain(Monomial(3, 0, 2), frozenset({0}))]
+        spaces.append((f"column form {label}", T.SemiInvariantSpace(leftward, chains)))
     return spaces
 
 
 REFERENCE_SPACES = reference_spaces()
+SECTION_SPACES = [(label, space) for label, space in REFERENCE_SPACES if space.staircase is not None]
 
 
 def unchecked_space(weight, chains):
@@ -539,6 +547,27 @@ class TestColumnClasses:
             assert A.right_domain_spread(space, A.DomainSplit(threshold)) == want[1][threshold]
             assert entries == [2, 3], threshold
 
+    @pytest.mark.parametrize("label, space", REFERENCE_SPACES, ids=[label for label, _ in REFERENCE_SPACES])
+    def test_the_classes_are_the_components_of_the_column_graph(self, label, space):
+        # the walked chains' options, off the space itself; two chains are joined when they reach a common column
+        is_plain = space.plain_part()[2]
+        walked = [frozenset((m.xy_degree, m.ey) for m in chain.monomials(space.weight)
+                            if not is_plain(m.xy_degree, m.ey)) for chain in space.deformed]
+        unseen, components = {options for options in walked if len(options) > 1}, set()
+        while unseen:  # breadth first from any chain not yet reached
+            queue = [unseen.pop()]
+            component = set(queue)
+            while queue:
+                columns = {col for col, _ in queue.pop(0)}
+                joined = {options for options in unseen if columns & {col for col, _ in options}}
+                unseen -= joined
+                component |= joined
+                queue += joined
+            components.add(frozenset(component))
+        _, _, _, classes, numbered = A._fold(fresh(space))
+        assert {frozenset(frozenset((numbered[col], ey) for _, col, ey, _ in options) for options in group)
+                for group in classes} == components
+
     def test_one_class_keeps_the_walk_order(self):
         # every chain steps within column 3: one class, the chain with the most options first, ties in chain order
         space = T.SemiInvariantSpace(SHIFT, [
@@ -592,7 +621,7 @@ class TestSectionSpaces:
     """Spaces built by ``deformed_section_space`` keep their staircase's
     heights; the column form of the same chains is the reference."""
 
-    @pytest.mark.parametrize("label, space", REFERENCE_SPACES, ids=[label for label, _ in REFERENCE_SPACES])
+    @pytest.mark.parametrize("label, space", SECTION_SPACES, ids=[label for label, _ in SECTION_SPACES])
     def test_catalog_and_marker_spaces(self, label, space):
         assert_agrees_with_its_column_form(fresh(space))
 

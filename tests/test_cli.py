@@ -414,6 +414,24 @@ class TestExitCodes:
         assert err.getvalue() == f"internal error: {exc.__name__}: broken on purpose\n"
         assert out.getvalue() == ""
 
+    # the oracle given one more than its weight; the sum evaluation of g* given one more than C(9, 3), which only
+    # colength 6 reads (the closed evaluation reads C(e + 1, 3) with e <= d)
+    @pytest.mark.parametrize("args,module,name,broken,message", [
+        (["pyramid", "max", "--frame", "4", "--colength", "4", "--oracle"], "staircase_lab.pyramids", "max_weight_dp",
+         lambda dp: lambda c, d: (dp(c, d)[0] + 1, dp(c, d)[1]), "oracle weight 8 != closed form 7 at (c=4, d=4)"),
+        (["verify", "--suite", "gstar-crosscheck", "--max-colength", "6"], "staircase_lab.hilbert", "comb",
+         lambda comb: lambda n, k: comb(n, k) + ((n, k) == (9, 3)),
+         "genus functional mismatch on (0, 0, 0, 4): 2 != 3"),
+    ], ids=["pyramid-max", "verify"])
+    def test_an_internal_inconsistency_exits_three(self, monkeypatch, args, module, name, broken, message):
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(args) == cli.INTERNAL_EXIT == 3
+        assert err.getvalue() == f"internal inconsistency: {message}\n"
+        assert out.getvalue() == ""
+
     def test_a_repeated_cap_takes_the_last_value(self):
         def cases(*caps):
             out = io.StringIO()
@@ -589,7 +607,7 @@ class TestColdStart:
             (("ch14", "--e", "5"), 0, GRADE_MODULES),
             (("alphagrade", "--space", "{space}"), 0, GRADE_MODULES + ("torus",)),
             (("alphagrade", "--space", "{missing}"), 2, ()),
-            (("verify", "--suite", "special-chi", "--max-colength", "8"), 0, ("census", "hilbert", "suites", "suites.hf")),
+            (("verify", "--suite", "special-chi", "--max-colength", "8"), 0, ("hilbert", "suites", "suites.hf")),
             (
                 ("verify", "--suite", "pyramid-oracle", "--max-frame", "4"),
                 0,
@@ -603,7 +621,7 @@ class TestColdStart:
             (
                 ("verify", "--suite", "ch14", "--max-e", "5"),
                 0,
-                GRADE_MODULES + ("census", "suites", "suites.alpha"),
+                GRADE_MODULES + ("suites", "suites.alpha"),
             ),
             (
                 ("verify", "--suite", "borel", "--max-colength", "6"),

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from staircase_lab import catalog, census, cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus
+from staircase_lab import (
+    alphagrade, catalog, census, cli, hilbert, inequalities, pyramids, staircase, standard_form, suites, torus,
+)
 from staircase_lab.errors import DomainError, InternalInconsistencyError, MalformedIdealError
 from staircase_lab.suites import forms as form_suites
 
@@ -45,8 +47,8 @@ def verify_json(*args):
     return code, json.loads(out)
 
 
-STAIRCASE_SHELL_SUITES = ["hf-ideal-agreement", "form-agreement", "borel", "stabilization", "pyramid-alpha-link"]
-FUNCTION_SHELL_SUITES = ["gstar-crosscheck", "gstar-monotonic", "regularity-bound", "chain-invariants"]
+STAIRCASE_SHELL_SUITES = [name for name, (_, _, shells, _) in suites.SUITES.items() if "ideals" in shells]
+FUNCTION_SHELL_SUITES = [name for name, (_, _, shells, _) in suites.SUITES.items() if "functions" in shells]
 
 
 class TestViolations:
@@ -79,11 +81,12 @@ class TestViolations:
         ]
 
     # the witness at (12, 5) has a = (0 x 9, 1, 2, 2) and weight 47; [a, i] weighs a * (i + 1 - a)
-    @pytest.mark.parametrize("avec,got", [
-        ((0,) * 9 + (1, 9, 2), [12, 47]),  # column 10 as [9, 10]: the same weight, 7 more entries missed
-        ((0,) * 11 + (5,), [5, 35]),  # colength 5, a lighter pyramid
-    ])
-    def test_pyramid_oracle_checks_the_dp_witness_beyond_the_search_budget(self, monkeypatch, avec, got):
+    @pytest.mark.parametrize("avec,got,runs", [
+        ((0,) * 9 + (1, 9, 2), [12, 47], None),  # column 10 as [9, 10]: the same weight, 7 more entries missed
+        ((0,) * 11 + (5,), [5, 35], None),  # colength 5, a lighter pyramid
+        ((0,) * 7 + (1,) * 5, [5, 45], [5]),  # colength 5, lighter, and one step of breadth 5
+    ], ids=["longer", "lighter", "broad"])
+    def test_pyramid_oracle_checks_the_dp_witness_beyond_the_search_budget(self, monkeypatch, avec, got, runs):
         witness_of = pyramids.WeightTable.witness
 
         def broken(table, d):
@@ -92,7 +95,10 @@ class TestViolations:
 
         monkeypatch.setattr(pyramids.WeightTable, "witness", broken)
         report = suites.run_suite("pyramid-oracle", max_frame=12)
-        assert report.violations == [{"params": {"c": 12, "d": 5, "check": "witness"}, "expected": [5, 47], "got": got}]
+        breadth = [{"params": {"c": 12, "d": 5, "witness": list(avec)}, "expected": "steps < 4", "got": runs}]
+        assert report.violations == [
+            {"params": {"c": 12, "d": 5, "check": "witness"}, "expected": [5, 47], "got": got}, *breadth * bool(runs)
+        ]
 
     def test_pyramid_oracle_full_checks_the_colength_of_the_walk_witness(self, monkeypatch):
         walk = pyramids.brute_force_max_weight
@@ -167,6 +173,17 @@ class TestViolations:
             {"params": {"ideal": "(y, x^2)"}, "expected": "closure = ideal", "got": "(x, y)"},
         ]
 
+    # (y, x^2) given a closure that is itself, which is not Borel-fixed, or (x^2, x*y, y^2), of colength 3
+    @pytest.mark.parametrize("heights,expected,got", [((1, 1), "closure fixed", "(y, x^2)"), ((2, 1), "<= 2", 3)],
+                             ids=["not-fixed", "larger"])
+    def test_borel_checks_the_closure(self, monkeypatch, heights, expected, got):
+        closure = staircase.GradedMonomialIdeal.borel_closure
+        monkeypatch.setattr(staircase.GradedMonomialIdeal, "borel_closure", lambda ideal: (
+            staircase.GradedMonomialIdeal(heights) if ideal.heights == (1, 1) else closure(ideal)))
+        code, report = verify_json("--suite", "borel", "--max-colength", "3")
+        assert code == 1
+        assert report["violations"] == [{"params": {"ideal": "(y, x^2)"}, "expected": expected, "got": got}]
+
     def test_form_agreement_reports_a_form_where_the_function_does_not_split(self, monkeypatch):
         # every staircase of the function is reported, in enumeration order
         decompose = standard_form.decompose
@@ -190,20 +207,20 @@ class TestViolations:
             {"params": {"ideal": "(y^2, x^2*y, x^5)"}, "expected": "x or y form", "got": None},
         ]
 
-    def test_form_agreement_reports_a_kernel_of_another_function(self, monkeypatch):
-        # the split of 0,0,1,2,4,5,7 is given the other kernel of colength 3, so only the functions differ
+    # the split of 0,0,1,2,4,5,7 is (0,1,2,4; m = 6): given the other kernel of colength 3, only the functions
+    # differ; given m = 7, only the pairs (kernel colength, m) do
+    @pytest.mark.parametrize("kernel,m,expected,got", [
+        ("0,0,3", 6, "0,0,3", "0,1,2,4"), ("0,1,2,4", 7, (3, 7), (3, 6)),
+    ], ids=["kernel", "m"])
+    def test_form_agreement_reports_a_split_unlike_the_form(self, monkeypatch, kernel, m, expected, got):
         decompose = standard_form.decompose
-        other = hilbert.HilbertFunction.parse("0,0,3")
-
-        def broken(phi):
-            split = decompose(phi)
-            return (other, split[1]) if phi.as_text() == "0,0,1,2,4,5,7" else split
-
-        monkeypatch.setattr(standard_form, "decompose", broken)
+        split = hilbert.HilbertFunction.parse(kernel), m
+        monkeypatch.setattr(standard_form, "decompose", lambda phi: split if phi.as_text() == "0,0,1,2,4,5,7" else
+                            decompose(phi))
         report = suites.run_suite("form-agreement", max_colength=9)
         assert report.cases_run == 85
         assert report.violations == [
-            {"params": {"ideal": ideal}, "expected": "0,0,3", "got": "0,1,2,4"}
+            {"params": {"ideal": ideal}, "expected": expected, "got": got}
             for ideal in ["(x^2, x*y^3, y^6)", "(x*y, x^4, y^6)", "(x*y, y^4, x^6)", "(y^2, x^3*y, x^6)"]
         ]
 
@@ -276,25 +293,32 @@ class TestViolations:
         above = sum(len(hilbert.enumerate_hilbert_functions(d, hilbert.deformation_bound(d))) for d in range(5, 16))
         assert suites.run_suite("lemma-2-4", max_colength=15).cases_run == checks + above
 
-    # a staircase shell loses (1, ..., 1), whose function (d) also has; a function shell its lex-first function
-    @pytest.mark.parametrize("module,enumerator,kept,count,suite", [
-        *((staircase, "enumerate_ideals", slice(-1), census.partitions, suite) for suite in STAIRCASE_SHELL_SUITES),
-        *((hilbert, "enumerate_hilbert_functions", slice(1, None), census.distinct_partitions, suite)
-          for suite in FUNCTION_SHELL_SUITES),
+    @pytest.mark.parametrize("shell,suite", [
+        *(("ideals", suite) for suite in STAIRCASE_SHELL_SUITES),
+        *(("functions", suite) for suite in FUNCTION_SHELL_SUITES),
     ])
-    def test_a_shell_short_of_its_census_is_one_violation_per_colength(self, monkeypatch, module, enumerator, kept,
-                                                                       count, suite):
+    def test_a_shell_short_of_its_census_is_one_violation_per_colength(self, monkeypatch, shell, suite):
+        # a staircase shell loses (1, ..., 1), whose function (d) also has; a function shell its lex-first function
+        kept = {"ideals": slice(-1), "functions": slice(1, None)}[shell]
+        module_name, enumerator, count_name = suites.SHELLS[shell]
+        module, count = importlib.import_module(f"staircase_lab.{module_name}"), getattr(census, count_name)
         whole = getattr(module, enumerator)
         monkeypatch.setattr(module, enumerator, lambda d, *rest: whole(d, *rest)[kept] if d > 6 else whole(d, *rest))
         code, report = verify_json("--suite", suite)
-        cap = suites.SUITES[suite][2]["max_colength"][0]
+        _, _, shells, caps = suites.SUITES[suite]
+        want = []
+        for d in range(7, caps["max_colength"][0] + 1):
+            want.append({"params": {"d": d, "census": count_name}, "expected": count(d), "got": count(d) - 1})
+            if shell == "functions" and "ideals" in shells:
+                # the staircases, and among them the lex segments, still have the lost function
+                texts, kept_texts = (sorted(phi.as_text() for phi in functions) for functions in (whole(d),
+                                                                                                   whole(d)[kept]))
+                want += [{"params": params, "expected": kept_texts, "got": texts}
+                         for params in ({"d": d}, {"d": d, "borel": True})]
         assert code == 1
-        assert report["violations"] == [
-            {"params": {"d": d, "census": count.__name__}, "expected": count(d), "got": count(d) - 1}
-            for d in range(7, cap + 1)
-        ]
+        assert report["violations"] == want
 
-    @pytest.mark.parametrize("suite", [*STAIRCASE_SHELL_SUITES, *FUNCTION_SHELL_SUITES])
+    @pytest.mark.parametrize("suite", [name for name, (_, _, shells, _) in suites.SUITES.items() if shells])
     def test_the_census_adds_a_case_only_where_it_fails(self, monkeypatch, suite):
         cases = suites.run_suite(suite).cases_run
         monkeypatch.setattr(census, "partitions", lambda d: -1)
@@ -369,6 +393,15 @@ class TestViolations:
         assert (report["cases_run"], report["ok"]) == (11, False)
         assert report["violations"] == [{"params": {"ideal": "(x^2, x*y, y^2)"}, "expected": 1, "got": 0}]
 
+    def test_sandwich_reports_a_limit_degree_outside_the_grades(self, monkeypatch):
+        # at --max-m 4 the infinity limit of 7.3/m=4 has the max grade 10; double-deformation's collides
+        minmax = alphagrade.minmax_alpha_grade
+        monkeypatch.setattr(alphagrade, "minmax_alpha_grade", lambda space: (minmax(space)[0], minmax(space)[1] - 1))
+        report = suites.run_suite("sandwich", max_m=4)
+        assert (report.cases_run, report.violations) == (
+            2, [{"params": {"fixture": "7.3/m=4", "direction": "infinity"}, "expected": (5, 9), "got": 10}]
+        )
+
     def test_sandwich_skips_only_colliding_limits(self, monkeypatch):
         limit = torus.limit_ideal
 
@@ -411,25 +444,26 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(suites.SUITES))
     def test_every_name_resolves_to_a_generator_function_of_its_group(self, name):
-        group_name, low, declared = suites.SUITES[name]
+        group_name, low, shells, declared = suites.SUITES[name]
         group = importlib.import_module(f"staircase_lab.suites.{group_name}")
         function = suites.suite_function(name)
         assert inspect.isgeneratorfunction(function)
         assert function.__module__ == group.__name__
         assert getattr(group, function.__name__) is function
         # the generator takes exactly the declared caps, in order, with no default of its own; a swept
-        # suite takes its shell in place of the first cap
+        # suite takes its colength in place of the first cap, then the whole shells it reads of it
         parameters = inspect.signature(function).parameters
+        assert set(shells) <= suites.SHELLS.keys()
         if low is None:
-            assert list(parameters) == list(declared)
+            assert not shells and list(parameters) == list(declared)
         else:
-            assert declared and list(parameters)[1:] == list(declared)[1:]
+            assert declared and list(parameters)[1:] == [*shells, *list(declared)[1:]]
             assert list(parameters)[0] not in declared
         assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters.values())
 
-    @pytest.mark.parametrize("name", [name for name, (_, low, _) in suites.SUITES.items() if low is not None])
+    @pytest.mark.parametrize("name", [name for name, (_, low, _, _) in suites.SUITES.items() if low is not None])
     def test_the_lower_end_is_the_first_shell_with_a_case(self, name):
-        _, low, declared = suites.SUITES[name]
+        _, low, _, declared = suites.SUITES[name]
         swept = next(iter(declared))
         assert suites.run_suite(name, **{swept: low}).cases_run >= 1
         # one below the first case the sweep covers nothing, or the cap is negative
@@ -437,7 +471,7 @@ class TestRegistry:
             suites.run_suite(name, **{swept: low - 1})
 
     def test_every_cap_flag_is_declared_by_a_suite(self):
-        declared = {cap for _, _, caps in suites.SUITES.values() for cap in caps}
+        declared = {cap for *_, caps in suites.SUITES.values() for cap in caps}
         assert set(cli._SUITE_CAPS) <= declared
 
     @pytest.mark.parametrize("name,takes", [
@@ -566,7 +600,7 @@ class TestCoverage:
 
     @pytest.mark.parametrize("caps", [{}, {"max_c": 6, "max_r": 2, "m_span": 3}])
     def test_ineq_counts_the_cases_of_every_scan(self, caps):
-        defaults = {cap: default for cap, (default, _) in suites.SUITES["ineq"][2].items() if cap != "name"}
+        defaults = {cap: default for cap, (default, _) in suites.SUITES["ineq"][3].items() if cap != "name"}
         scan_caps = inequalities.ScanCaps(**{**defaults, **caps})
         want = sum(inequalities.inequality_scan(n, scan_caps).cases_run for n in inequalities.all_inequality_names())
         assert suites.run_suite("ineq", **caps).cases_run == want
@@ -578,23 +612,27 @@ class TestCoverage:
             yield (({"x": 1}, 0, 1),)
             yield 1
 
-        monkeypatch.setitem(suites.SUITES, "batches", ("forms", None, {}))
+        monkeypatch.setitem(suites.SUITES, "batches", ("forms", None, (), {}))
         monkeypatch.setattr(form_suites, "suite_batches", batches, raising=False)
         report = suites.run_suite("batches")
         assert (report.cases_run, report.violations) == (6, [{"params": {"x": 1}, "expected": 0, "got": 1}])
 
-    @pytest.mark.parametrize("name", sorted(name for name, (_, _, caps) in suites.SUITES.items() if caps))
+    @pytest.mark.parametrize("name", sorted(name for name, (*_, caps) in suites.SUITES.items() if caps))
     def test_deep_caps_bind(self, name):
-        declared = suites.SUITES[name][2]
-        suites.suite_function(name)(*(deep for _, deep in declared.values()))  # runs no case
+        _, low, shells, declared = suites.SUITES[name]
+        signature = inspect.signature(suites.suite_function(name))
+        # a swept suite takes its colength in the first cap's place; the whole shells it reads are left unbound
+        names = list(declared) if low is None else [next(iter(signature.parameters)), *list(declared)[1:]]
+        bound = signature.bind_partial(**dict(zip(names, (deep for _, deep in declared.values()))))
+        assert [p for p in signature.parameters if p not in bound.arguments] == list(shells)
         # the deep profile is never shallower than the default one
         assert all(deep is None if default is None else deep >= default for default, deep in declared.values())
 
     def test_deep_verify_prints_the_caps_of_each_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(suites, "SUITES", {
-            "catalog-small": ("hf", None, {}),
-            "bang": ("families", 4, {"max_m": (10, 6)}),
-            "ineq": ("scans", None, {"name": (None, None), "max_c": (50, 2), "max_r": (6, 1), "m_span": (25, 1)}),
+            "catalog-small": ("hf", None, (), {}),
+            "bang": ("families", 4, (), {"max_m": (10, 6)}),
+            "ineq": ("scans", None, (), {"name": (None, None), "max_c": (50, 2), "max_r": (6, 1), "m_span": (25, 1)}),
         })
         assert deep_verify.main() == 0
         lines = capsys.readouterr().out.splitlines()
